@@ -16,6 +16,8 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "GridFunction",
+    "periodic_second_diff",
+    "periodic_forward_diff",
     "laplacian",
     "forward_diff",
     "norm_l2",
@@ -101,16 +103,24 @@ def _core(u: GridFunction, g: Grid1D) -> np.ndarray:
     return u.core
 
 
+def periodic_second_diff(v: np.ndarray, h: float) -> np.ndarray:
+    """(v_{j+1} - 2v_j + v_{j-1})/h^2 on the independent values v_0..v_{N-1}."""
+    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2
+
+
+def periodic_forward_diff(v: np.ndarray, h: float) -> np.ndarray:
+    """(v_{j+1} - v_j)/h on the independent values v_0..v_{N-1}."""
+    return (np.roll(v, -1) - v) / h
+
+
 def laplacian(u: GridFunction, g: Grid1D) -> GridFunction:
     """Periodic three-point second difference (u_{j+1} - 2u_j + u_{j-1})/h^2."""
-    v = _core(u, g)
-    return GridFunction.from_core((np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / g.h**2)
+    return GridFunction.from_core(periodic_second_diff(_core(u, g), g.h))
 
 
 def forward_diff(u: GridFunction, g: Grid1D) -> GridFunction:
     """Periodic forward difference (u_{j+1} - u_j)/h."""
-    v = _core(u, g)
-    return GridFunction.from_core((np.roll(v, -1) - v) / g.h)
+    return GridFunction.from_core(periodic_forward_diff(_core(u, g), g.h))
 
 
 def norm_l2(u: GridFunction, g: Grid1D) -> float:

@@ -14,7 +14,9 @@ never enters the file, so identical plans produce byte-identical CSV.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -242,14 +244,47 @@ _EXPR_NAMES = {
     "e": np.e,
 }
 
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
 
 def _eval_expr(expr: str, x: np.ndarray) -> np.ndarray:
-    ns = dict(_EXPR_NAMES, x=x)
+    """Evaluate a plan's initial-data expression in ``x``.
+
+    Only numbers, ``x``, ``+ - * / **``, unary minus and the names of
+    :data:`_EXPR_NAMES` (functions only as one-argument calls) are accepted;
+    anything else is a :class:`PlanError`.  Numbers are read as floats, so a
+    constant power overflows instead of building a huge integer.
+    """
+    names = dict(_EXPR_NAMES, x=x)
+
+    def ev(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in names and not callable(names[node.id]):
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+            return _EXPR_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -ev(node.operand)
+        if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords:
+            fn = names.get(getattr(node.func, "id", None))
+            if callable(fn):
+                return fn(ev(node.args[0]))
+        raise PlanError([f"expression {expr!r}: {ast.unparse(node)!r} is not allowed"])
+
     try:
-        vals = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted names only
+        vals = np.asarray(ev(ast.parse(expr, mode="eval").body), dtype=float)
+    except PlanError:
+        raise
     except Exception as exc:
         raise PlanError([f"cannot evaluate expression {expr!r}: {exc}"]) from exc
-    return np.asarray(vals, dtype=float) * np.ones_like(x)
+    return vals * np.ones_like(x)
 
 
 def default_domain(problem: str) -> tuple[float, float]:
@@ -471,10 +506,7 @@ def _run_energy_drift(plan: ExperimentPlan) -> SweepResult:
         if t <= plan.final_time + 1e-12
     )
     t0 = time.perf_counter()
-    res = evolve(
-        initial_data_for(plan, g), p, cfg, g, n_steps,
-        snapshot_steps=snap_steps, energy_series=True,
-    )
+    res = evolve(initial_data_for(plan, g), p, cfg, g, n_steps, snapshot_steps=snap_steps)
     row = CellRow(
         scheme=plan.scheme, problem=plan.problem, epsilon=eps, lam=plan.lam,
         h=h, tau=tau, T=plan.final_time,
@@ -758,7 +790,7 @@ def plan_to_config(plan: ExperimentPlan) -> str:
         f"kind = {plan.kind}",
         f"scheme = {plan.scheme}",
         f"problem = {plan.problem}",
-        f"domain = {plan.domain[0]:g} {plan.domain[1]:g}",
+        f"domain = {plan.domain[0]!r} {plan.domain[1]!r}",
         f"T = {plan.final_time:.17g}",
         f"lambda = {plan.lam:.17g}",
         "",
@@ -779,7 +811,14 @@ def plan_to_config(plan: ExperimentPlan) -> str:
         "[solver]",
         f"newton_tol = {plan.newton_tol:.17g}",
         f"newton_max_iter = {plan.newton_max_iter}",
+        "",
+        "[run]",
+        f"threads = {plan.threads}",
     ]
+    if plan.out is not None:
+        lines.append(f"out = {plan.out}")
+    if plan.cache_dir is not None:
+        lines.append(f"cache_dir = {plan.cache_dir}")
     if plan.problem == "custom":
         lines += ["", "[custom]", f"phi = {plan.phi_expr}", f"gamma = {plan.gamma_expr}"]
     return "\n".join(lines) + "\n"

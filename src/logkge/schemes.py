@@ -18,27 +18,26 @@ middle layer, making its implicit system nodewise scalar:
 ``DG`` is the two-point discrete gradient of the regularized log potential,
 the ingredient that gives each scheme an exactly conserved discrete energy
 (see :func:`discrete_energy`).  Each step is a smooth nonlinear root-finding
-problem solved by Newton with the analytic Jacobian: a cyclic tridiagonal
-matrix for cnfd, a diagonal one for siefd.
+problem solved by one guarded Newton loop with the analytic Jacobian: a
+cyclic tridiagonal matrix for cnfd, a diagonal one for siefd.  The stepping
+path is :func:`evolve` -> :func:`step` -> :func:`solve_newton`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .analysis import siefd_tau_bound, sigma_max
 from .grid import (
     Grid1D,
     GridFunction,
-    forward_diff,
-    inner,
-    laplacian,
-    norm_l2,
     norm_linf,
-    seminorm_h1,
+    periodic_forward_diff,
+    periodic_second_diff,
 )
 from .nonlinearity import (
     NonlinearityParams,
@@ -56,8 +55,6 @@ __all__ = [
     "NonConvergenceError",
     "StabilityWarning",
     "first_step",
-    "cnfd_step",
-    "siefd_step",
     "step",
     "assemble_residual",
     "solve_newton",
@@ -88,7 +85,6 @@ class StepperConfig:
     tau: float
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    fallback: str = "damped-fixed-point"  # or "fail"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -99,8 +95,6 @@ class StepperConfig:
             raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
-        if self.fallback not in ("damped-fixed-point", "fail"):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -133,14 +127,14 @@ def first_step(
 ) -> WaveState:
     """Taylor start: u^1 = phi + tau*gamma + tau^2/2 * u_tt(0) evaluated nodewise."""
     phi, gamma = init.phi.core, init.gamma.core
-    lap_phi = laplacian(init.phi, g).core
-    accel = lap_phi - phi - p.lam * phi * reg_log(phi * phi, p)
+    accel = periodic_second_diff(phi, g.h) - phi - p.lam * phi * reg_log(phi * phi, p)
     u1 = phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
     return WaveState(prev=init.phi, curr=GridFunction.from_core(u1), n=1, t=cfg.tau)
 
 
-def _lap_core(v: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2
+def _norm(v: np.ndarray, h: float) -> float:
+    """Discrete l2 norm sqrt(h * sum v_j^2) of independent node values."""
+    return float(np.sqrt(h * np.sum(v * v)))
 
 
 def _residual_core(
@@ -151,9 +145,9 @@ def _residual_core(
     d2t = (cand - 2.0 * uc + up) / tau2
     nonlin = p.lam * discrete_gradient(cand, up, p)
     if cfg.scheme == "cnfd":
-        diff = -0.5 * _lap_core(cand + up, g.h)
+        diff = -0.5 * periodic_second_diff(cand + up, g.h)
     else:
-        diff = -_lap_core(uc, g.h)
+        diff = -periodic_second_diff(uc, g.h)
     return d2t + diff + 0.5 * (cand + up) + nonlin
 
 
@@ -163,10 +157,10 @@ def _rhs_scale(state: WaveState, cfg: StepperConfig, g: Grid1D) -> float:
     tau2 = cfg.tau**2
     b = (2.0 * uc - up) / tau2 - 0.5 * up
     if cfg.scheme == "cnfd":
-        b = b + 0.5 * _lap_core(up, g.h)
+        b = b + 0.5 * periodic_second_diff(up, g.h)
     else:
-        b = b + _lap_core(uc, g.h)
-    return float(np.sqrt(g.h * np.sum(b * b)))
+        b = b + periodic_second_diff(uc, g.h)
+    return _norm(b, g.h)
 
 
 def assemble_residual(
@@ -214,129 +208,82 @@ def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.nd
     return y - q * (vy / (1.0 + vq))
 
 
-def _newton(
-    state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> tuple[np.ndarray, list[float]]:
-    """Newton iteration for the next layer; returns (layer, residual norms).
-
-    Initial guess is the linear extrapolation 2u^n - u^{n-1}; stopping rule
-    ||R|| <= newton_tol * (1 + ||b||) with b the candidate-independent part
-    of the equation.  A nonpositive Jacobian diagonal or a blown iteration
-    cap falls back to a damped fixed-point sweep when enabled.
-    """
-    up, uc = state.prev.core, state.curr.core
-    tau2 = cfg.tau**2
-    tol = cfg.newton_tol * (1.0 + _rhs_scale(state, cfg, g))
-    lin_diag = 1.0 / tau2 + 0.5 + (1.0 / g.h**2 if cfg.scheme == "cnfd" else 0.0)
-
-    cand = 2.0 * uc - up
-    res = _residual_core(cand, state, p, cfg, g)
-    norms = [float(np.sqrt(g.h * np.sum(res * res)))]
-    if norms[-1] <= tol:
-        return cand, norms
-
-    for _ in range(cfg.newton_max_iter):
-        jac_diag = lin_diag + p.lam * discrete_gradient_dz1(cand, up, p)
-        if np.any(jac_diag <= 0.0) or not np.all(np.isfinite(jac_diag)):
-            break
-        if cfg.scheme == "cnfd":
-            delta = solve_cyclic_tridiag(jac_diag, -0.5 / g.h**2, -res)
-        else:
-            delta = -res / jac_diag
-        cand = cand + delta
-        res = _residual_core(cand, state, p, cfg, g)
-        norms.append(float(np.sqrt(g.h * np.sum(res * res))))
-        if not np.isfinite(norms[-1]):
-            break
-        if norms[-1] <= tol:
-            return cand, norms
-
-    if cfg.fallback == "fail":
-        raise NonConvergenceError(
-            f"Newton did not reach {tol:.3e} after {len(norms) - 1} iterations "
-            f"(last residual {norms[-1]:.3e})",
-            residual=norms[-1],
-        )
-
-    # Damped fixed-point fallback: the iteration map solves with the
-    # nonlinear diagonal clamped so the operator stays positive, and each
-    # step is halved until the residual actually decreases.
-    cand = 2.0 * uc - up
-    res = _residual_core(cand, state, p, cfg, g)
-    rnorm = float(np.sqrt(g.h * np.sum(res * res)))
-    norms.append(rnorm)
-    for _ in range(20 * cfg.newton_max_iter):
-        if not np.isfinite(rnorm):
-            break
-        if rnorm <= tol:
-            return cand, norms
-        jac_diag = lin_diag + p.lam * discrete_gradient_dz1(cand, up, p)
-        jac_diag = np.where(
-            np.isfinite(jac_diag), np.maximum(jac_diag, 0.1 * lin_diag), lin_diag
-        )
-        if cfg.scheme == "cnfd":
-            delta = solve_cyclic_tridiag(jac_diag, -0.5 / g.h**2, -res)
-        else:
-            delta = -res / jac_diag
-        alpha = 1.0
-        accepted = False
-        while alpha >= 2.0**-12:
-            trial = cand + alpha * delta
-            trial_res = _residual_core(trial, state, p, cfg, g)
-            trial_norm = float(np.sqrt(g.h * np.sum(trial_res * trial_res)))
-            if np.isfinite(trial_norm) and trial_norm < rnorm * (1.0 - 1e-4 * alpha):
-                cand, res, rnorm = trial, trial_res, trial_norm
-                accepted = True
-                break
-            alpha *= 0.5
-        norms.append(rnorm)
-        if not accepted:
-            break
-    raise NonConvergenceError(
-        f"implicit solve stalled at residual {norms[-1]:.3e} (tolerance {tol:.3e})",
-        residual=norms[-1],
-    )
+def _newton_step(jac_diag: np.ndarray, res: np.ndarray, cfg: StepperConfig, g: Grid1D):
+    """Newton update: solve J delta = -res, J = diag(jac_diag) + cnfd coupling."""
+    if cfg.scheme == "cnfd":
+        return solve_cyclic_tridiag(jac_diag, -0.5 / g.h**2, -res)
+    return -res / jac_diag
 
 
 def solve_newton(
     state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
 ) -> tuple[GridFunction, list[float]]:
-    """Solve the implicit step equation; returns (next layer, residual history)."""
-    cand, norms = _newton(state, p, cfg, g)
+    """Solve the implicit step equation; returns (next layer, residual history).
+
+    Guarded Newton from the linear extrapolation 2u^n - u^{n-1}, stopping at
+    ||R|| <= newton_tol * (1 + ||b||) with b the candidate-independent part
+    of the equation; the history holds the start and every iteration.  An
+    iteration whose Jacobian diagonal is positive and finite and whose full
+    step gives a finite residual takes that step with no decrease test.
+    Any other iteration clamps the diagonal to max(d, 0.1*lin_diag)
+    (lin_diag where d is not finite) and halves the step until the residual
+    drops by the Armijo factor 1 - 1e-4*alpha.  Raises
+    :class:`NonConvergenceError` after ``newton_max_iter`` iterations of
+    either kind, or when a guarded step falls below alpha = 2^-12.
+    """
+    up, uc = state.prev.core, state.curr.core
+    tol = cfg.newton_tol * (1.0 + _rhs_scale(state, cfg, g))
+    lin_diag = 1.0 / cfg.tau**2 + 0.5 + (1.0 / g.h**2 if cfg.scheme == "cnfd" else 0.0)
+
+    cand = 2.0 * uc - up
+    res = _residual_core(cand, state, p, cfg, g)
+    rnorm = _norm(res, g.h)
+    norms = [rnorm]
+    while not rnorm <= tol and len(norms) <= cfg.newton_max_iter:
+        jac_diag = lin_diag + p.lam * discrete_gradient_dz1(cand, up, p)
+        # min/max propagate NaN, so this tests positivity and finiteness
+        # without an N-sized temporary on the ordinary path.
+        ordinary = 0.0 < jac_diag.min() and jac_diag.max() < np.inf
+        if ordinary:
+            trial = cand + _newton_step(jac_diag, res, cfg, g)
+            trial_res = _residual_core(trial, state, p, cfg, g)
+            trial_norm = _norm(trial_res, g.h)
+            ordinary = np.isfinite(trial_norm)
+        if not ordinary:
+            jac_diag = np.where(
+                np.isfinite(jac_diag), np.maximum(jac_diag, 0.1 * lin_diag), lin_diag
+            )
+            delta = _newton_step(jac_diag, res, cfg, g)
+            for k in range(13):  # alpha = 1, 1/2, ..., 2^-12; NaN never passes
+                alpha = 0.5**k
+                trial = cand + delta if k == 0 else cand + alpha * delta
+                trial_res = _residual_core(trial, state, p, cfg, g)
+                trial_norm = _norm(trial_res, g.h)
+                if trial_norm < rnorm * (1.0 - 1e-4 * alpha):
+                    break
+            else:
+                break  # no step decreases the residual: stalled
+        cand, res, rnorm = trial, trial_res, trial_norm
+        norms.append(rnorm)
+    if not rnorm <= tol:
+        raise NonConvergenceError(
+            f"Newton stopped at residual {rnorm:.3e} after {len(norms) - 1} "
+            f"iterations (tolerance {tol:.3e})",
+            residual=rnorm,
+        )
     return GridFunction.from_core(cand), norms
 
 
-def _advance(
-    state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> WaveState:
-    nxt, norms = _newton(state, p, cfg, g)
+def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
+    """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``."""
+    nxt, norms = solve_newton(state, p, cfg, g)
     return WaveState(
         prev=state.curr,
-        curr=GridFunction.from_core(nxt),
+        curr=nxt,
         n=state.n + 1,
         t=state.t + cfg.tau,
         newton_iters=len(norms) - 1,
     )
-
-
-def cnfd_step(
-    state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> WaveState:
-    if cfg.scheme != "cnfd":
-        raise ValueError("cnfd_step requires cfg.scheme == 'cnfd'")
-    return _advance(state, p, cfg, g)
-
-
-def siefd_step(
-    state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> WaveState:
-    if cfg.scheme != "siefd":
-        raise ValueError("siefd_step requires cfg.scheme == 'siefd'")
-    return _advance(state, p, cfg, g)
-
-
-def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
-    return _advance(state, p, cfg, g)
 
 
 def discrete_energy(
@@ -354,22 +301,18 @@ def discrete_energy(
     the sign-indefinite cross product h*sum (D+ w)(D+ v) for siefd (no
     positivity is claimed for the latter).
     """
-    v, w = state.prev, state.curr
-    kinetic = (norm_l2(GridFunction.from_core((w.core - v.core) / cfg.tau), g)) ** 2
+    if len(state.curr) != g.N + 1:
+        raise ValueError("state does not match the grid")
+    v, w, h = state.prev.core, state.curr.core, g.h
+    kinetic = _norm((w - v) / cfg.tau, h) ** 2
+    dw, dv = periodic_forward_diff(w, h), periodic_forward_diff(v, h)
     if cfg.scheme == "cnfd":
-        grad = 0.5 * (seminorm_h1(w, g) ** 2 + seminorm_h1(v, g) ** 2)
+        grad = 0.5 * (_norm(dw, h) ** 2 + _norm(dv, h) ** 2)
     else:
-        grad = inner(forward_diff(w, g), forward_diff(v, g), g)
-    mass = 0.5 * (norm_l2(w, g) ** 2 + norm_l2(v, g) ** 2)
-    pot = reg_log_primitive(w.core**2, p) + reg_log_primitive(v.core**2, p)
-    return kinetic + grad + mass + p.lam * 0.5 * g.h * float(np.sum(pot))
-
-
-def siefd_stable_tau(u: GridFunction, p: NonlinearityParams, g: Grid1D) -> float:
-    """Predicted stable time step for siefd from the current layer (inf if none)."""
-    from .analysis import siefd_tau_bound, sigma_max
-
-    return siefd_tau_bound(g.h, sigma_max(u, p))
+        grad = float(h * np.dot(dw, dv))
+    mass = 0.5 * (_norm(w, h) ** 2 + _norm(v, h) ** 2)
+    pot = reg_log_primitive(w**2, p) + reg_log_primitive(v**2, p)
+    return kinetic + grad + mass + p.lam * 0.5 * h * float(np.sum(pot))
 
 
 @dataclass
@@ -386,7 +329,8 @@ class EvolveResult:
 
     @property
     def newton_avg(self) -> float:
-        return self.newton_total / self.steps if self.steps else 0.0
+        """Mean Newton iterations per Newton step (the Taylor start has none)."""
+        return self.newton_total / (self.steps - 1) if self.steps > 1 else 0.0
 
 
 def evolve(
@@ -398,21 +342,22 @@ def evolve(
     snapshot_steps: tuple[int, ...] = (),
     abort_on_growth: float | None = None,
     track_energy: bool = True,
-    energy_series: bool = False,
-    warn_stability: bool = True,
 ) -> EvolveResult:
     """Run a trajectory for n_steps time steps from the Taylor first step.
 
-    Tracks the relative drift of the scheme's discrete energy, collects
-    snapshots of u^n at the requested step indices, and (for siefd) warns
-    once if tau exceeds the stability bound predicted from the initial
-    layer.  With ``abort_on_growth`` set, stops early and flags blow-up as
-    soon as the sup norm grows past that factor of its initial value.
+    Each later step is one :func:`step` (one guarded Newton solve, whose
+    :class:`NonConvergenceError` propagates).  With ``track_energy`` the
+    result carries the discrete energy series from step 1 and its largest
+    relative drift.  Collects snapshots of u^n at the requested step
+    indices, and (for siefd) warns once if tau exceeds the stability bound
+    predicted from the initial layer.  With ``abort_on_growth`` set, stops
+    early and flags blow-up as soon as the sup norm grows past that factor
+    of its initial value.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if cfg.scheme == "siefd" and warn_stability:
-        bound = siefd_stable_tau(init.phi, p, g)
+    if cfg.scheme == "siefd":
+        bound = siefd_tau_bound(g.h, sigma_max(init.phi, p))
         if cfg.tau > bound:
             warnings.warn(
                 f"siefd time step tau={cfg.tau:.6g} exceeds the predicted stable "
@@ -429,9 +374,8 @@ def evolve(
     if 1 in snapshot_steps:
         snapshots[1] = state.curr
 
-    track_energy = track_energy or energy_series
     e0 = discrete_energy(state, p, cfg, g) if track_energy else 0.0
-    series = [e0] if energy_series else []
+    series = [e0] if track_energy else []
     drift = 0.0
     newton_total = 0
     u0_inf = max(norm_linf(init.phi, g), 1e-300)
@@ -439,13 +383,12 @@ def evolve(
     blown = abort_on_growth is not None and growth > abort_on_growth
 
     while state.n < n_steps and not blown:
-        state = _advance(state, p, cfg, g)
+        state = step(state, p, cfg, g)
         newton_total += state.newton_iters
         if track_energy:
             e = discrete_energy(state, p, cfg, g)
             drift = max(drift, abs(e - e0) / (1.0 + abs(e0)))
-            if energy_series:
-                series.append(e)
+            series.append(e)
         if state.n in snapshot_steps:
             snapshots[state.n] = state.curr
         if abort_on_growth is not None:
