@@ -16,12 +16,15 @@ named ``<sha256 of the canonical key string>.npz`` and containing
 Writes go through a temporary file in the same directory followed by an
 atomic rename, so concurrent readers never observe a partial entry and
 concurrent writers of the same key simply race to install identical bytes
-(reference computation is deterministic).
+(reference computation is deterministic).  An entry that cannot be trusted
+(unreadable, another version, another key) is logged as a warning, then
+recomputed and replaced like a missing one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import tempfile
 from pathlib import Path
@@ -35,6 +38,8 @@ from .schemes import InitialData, StepperConfig, WaveState, evolve
 __all__ = ["CacheError", "reference_key", "reference_state"]
 
 CACHE_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 class CacheError(RuntimeError):
@@ -77,7 +82,8 @@ def _load(path: Path, key: str) -> WaveState | None:
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load leaks the handle it opens when the archive is corrupt.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             stored_key = str(data["key"])
             version = int(data["version"])
             prev = np.asarray(data["prev"], dtype=float)
@@ -136,7 +142,11 @@ def reference_state(
     cache_dir = Path(cache_dir)
     key = reference_key(problem, "cnfd", p, g, tau, n_steps, newton_tol)
     path = _entry_path(cache_dir, key)
-    state = _load(path, key)
+    try:
+        state = _load(path, key)
+    except CacheError as exc:
+        log.warning("recomputing cache entry %s: %s", path, exc)
+        state = None
     if state is not None:
         return state
     state = evolve(init, p, cfg, g, n_steps, track_energy=False).state

@@ -10,6 +10,13 @@ A sweep is described by an :class:`ExperimentPlan` (built in code, by the
 Floats carry 17 significant digits, rows sort by (epsilon, h, tau), rate
 cells are empty except between adjacent refinement rows, and wall-clock time
 never enters the file, so identical plans produce byte-identical CSV.
+
+Two tables hold what would otherwise be spread over many branches.
+:data:`SWEEP_KINDS` gives each plan kind its swept axis and the meaning of
+``reference = auto``; the cells, the validation of the grid lists, the
+reference grids and the rate grouping all follow from the axis.
+:data:`_PLAN_FIELDS` maps every plan-file key to its :class:`ExperimentPlan`
+field, and drives both :func:`plan_from_config` and :func:`plan_to_config`.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ import math
 import operator
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,27 +54,46 @@ from .schemes import (
 
 __all__ = [
     "PLAN_KINDS",
+    "REPRODUCE_TARGETS",
     "ExperimentPlan",
     "CellRow",
     "SweepResult",
     "PlanError",
     "run",
     "emit_csv",
+    "emit_drift_series",
+    "emit_waveforms",
+    "initial_data_for",
     "plan_from_config",
     "plan_to_config",
     "reproduce_plan",
+    "run_reproduce",
     "default_cache_dir",
 ]
 
-PLAN_KINDS = (
-    "temporal-sweep",
-    "spatial-sweep",
-    "epsilon-sweep",
-    "diagonal-sweep",
-    "energy-drift",
-    "stability-probe",
-    "single-solve",
-)
+
+class SweepKind(NamedTuple):
+    # "tau", "h" or "epsilon": that list is swept, the others contribute
+    # their first value; "diagonal": eps, h and tau are zipped; None: one
+    # cell per eps at the first h and tau.
+    axis: str | None
+    # What reference = auto means: "cnfd-fine", "none", or "exact-gausson",
+    # which falls back to "none" for problems without an exact solution.
+    auto_reference: str
+    # The run samples u at the plan's snapshot times.
+    snapshots: bool = False
+
+
+SWEEP_KINDS = {
+    "temporal-sweep": SweepKind("tau", "cnfd-fine"),
+    "spatial-sweep": SweepKind("h", "cnfd-fine"),
+    "epsilon-sweep": SweepKind("epsilon", "exact-gausson"),
+    "diagonal-sweep": SweepKind("diagonal", "exact-gausson"),
+    "energy-drift": SweepKind(None, "none", snapshots=True),
+    "stability-probe": SweepKind(None, "none"),
+    "single-solve": SweepKind(None, "exact-gausson"),
+}
+PLAN_KINDS = tuple(SWEEP_KINDS)
 PROBLEMS = ("example1-gausson", "example2-cos-sin", "custom")
 REFERENCE_POLICIES = ("auto", "exact-gausson", "cnfd-fine", "none")
 
@@ -88,7 +114,7 @@ def default_cache_dir() -> Path:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    kind: str
+    kind: str = "single-solve"
     scheme: str = "cnfd"
     problem: str = "example1-gausson"
     domain: tuple[float, float] = (-16.0, 16.0)
@@ -102,7 +128,6 @@ class ExperimentPlan:
     h_ref: float | None = None
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    threads: int = 1
     cache_dir: str | None = None
     out: str | None = None
     phi_expr: str | None = None
@@ -112,79 +137,71 @@ class ExperimentPlan:
     snapshot_times: tuple[float, ...] = (0.0, 1.0, 5.0)
 
     def validate(self) -> list[str]:
-        """All structural problems with the plan, not just the first."""
-        errs = []
-        if self.kind not in PLAN_KINDS:
+        """All problems with the plan, not just the first.
+
+        Once the values themselves are sound, also checks every grid the run
+        would build (meshes divide the domain, time steps divide T, reference
+        meshes nest the cell meshes), so a plan that validates never fails
+        on its grids mid-run.  Every float must be finite.
+        """
+        inf, positive = math.inf, "finite and > 0"
+        checks = (  # (key, value, ok, requirement)
+            ("domain", self.domain, -inf < self.domain[0] < self.domain[1] < inf, "a < b, finite"),
+            ("T", self.final_time, _within([self.final_time], 0.0), positive),
+            ("lambda", self.lam, _within([self.lam], -inf), "finite"),
+            ("epsilon", self.epsilons, _within(self.epsilons, 0.0), positive),
+            ("tau", self.taus, _within(self.taus, 0.0), positive),
+            ("h", self.hs, _within(self.hs, 0.0), positive),
+            ("tau_ref", self.tau_ref, _within([self.tau_ref], 0.0), positive),
+            ("h_ref", self.h_ref, _within([self.h_ref], 0.0), positive),
+            ("newton_tol", self.newton_tol, 0.0 < self.newton_tol <= 1e-6, "in (0, 1e-6]"),
+            ("newton_max_iter", self.newton_max_iter, self.newton_max_iter >= 1, ">= 1"),
+            ("probe factors", self.probe_factors, _within(self.probe_factors, 0.0), positive),
+            ("probe steps", self.probe_steps, self.probe_steps >= 1, ">= 1"),
+            ("snapshot_times", self.snapshot_times,
+             all(0.0 <= t < inf for t in self.snapshot_times), "finite and >= 0"),
+        )
+        errs = [f"{key}: must be {req}, got {value!r}" for key, value, ok, req in checks if not ok]
+        kind = SWEEP_KINDS.get(self.kind)
+        if kind is None:
             errs.append(f"kind: unknown kind {self.kind!r}, expected one of {PLAN_KINDS}")
         if self.scheme not in ("cnfd", "siefd"):
             errs.append(f"scheme: unknown scheme {self.scheme!r}")
         if self.problem not in PROBLEMS:
             errs.append(f"problem: unknown problem {self.problem!r}")
-        if self.problem == "custom" and not self.phi_expr:
-            errs.append("phi: custom problem needs a phi expression")
-        if self.problem == "custom" and not self.gamma_expr:
-            errs.append("gamma: custom problem needs a gamma expression")
-        if not self.domain[1] > self.domain[0]:
-            errs.append(f"domain: need a < b, got {self.domain}")
-        if not self.final_time > 0.0:
-            errs.append(f"T: must be > 0, got {self.final_time}")
-        if any(e <= 0.0 for e in self.epsilons) or not self.epsilons:
-            errs.append("epsilon: needs a nonempty list of positive values")
-        if any(t <= 0.0 for t in self.taus):
-            errs.append("tau: values must be positive")
-        if any(h <= 0.0 for h in self.hs):
-            errs.append("h: values must be positive")
+        if self.problem == "custom" and not (self.phi_expr and self.gamma_expr):
+            errs.append("custom: a custom problem needs phi and gamma expressions")
         if self.reference not in REFERENCE_POLICIES:
             errs.append(f"reference: unknown policy {self.reference!r}")
-        if self.threads < 1:
-            errs.append("threads: must be >= 1")
-        if not 0.0 < self.newton_tol <= 1e-6:
-            errs.append("newton_tol: must lie in (0, 1e-6]")
+        if self.reference == "exact-gausson" and self.problem != "example1-gausson":
+            errs.append("reference: exact-gausson truth exists only for example1-gausson")
+        if kind is not None:
+            errs.extend(self._kind_errors(kind))
+        return errs or _grid_errors(self, kind)
 
-        def needs(name, seq, minimum):
+    def _kind_errors(self, kind: SweepKind) -> list[str]:
+        """The list lengths and refinement ratios the swept axis needs."""
+        errs = []
+        swept = ("tau", "h") if kind.axis == "diagonal" else (kind.axis,)
+        for name, seq in (("epsilon", self.epsilons), ("tau", self.taus), ("h", self.hs)):
+            minimum = 2 if name in swept else 1
+            ratios = [a / b for a, b in zip(seq, seq[1:])]
+            # Rates need tau and h halved at each level, eps refined by a fixed ratio.
+            want = ratios[0] if name == "epsilon" and ratios else 2.0
             if len(seq) < minimum:
                 errs.append(f"{name}: {self.kind} needs at least {minimum} value(s)")
-                return False
-            return True
-
-        def halving(name, seq):
-            for a, b in zip(seq, seq[1:]):
-                if not math.isclose(b, a / 2.0, rel_tol=1e-9):
-                    errs.append(
-                        f"{name}: rates requested but the list is not a halving "
-                        f"sequence ({a} followed by {b})"
-                    )
-                    return
-
-        if self.kind == "temporal-sweep":
-            if needs("tau", self.taus, 2):
-                halving("tau", self.taus)
-            needs("h", self.hs, 1)
-        elif self.kind == "spatial-sweep":
-            if needs("h", self.hs, 2):
-                halving("h", self.hs)
-            needs("tau", self.taus, 1)
-        elif self.kind == "epsilon-sweep":
-            needs("epsilon", self.epsilons, 2)
-            needs("tau", self.taus, 1)
-            needs("h", self.hs, 1)
-            ratios = [a / b for a, b in zip(self.epsilons, self.epsilons[1:])]
-            if ratios and any(not math.isclose(r, ratios[0], rel_tol=1e-9) for r in ratios):
-                errs.append("epsilon: refinement ratio must be constant across the list")
-        elif self.kind == "diagonal-sweep":
-            if needs("tau", self.taus, 2) and needs("h", self.hs, 2):
-                if not (len(self.taus) == len(self.hs) == len(self.epsilons)):
-                    errs.append("grids: diagonal sweep needs equal-length eps/h/tau lists")
-                halving("tau", self.taus)
-                halving("h", self.hs)
-        else:
-            needs("tau", self.taus, 1)
-            needs("h", self.hs, 1)
-
-        for h in self.hs:
-            if h > 0 and (self.domain[1] - self.domain[0]) / h < 4:
-                errs.append(f"h: {h} leaves fewer than 4 cells on {self.domain}")
+            elif name in swept and not all(math.isclose(r, want, rel_tol=1e-9) for r in ratios):
+                errs.append(f"{name}: rates need a refinement ratio of {want:g} throughout {seq}")
+        if kind.axis == "diagonal" and not len(self.taus) == len(self.hs) == len(self.epsilons):
+            errs.append("grids: diagonal sweep needs equal-length eps/h/tau lists")
+        if kind.axis == "tau" and self.h_ref is not None:
+            errs.append(f"h_ref: {self.kind} keeps each cell's mesh, so h_ref is unused")
         return errs
+
+
+def _within(values, low: float) -> bool:
+    """Every value that is set lies in (low, inf); NaN never does."""
+    return all(low < v < math.inf for v in values if v is not None)
 
 
 @dataclass
@@ -317,28 +334,52 @@ def _problem_tag(plan: ExperimentPlan) -> str:
 def _resolve_reference(plan: ExperimentPlan) -> str:
     if plan.reference != "auto":
         return plan.reference
-    if plan.kind in ("epsilon-sweep", "diagonal-sweep"):
-        return "exact-gausson" if plan.problem == "example1-gausson" else "none"
-    if plan.kind in ("energy-drift", "stability-probe"):
+    auto = SWEEP_KINDS[plan.kind].auto_reference
+    if auto == "exact-gausson" and plan.problem != "example1-gausson":
         return "none"
-    if plan.kind in ("temporal-sweep", "spatial-sweep"):
-        return "cnfd-fine"
-    return "exact-gausson" if plan.problem == "example1-gausson" else "none"
+    return auto
+
+
+def _count(length: float, step: float) -> int | None:
+    """How many steps make up ``length``; None unless ``step`` divides it."""
+    n = round(length / step)
+    return n if n >= 1 and math.isclose(n * step, length, rel_tol=1e-9) else None
 
 
 def _grid_for(plan: ExperimentPlan, h: float) -> Grid1D:
     a, b = plan.domain
-    n = round((b - a) / h)
-    if not math.isclose(n * h, b - a, rel_tol=1e-9):
-        raise PlanError([f"h: {h} does not divide the domain {plan.domain} evenly"])
-    return Grid1D(a, b, n)
+    return Grid1D(a, b, _count(b - a, h))
 
 
-def _steps_for(T: float, tau: float) -> int:
-    n = round(T / tau)
-    if n < 1 or not math.isclose(n * tau, T, rel_tol=1e-9):
-        raise PlanError([f"tau: {tau} does not divide the final time {T} evenly"])
-    return n
+def _snapshot_steps(plan: ExperimentPlan) -> tuple[int, ...]:
+    """Step of every snapshot time up to T; later times are skipped."""
+    tau = plan.taus[0]
+    return tuple(
+        _count(t, tau) if t > 0 else 0
+        for t in plan.snapshot_times
+        if t <= plan.final_time + 1e-12
+    )
+
+
+def _grid_errors(plan: ExperimentPlan, kind: SweepKind) -> list[str]:
+    """Meshes and time steps the run would use that do not fit the plan."""
+    length, T = plan.domain[1] - plan.domain[0], plan.final_time
+    errs = [f"h: {h} must divide the domain into at least 4 cells"
+            for h in plan.hs if (_count(length, h) or 0) < 4]
+    errs += [f"tau: {tau} does not divide T = {T} evenly" for tau in plan.taus
+             if not _count(T, tau)]
+    if kind.snapshots and not errs and None in _snapshot_steps(plan):
+        errs.append(f"snapshot_times: each time up to T must be a multiple of tau {plan.taus[0]}")
+    if errs or _resolve_reference(plan) != "cnfd-fine":
+        return errs
+    for _, h, tau in _cells_for(plan):
+        h_ref, tau_ref = _reference_grid_rule(plan, h, tau)
+        n_ref = _count(length, h_ref)
+        if n_ref is None or n_ref % _count(length, h):
+            errs.append(f"h_ref: the reference mesh {h_ref} does not nest the cell mesh {h}")
+        if not _count(T, tau_ref):
+            errs.append(f"tau_ref: {tau_ref} does not divide T = {T} evenly")
+    return list(dict.fromkeys(errs))
 
 
 # --- reference handling ---------------------------------------------------
@@ -347,66 +388,47 @@ def _steps_for(T: float, tau: float) -> int:
 def _reference_grid_rule(plan: ExperimentPlan, h_cell: float, tau_cell: float):
     """(h_ref, tau_ref) for one cell under the cnfd-fine policy.
 
-    Temporal sweeps keep the measured spatial grid so its spatial error
-    cancels in the difference and only the temporal error survives; spatial
-    sweeps keep the measured time step (same cancellation in time) and
-    refine the mesh 8x.  Anything else refines both by the generic 4x/8x.
+    A tau sweep keeps the measured spatial grid so its spatial error cancels
+    in the difference and only the temporal error survives; an h sweep keeps
+    the measured time step (same cancellation in time) and refines the mesh
+    8x.  Every other axis refines both by the generic 4x/8x.  An explicit
+    ``h_ref`` or ``tau_ref`` overrides the refined value.
     """
-    if plan.kind == "temporal-sweep":
-        return h_cell, plan.tau_ref if plan.tau_ref else min(plan.taus) / 8.0
-    if plan.kind == "spatial-sweep":
-        return plan.h_ref if plan.h_ref else min(plan.hs) / 8.0, (
-            plan.tau_ref if plan.tau_ref else tau_cell
-        )
-    return (
-        plan.h_ref if plan.h_ref else h_cell / 4.0,
-        plan.tau_ref if plan.tau_ref else tau_cell / 8.0,
-    )
-
-
-def _restrict(fine: GridFunction, g_fine: Grid1D, g_coarse: Grid1D) -> GridFunction:
-    if g_fine.N % g_coarse.N != 0:
-        raise PlanError(
-            [f"reference grid N={g_fine.N} does not nest the cell grid N={g_coarse.N}"]
-        )
-    stride = g_fine.N // g_coarse.N
-    return GridFunction(fine.values[::stride])
+    axis = SWEEP_KINDS[plan.kind].axis
+    if axis == "tau":
+        return h_cell, plan.tau_ref or min(plan.taus) / 8.0
+    if axis == "h":
+        return plan.h_ref or min(plan.hs) / 8.0, plan.tau_ref or tau_cell
+    return plan.h_ref or h_cell / 4.0, plan.tau_ref or tau_cell / 8.0
 
 
 def _truth_for_cell(plan: ExperimentPlan, policy, eps, g, tau, refs):
     if policy == "none":
         return None, ""
     if policy == "exact-gausson":
-        return (
-            GridFunction.sample(g, lambda x: gausson(x, plan.final_time)),
-            "exact-LogKGE",
-        )
+        return GridFunction.sample(g, lambda x: gausson(x, plan.final_time)), "exact-LogKGE"
     h_ref, tau_ref = _reference_grid_rule(plan, g.h, tau)
-    state = refs[(eps, h_ref, tau_ref)]
-    g_ref = _grid_for(plan, h_ref)
-    return _restrict(state.curr, g_ref, g), "reference-RLogKGE"
+    fine = refs[(eps, h_ref, tau_ref)].curr
+    stride = _grid_for(plan, h_ref).N // g.N
+    return GridFunction(fine.values[::stride]), "reference-RLogKGE"
 
 
-def _reference_specs(plan: ExperimentPlan, policy: str, cells) -> set:
+def _compute_references(plan: ExperimentPlan, policy: str, cells) -> dict:
+    """Reference states the cells need, keyed by (eps, h_ref, tau_ref)."""
     if policy != "cnfd-fine":
-        return set()
-    return {
-        (eps, *_reference_grid_rule(plan, h, tau)) for (eps, h, tau) in cells
-    }
-
-
-def _compute_references(plan: ExperimentPlan, specs) -> dict:
+        return {}
     refs = {}
-    for eps, h_ref, tau_ref in sorted(specs):
+    for eps, h_ref, tau_ref in sorted(
+        {(eps, *_reference_grid_rule(plan, h, tau)) for eps, h, tau in cells}
+    ):
         g_ref = _grid_for(plan, h_ref)
-        p = NonlinearityParams(lam=plan.lam, epsilon=eps)
         refs[(eps, h_ref, tau_ref)] = reference_state(
             _problem_tag(plan),
             initial_data_for(plan, g_ref),
-            p,
+            NonlinearityParams(lam=plan.lam, epsilon=eps),
             g_ref,
             tau_ref,
-            _steps_for(plan.final_time, tau_ref),
+            _count(plan.final_time, tau_ref),
             newton_tol=plan.newton_tol,
             cache_dir=plan.cache_dir,
         )
@@ -417,75 +439,63 @@ def _compute_references(plan: ExperimentPlan, specs) -> dict:
 
 
 def _cells_for(plan: ExperimentPlan) -> list[tuple[float, float, float]]:
-    if plan.kind == "temporal-sweep":
-        return [(e, plan.hs[0], t) for e in plan.epsilons for t in plan.taus]
-    if plan.kind == "spatial-sweep":
-        return [(e, h, plan.taus[0]) for e in plan.epsilons for h in plan.hs]
-    if plan.kind == "epsilon-sweep":
-        return [(e, plan.hs[0], plan.taus[0]) for e in plan.epsilons]
-    if plan.kind == "diagonal-sweep":
+    axis = SWEEP_KINDS[plan.kind].axis
+    if axis == "diagonal":
         return list(zip(plan.epsilons, plan.hs, plan.taus))
-    return [(e, plan.hs[0], plan.taus[0]) for e in plan.epsilons]
+    hs = plan.hs if axis == "h" else plan.hs[:1]
+    taus = plan.taus if axis == "tau" else plan.taus[:1]
+    return [(e, h, t) for e in plan.epsilons for h in hs for t in taus]
+
+
+def _row(plan: ExperimentPlan, eps: float, h: float, tau: float, **values) -> CellRow:
+    values.setdefault("T", plan.final_time)
+    return CellRow(plan.scheme, plan.problem, eps, plan.lam, h, tau, **values)
+
+
+def _stepper(plan: ExperimentPlan, tau: float) -> StepperConfig:
+    return StepperConfig(plan.scheme, tau, plan.newton_tol, plan.newton_max_iter)
 
 
 def _run_cell(plan, policy, refs, cell) -> CellRow:
     eps, h, tau = cell
     t0 = time.perf_counter()
-    row = CellRow(
-        scheme=plan.scheme,
-        problem=plan.problem,
-        epsilon=eps,
-        lam=plan.lam,
-        h=h,
-        tau=tau,
-        T=plan.final_time,
-    )
+    row = _row(plan, eps, h, tau)
     g = _grid_for(plan, h)
     p = NonlinearityParams(lam=plan.lam, epsilon=eps)
-    cfg = StepperConfig(
-        scheme=plan.scheme,
-        tau=tau,
-        newton_tol=plan.newton_tol,
-        newton_max_iter=plan.newton_max_iter,
-    )
     init = initial_data_for(plan, g)
     try:
-        res = evolve(init, p, cfg, g, _steps_for(plan.final_time, tau))
+        res = evolve(init, p, _stepper(plan, tau), g, _count(plan.final_time, tau))
     except NonConvergenceError:
         row.status = "non-convergence"
-        row.wall_time = time.perf_counter() - t0
-        return row
-    row.energy_drift = res.max_rel_drift
-    row.newton_avg_iters = res.newton_avg
-    truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
-    if truth is not None:
-        rep = error_report(res.state.curr, truth, g, against=against)
-        row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
+    else:
+        row.energy_drift = res.max_rel_drift
+        row.newton_avg_iters = res.newton_avg
+        truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
+        if truth is not None:
+            rep = error_report(res.state.curr, truth, g, against=against)
+            row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
     row.wall_time = time.perf_counter() - t0
     return row
 
 
 def _attach_rates(plan: ExperimentPlan, rows: list[CellRow]) -> None:
-    """Orders between adjacent refinement rows, attached to the finer row."""
-    if plan.kind == "temporal-sweep":
-        group, step = lambda r: (r.epsilon, r.h), lambda r: r.tau
-    elif plan.kind == "spatial-sweep":
-        group, step = lambda r: (r.epsilon, r.tau), lambda r: r.h
-    elif plan.kind == "epsilon-sweep":
-        group, step = lambda r: (r.h, r.tau), lambda r: r.epsilon
-    elif plan.kind == "diagonal-sweep":
-        group, step = lambda r: 0, lambda r: r.tau
-    else:
+    """Orders between adjacent refinement rows, attached to the finer row.
+
+    Rows that agree on the axes held fixed form a group (a diagonal sweep is
+    one group), ordered by the swept step (tau on the diagonal).
+    """
+    axis = SWEEP_KINDS[plan.kind].axis
+    if axis is None:
         return
+    step = operator.attrgetter("tau" if axis == "diagonal" else axis)
+    fixed = () if axis == "diagonal" else [a for a in ("epsilon", "h", "tau") if a != axis]
     by_group: dict = {}
     for r in rows:
-        by_group.setdefault(group(r), []).append(r)
+        by_group.setdefault(tuple(getattr(r, a) for a in fixed), []).append(r)
     for members in by_group.values():
         members.sort(key=step, reverse=True)  # coarse to fine
         for coarse, fine in zip(members, members[1:]):
-            if coarse.status != "ok" or fine.status != "ok":
-                continue
-            if coarse.norm_l2 is None or fine.norm_l2 is None:
+            if coarse.norm_l2 is None or fine.norm_l2 is None:  # failed or no truth
                 continue
             for name in ("l2", "linf", "h1"):
                 e1, e2 = getattr(coarse, f"norm_{name}"), getattr(fine, f"norm_{name}")
@@ -498,20 +508,15 @@ def _run_energy_drift(plan: ExperimentPlan) -> SweepResult:
     eps, h, tau = plan.epsilons[0], plan.hs[0], plan.taus[0]
     g = _grid_for(plan, h)
     p = NonlinearityParams(lam=plan.lam, epsilon=eps)
-    cfg = StepperConfig(plan.scheme, tau, plan.newton_tol, plan.newton_max_iter)
-    n_steps = _steps_for(plan.final_time, tau)
-    snap_steps = tuple(
-        _steps_for(t, tau) if t > 0 else 0
-        for t in plan.snapshot_times
-        if t <= plan.final_time + 1e-12
-    )
+    n_steps = _count(plan.final_time, tau)
     t0 = time.perf_counter()
-    res = evolve(initial_data_for(plan, g), p, cfg, g, n_steps, snapshot_steps=snap_steps)
-    row = CellRow(
-        scheme=plan.scheme, problem=plan.problem, epsilon=eps, lam=plan.lam,
-        h=h, tau=tau, T=plan.final_time,
-        energy_drift=res.max_rel_drift, newton_avg_iters=res.newton_avg,
-        wall_time=time.perf_counter() - t0,
+    res = evolve(
+        initial_data_for(plan, g), p, _stepper(plan, tau), g, n_steps,
+        snapshot_steps=_snapshot_steps(plan),
+    )
+    row = _row(
+        plan, eps, h, tau, energy_drift=res.max_rel_drift,
+        newton_avg_iters=res.newton_avg, wall_time=time.perf_counter() - t0,
     )
     aux = {
         "times": np.arange(len(res.energy_series)) * tau,
@@ -534,22 +539,20 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
     rows = []
     for fac in plan.probe_factors:
         tau = fac * bound
-        cfg = StepperConfig(plan.scheme, tau, plan.newton_tol, plan.newton_max_iter)
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             try:
                 res = evolve(
-                    init, p, cfg, g, plan.probe_steps,
+                    init, p, _stepper(plan, tau), g, plan.probe_steps,
                     abort_on_growth=10.0, track_energy=False,
                 )
                 blown, growth = res.blown_up, res.growth
             except NonConvergenceError:
                 blown, growth = True, math.inf
         rows.append(
-            CellRow(
-                scheme=plan.scheme, problem=plan.problem, epsilon=eps,
-                lam=plan.lam, h=h, tau=tau, T=plan.probe_steps * tau,
+            _row(
+                plan, eps, h, tau, T=plan.probe_steps * tau,
                 status="unstable" if blown else "ok",
                 growth=growth, wall_time=time.perf_counter() - t0,
             )
@@ -558,11 +561,12 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
 
 
 def run(plan: ExperimentPlan) -> SweepResult:
-    """Execute a plan; cells run concurrently, output order is canonical.
+    """Execute a plan cell by cell; output order is canonical.
 
-    Solver failures inside a cell mark that row's status and never abort the
-    sweep.  Two runs of the same plan against the same cache produce
-    identical rows.
+    The plan is validated first, so a bad plan raises :class:`PlanError`
+    before any reference is computed.  Solver failures inside a cell mark
+    that row's status and never abort the sweep.  Two runs of the same plan
+    against the same cache produce identical rows.
     """
     errors = plan.validate()
     if errors:
@@ -573,15 +577,9 @@ def run(plan: ExperimentPlan) -> SweepResult:
         return _run_stability_probe(plan)
 
     policy = _resolve_reference(plan)
-    if policy == "exact-gausson" and plan.problem != "example1-gausson":
-        raise PlanError(["reference: exact-gausson truth exists only for example1-gausson"])
     cells = _cells_for(plan)
-    refs = _compute_references(plan, _reference_specs(plan, policy, cells))
-    if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            rows = list(pool.map(lambda c: _run_cell(plan, policy, refs, c), cells))
-    else:
-        rows = [_run_cell(plan, policy, refs, c) for c in cells]
+    refs = _compute_references(plan, policy, cells)
+    rows = [_run_cell(plan, policy, refs, c) for c in cells]
     _attach_rates(plan, rows)
     rows.sort(key=CellRow.sort_key)
     return SweepResult(plan=plan, rows=rows)
@@ -593,39 +591,28 @@ def run(plan: ExperimentPlan) -> SweepResult:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, tuple):
+        return " ".join(map(_fmt, value))
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
 
 
-def emit_csv(result: SweepResult, path) -> None:
-    """Write the documented CSV schema; deterministic for identical runs."""
-    lines = [CSV_HEADER]
-    for r in sorted(result.rows, key=CellRow.sort_key):
-        lines.append(
-            ",".join(
-                [
-                    r.scheme,
-                    r.problem,
-                    _fmt(r.epsilon),
-                    _fmt(r.lam),
-                    _fmt(r.h),
-                    _fmt(r.tau),
-                    _fmt(r.T),
-                    _fmt(r.norm_l2),
-                    _fmt(r.norm_linf),
-                    _fmt(r.norm_h1),
-                    _fmt(r.rate_l2),
-                    _fmt(r.rate_linf),
-                    _fmt(r.rate_h1),
-                    _fmt(r.energy_drift),
-                    _fmt(r.newton_avg_iters),
-                    r.status,
-                ]
-            )
-        )
+def _write_lines(path, lines: list[str]) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# The CellRow attribute behind each CSV column.
+_CSV_FIELDS = tuple("lam" if col == "lambda" else col for col in CSV_HEADER.split(","))
+
+
+def emit_csv(result: SweepResult, path) -> None:
+    """Write the documented CSV schema; deterministic for identical runs."""
+    rows = sorted(result.rows, key=CellRow.sort_key)
+    _write_lines(
+        path, [CSV_HEADER] + [",".join(_fmt(getattr(r, f)) for f in _CSV_FIELDS) for r in rows]
+    )
 
 
 def emit_drift_series(result: SweepResult, path) -> None:
@@ -636,8 +623,7 @@ def emit_drift_series(result: SweepResult, path) -> None:
     lines = ["t,energy,rel_drift"]
     for ti, ei in zip(t, e):
         lines.append(f"{ti:.17g},{ei:.17g},{abs(ei - e0) / (1.0 + abs(e0)):.17g}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def emit_waveforms(result: SweepResult, path) -> None:
@@ -650,28 +636,68 @@ def emit_waveforms(result: SweepResult, path) -> None:
     for j in range(g.N + 1):
         vals = ",".join(f"{snaps[t].values[j]:.17g}" for t in times)
         lines.append(f"{xs[j]:.17g},{vals}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 # --- plan files -----------------------------------------------------------
 
-_PLAN_SECTIONS = ("experiment", "grids", "reference", "solver", "run", "custom")
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _pair(text: str) -> tuple[float, float]:
+    a, b = _floats(text)
+    return (a, b)
+
+
+# Every ExperimentPlan field: (section, key, field, parse).  A value that
+# parse rejects with ValueError is a parse error.  Values are written with
+# _fmt (17 significant digits, lists space-separated); None is not written.
+_PLAN_FIELDS = (
+    ("experiment", "kind", "kind", str),
+    ("experiment", "scheme", "scheme", str),
+    ("experiment", "problem", "problem", str),
+    ("experiment", "domain", "domain", _pair),
+    ("experiment", "T", "final_time", float),
+    ("experiment", "lambda", "lam", float),
+    ("grids", "epsilon", "epsilons", _floats),
+    ("grids", "tau", "taus", _floats),
+    ("grids", "h", "hs", _floats),
+    ("reference", "policy", "reference", str),
+    ("reference", "tau_ref", "tau_ref", float),
+    ("reference", "h_ref", "h_ref", float),
+    ("solver", "newton_tol", "newton_tol", float),
+    ("solver", "newton_max_iter", "newton_max_iter", int),
+    ("run", "out", "out", str),
+    ("run", "cache_dir", "cache_dir", str),
+    ("run", "snapshot_times", "snapshot_times", _floats),
+    ("probe", "factors", "probe_factors", _floats),
+    ("probe", "steps", "probe_steps", int),
+    ("custom", "phi", "phi_expr", str),
+    ("custom", "gamma", "gamma_expr", str),
+)
+_PLAN_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _PLAN_FIELDS))
 
 
 def plan_from_config(path) -> ExperimentPlan:
     """Parse a line-oriented plan file; collects every error before raising.
 
     Grammar: ``[section]`` headers, ``key = value`` lines, ``#`` comments and
-    blank lines.  Sections: experiment (kind, scheme, problem, domain, T,
-    lambda), grids (epsilon, tau, h or N as whitespace-separated lists),
-    reference (policy, tau_ref, h_ref), solver (newton_tol,
-    newton_max_iter), run (threads, out, cache_dir), custom (phi, gamma).
-    Unknown sections or keys are errors with their line numbers.
+    blank lines.  Keys are case-insensitive; a repeated key keeps its last
+    value.  Lists are numbers separated by whitespace or commas.
+
+        [experiment]  kind, scheme, problem, domain (two numbers), T, lambda
+        [grids]       epsilon, tau, h (lists); or N (cell counts) for h
+        [reference]   policy, tau_ref, h_ref
+        [solver]      newton_tol, newton_max_iter
+        [run]         out, cache_dir, snapshot_times (list)
+        [probe]       factors (list), steps
+        [custom]      phi, gamma
+
+    A missing key takes the :class:`ExperimentPlan` default, except
+    ``domain``, which defaults to the problem's own domain.  Unknown
+    sections or keys and unparsable values are errors with their line
+    numbers; the parsed plan must also pass :meth:`ExperimentPlan.validate`.
     """
     text = Path(path).read_text()
     errors: list[str] = []
@@ -696,87 +722,33 @@ def plan_from_config(path) -> ExperimentPlan:
         key, val = (part.strip() for part in line.split("=", 1))
         values[(section, key.lower())] = (val, lineno)
 
-    def take(section, key, default=None):
-        entry = values.pop((section, key), None)
-        return default if entry is None else entry[0]
-
-    kind = take("experiment", "kind", "single-solve")
-    scheme = take("experiment", "scheme", "cnfd")
-    problem = take("experiment", "problem", "example1-gausson")
-    domain_text = take("experiment", "domain")
-    lam_text = take("experiment", "lambda", "1.0")
-    T_text = take("experiment", "t", "1.0")
-    eps_text = take("grids", "epsilon", "0.05")
-    tau_text = take("grids", "tau")
-    h_text = take("grids", "h")
-    n_text = take("grids", "n")
-    policy = take("reference", "policy", "auto")
-    tau_ref_text = take("reference", "tau_ref")
-    h_ref_text = take("reference", "h_ref")
-    tol_text = take("solver", "newton_tol", "1e-12")
-    max_iter_text = take("solver", "newton_max_iter", "50")
-    threads_text = take("run", "threads", "1")
-    out = take("run", "out")
-    cache_dir = take("run", "cache_dir")
-    phi_expr = take("custom", "phi")
-    gamma_expr = take("custom", "gamma")
-
+    kw = {}
+    for section, key, name, parse in _PLAN_FIELDS:
+        entry = values.pop((section, key.lower()), None)
+        if entry is None:
+            continue
+        try:
+            kw[name] = parse(entry[0])
+        except ValueError:
+            errors.append(f"line {entry[1]}: {key}: cannot parse {entry[0]!r}")
+    n_entry = values.pop(("grids", "n"), None)
     for (section, key), (_, lineno) in values.items():
         errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
 
-    def parse(label, text_value, conv, default=None):
-        if text_value is None:
-            return default
+    a, b = kw.setdefault("domain", default_domain(kw.get("problem", "example1-gausson")))
+    if n_entry is not None:
         try:
-            return conv(text_value)
-        except (ValueError, TypeError):
-            errors.append(f"{label}: cannot parse {text_value!r}")
-            return default
-
-    domain = default_domain(problem)
-    if domain_text is not None:
-        parts = parse("domain", domain_text, _parse_floats, [])
-        if len(parts) == 2:
-            domain = (parts[0], parts[1])
+            ns = _floats(n_entry[0])
+        except ValueError:
+            ns = ()
+        if "hs" in kw or not ns or not all(n >= 1 and n.is_integer() for n in ns):
+            errors.append(
+                f"line {n_entry[1]}: N: give cell counts >= 1 and no h, got {n_entry[0]!r}"
+            )
         else:
-            errors.append(f"domain: expected two numbers, got {domain_text!r}")
-    lam = parse("lambda", lam_text, float, 1.0)
-    T = parse("T", T_text, float, 1.0)
-    epsilons = tuple(parse("epsilon", eps_text, _parse_floats, [0.05]))
-    taus = tuple(parse("tau", tau_text, _parse_floats, []) or [])
-    hs = tuple(parse("h", h_text, _parse_floats, []) or [])
-    if n_text is not None:
-        ns = parse("N", n_text, _parse_floats, [])
-        if hs:
-            errors.append("grids: give h or N, not both")
-        hs = tuple((domain[1] - domain[0]) / n for n in ns if n > 0)
-    tau_ref = parse("tau_ref", tau_ref_text, float) if tau_ref_text else None
-    h_ref = parse("h_ref", h_ref_text, float) if h_ref_text else None
-    newton_tol = parse("newton_tol", tol_text, float, 1e-12)
-    newton_max_iter = parse("newton_max_iter", max_iter_text, int, 50)
-    threads = parse("threads", threads_text, int, 1)
+            kw["hs"] = tuple((b - a) / n for n in ns)
 
-    plan = ExperimentPlan(
-        kind=kind,
-        scheme=scheme,
-        problem=problem,
-        domain=domain,
-        final_time=T,
-        lam=lam,
-        epsilons=epsilons,
-        taus=taus,
-        hs=hs,
-        reference=policy,
-        tau_ref=tau_ref,
-        h_ref=h_ref,
-        newton_tol=newton_tol,
-        newton_max_iter=newton_max_iter,
-        threads=threads,
-        cache_dir=cache_dir,
-        out=out,
-        phi_expr=phi_expr,
-        gamma_expr=gamma_expr,
-    )
+    plan = ExperimentPlan(**kw)
     errors.extend(plan.validate())
     if errors:
         raise PlanError(errors)
@@ -785,43 +757,16 @@ def plan_from_config(path) -> ExperimentPlan:
 
 def plan_to_config(plan: ExperimentPlan) -> str:
     """Plan file text that parses back to an equal plan."""
-    lines = [
-        "[experiment]",
-        f"kind = {plan.kind}",
-        f"scheme = {plan.scheme}",
-        f"problem = {plan.problem}",
-        f"domain = {plan.domain[0]!r} {plan.domain[1]!r}",
-        f"T = {plan.final_time:.17g}",
-        f"lambda = {plan.lam:.17g}",
-        "",
-        "[grids]",
-        "epsilon = " + " ".join(f"{e:.17g}" for e in plan.epsilons),
-    ]
-    if plan.taus:
-        lines.append("tau = " + " ".join(f"{t:.17g}" for t in plan.taus))
-    if plan.hs:
-        lines.append("h = " + " ".join(f"{h:.17g}" for h in plan.hs))
-    lines += ["", "[reference]", f"policy = {plan.reference}"]
-    if plan.tau_ref is not None:
-        lines.append(f"tau_ref = {plan.tau_ref:.17g}")
-    if plan.h_ref is not None:
-        lines.append(f"h_ref = {plan.h_ref:.17g}")
-    lines += [
-        "",
-        "[solver]",
-        f"newton_tol = {plan.newton_tol:.17g}",
-        f"newton_max_iter = {plan.newton_max_iter}",
-        "",
-        "[run]",
-        f"threads = {plan.threads}",
-    ]
-    if plan.out is not None:
-        lines.append(f"out = {plan.out}")
-    if plan.cache_dir is not None:
-        lines.append(f"cache_dir = {plan.cache_dir}")
-    if plan.problem == "custom":
-        lines += ["", "[custom]", f"phi = {plan.phi_expr}", f"gamma = {plan.gamma_expr}"]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section in _PLAN_SECTIONS:
+        body = [
+            f"{key} = {_fmt(getattr(plan, name))}"
+            for sec, key, name, _ in _PLAN_FIELDS
+            if sec == section and getattr(plan, name) is not None
+        ]
+        if body:
+            blocks.append("\n".join([f"[{section}]", *body]))
+    return "\n\n".join(blocks) + "\n"
 
 
 # --- reproduce targets ----------------------------------------------------
@@ -832,21 +777,19 @@ def reproduce_plan(
     paper_scale: bool = False,
     out: str | None = None,
     cache_dir: str | None = None,
-    threads: int = 1,
 ) -> ExperimentPlan:
     """Built-in plans behind the reproduce targets.
 
     Desk-scale defaults finish in seconds to a couple of minutes and keep
     the refinement-ratio structure of the published tables; ``paper_scale``
-    restores the original resolutions (minutes to hours).
+    restores the original resolutions (minutes to hours).  Fields left out
+    keep the :class:`ExperimentPlan` defaults: the cnfd scheme and, except for
+    the energy figure, the Gausson of Example 1 on [-16, 16] up to T = 1.
     """
-    common = dict(out=out, cache_dir=cache_dir, threads=threads)
+    common = dict(out=out, cache_dir=cache_dir)
     if target == "table1":
         return ExperimentPlan(
             kind="temporal-sweep",
-            scheme="cnfd",
-            problem="example1-gausson",
-            final_time=1.0,
             epsilons=(0.05, 0.0125, 0.1 * 2.0**-15) if paper_scale else (0.05, 0.0125),
             taus=tuple(0.1 * 2.0**-j for j in range(6)),
             hs=(2.0**-10,) if paper_scale else (2.0**-7,),
@@ -857,9 +800,6 @@ def reproduce_plan(
     if target == "table2":
         return ExperimentPlan(
             kind="spatial-sweep",
-            scheme="cnfd",
-            problem="example1-gausson",
-            final_time=1.0,
             epsilons=(0.05, 0.0125, 0.1 * 2.0**-15) if paper_scale else (0.05, 0.0125),
             taus=(0.01 * 2.0**-9,) if paper_scale else (0.0025,),
             hs=tuple(0.5 * 2.0**-j for j in range(6 if paper_scale else 5)),
@@ -872,9 +812,6 @@ def reproduce_plan(
         levels = range(5)
         return ExperimentPlan(
             kind="diagonal-sweep",
-            scheme="cnfd",
-            problem="example1-gausson",
-            final_time=1.0,
             epsilons=tuple(1e-3 * 4.0**-j for j in levels),
             hs=tuple(0.1 * 2.0**-j for j in levels),
             taus=tuple(0.1 * 2.0**-j for j in levels),
@@ -884,9 +821,6 @@ def reproduce_plan(
     if target == "table3-epsilon":
         return ExperimentPlan(
             kind="epsilon-sweep",
-            scheme="cnfd",
-            problem="example1-gausson",
-            final_time=1.0,
             epsilons=tuple(1e-3 * 4.0**-j for j in range(5)),
             hs=(0.1 * 2.0**-5,),
             taus=(0.1 * 2.0**-5,),
@@ -896,8 +830,6 @@ def reproduce_plan(
     if target == "fig1":
         return ExperimentPlan(
             kind="epsilon-sweep",
-            scheme="cnfd",
-            problem="example1-gausson",
             final_time=0.5,
             epsilons=tuple(0.1 * 2.0**-i for i in range(1, 7)),
             hs=(2.0**-7,) if paper_scale else (2.0**-5,),
@@ -908,7 +840,6 @@ def reproduce_plan(
     if target == "fig-energy":
         return ExperimentPlan(
             kind="energy-drift",
-            scheme="cnfd",
             problem="example2-cos-sin",
             domain=(-1.0, 1.0),
             final_time=10.0,
@@ -929,7 +860,6 @@ def run_reproduce(
     paper_scale: bool = False,
     out: str | None = None,
     cache_dir: str | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Run a reproduce target; table3 merges its diagonal and epsilon legs.
 
@@ -940,14 +870,13 @@ def run_reproduce(
         raise PlanError(
             [f"unknown reproduce target {target!r}, expected one of {REPRODUCE_TARGETS}"]
         )
-    kw = dict(paper_scale=paper_scale, out=out, cache_dir=cache_dir, threads=threads)
+    kw = dict(paper_scale=paper_scale, out=out, cache_dir=cache_dir)
     if target == "table3":
         diag = run(reproduce_plan("table3-diagonal", **kw))
         col = run(reproduce_plan("table3-epsilon", **kw))
-        merged = SweepResult(plan=diag.plan, rows=diag.rows + col.rows)
-        merged.aux["diagonal"] = diag
-        merged.aux["epsilon_column"] = col
-        result = merged
+        result = SweepResult(
+            diag.plan, diag.rows + col.rows, aux={"diagonal": diag, "epsilon_column": col}
+        )
     else:
         result = run(reproduce_plan(target, **kw))
     if out is not None:
