@@ -12,7 +12,7 @@ from .analysis import (
     siefd_tau_bound,
     sigma_max,
 )
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D
 from .nonlinearity import NonlinearityParams
 from .schemes import (
     InitialData,
@@ -32,7 +32,6 @@ __all__ = [
     "ErrorReport",
     "GaussonParams",
     "Grid1D",
-    "GridFunction",
     "InitialData",
     "NonConvergenceError",
     "NonlinearityParams",

@@ -16,11 +16,10 @@ import numpy as np
 
 from .grid import (
     Grid1D,
-    GridFunction,
-    forward_diff,
     norm_h1,
     norm_l2,
     norm_linf,
+    periodic_forward_diff,
     quad,
     quad_l1,
 )
@@ -92,47 +91,32 @@ def gausson_initial_data(g: Grid1D, gp: GaussonParams = GaussonParams()):
     from .schemes import InitialData
 
     return InitialData(
-        phi=GridFunction.sample(g, lambda x: gausson_phi(x, gp)),
-        gamma=GridFunction.sample(g, lambda x: gausson_gamma(x, gp)),
+        phi=g.sample(lambda x: gausson_phi(x, gp)),
+        gamma=g.sample(lambda x: gausson_gamma(x, gp)),
     )
 
 
-def _grad_sq(u: GridFunction, g: Grid1D) -> GridFunction:
-    d = forward_diff(u, g)
-    return GridFunction.from_core(d.core**2)
-
-
-def continuous_energy_log(u: GridFunction, ut: GridFunction, lam: float, g: Grid1D) -> float:
+def continuous_energy_log(u: np.ndarray, ut: np.ndarray, lam: float, g: Grid1D) -> float:
     """Rectangle-rule energy of the unregularized model.
 
     Density u_t^2 + |grad u|^2 + u^2 + lam*(u^2 ln(u^2) - u^2); the gradient
     is the forward difference (discrete surrogate).  The log density extends
     continuously by 0 through u = 0.
     """
-    dens = GridFunction.from_core(
-        ut.core**2
-        + _grad_sq(u, g).core
-        + u.core**2
-        + lam * unreg_log_primitive(u.core**2)
-    )
+    dens = ut**2 + periodic_forward_diff(u, g.h) ** 2 + u**2 + lam * unreg_log_primitive(u**2)
     return quad(dens, g)
 
 
 def continuous_energy_reg(
-    u: GridFunction, ut: GridFunction, p: NonlinearityParams, g: Grid1D
+    u: np.ndarray, ut: np.ndarray, p: NonlinearityParams, g: Grid1D
 ) -> float:
     """Rectangle-rule energy of the regularized model: density u_t^2 + |grad u|^2 + u^2 + lam*V(u^2)."""
-    dens = GridFunction.from_core(
-        ut.core**2
-        + _grad_sq(u, g).core
-        + u.core**2
-        + p.lam * reg_log_primitive(u.core**2, p)
-    )
+    dens = ut**2 + periodic_forward_diff(u, g.h) ** 2 + u**2 + p.lam * reg_log_primitive(u**2, p)
     return quad(dens, g)
 
 
 def energy_gap_bound(
-    u0: GridFunction, p: NonlinearityParams, g: Grid1D
+    u0: np.ndarray, p: NonlinearityParams, g: Grid1D
 ) -> tuple[float, float]:
     """Gap between the two potential-energy integrands and its proven bound.
 
@@ -142,17 +126,16 @@ def energy_gap_bound(
     4*eps*|lam|*||u0||_L1.  Raises if the bound is violated, which would
     signal a numerics bug since it holds pointwise.
     """
-    dens = GridFunction.from_core(reg_unreg_gap_density(u0.core**2, p))
-    gap = abs(p.lam) * quad(dens, g)
+    gap = abs(p.lam) * quad(reg_unreg_gap_density(u0**2, p), g)
     bound = 4.0 * p.epsilon * abs(p.lam) * quad_l1(u0, g)
     if gap > bound + 1e-15 * (1.0 + bound):
         raise AssertionError(f"energy gap {gap} exceeds its bound {bound}")
     return gap, bound
 
 
-def sigma_max(u: GridFunction, p: NonlinearityParams) -> float:
+def sigma_max(u: np.ndarray, p: NonlinearityParams) -> float:
     """max(|ln eps^2|, |ln(eps^2 + ||u||_inf^2)|), the log-magnitude bound."""
-    uinf = float(np.max(np.abs(u.core)))
+    uinf = float(np.max(np.abs(u)))
     return max(abs(math.log(p.eps2)), abs(math.log(p.eps2 + uinf * uinf)))
 
 
@@ -210,13 +193,13 @@ class ErrorReport:
 
 
 def error_report(
-    numeric: GridFunction,
-    truth: GridFunction,
+    numeric: np.ndarray,
+    truth: np.ndarray,
     g: Grid1D,
     against: str = "reference-RLogKGE",
 ) -> ErrorReport:
     """l2, sup and H1 norms of numeric - truth on the common grid."""
-    diff = GridFunction.from_core(numeric.core - truth.core)
+    diff = numeric - truth
     return ErrorReport(
         l2=norm_l2(diff, g),
         linf=norm_linf(diff, g),

@@ -5,20 +5,25 @@ expensive relative to the sweeps that consume them, and several sweep cells
 typically want the same one.  Each cache entry stores the final two layers
 of a run keyed by every parameter that determines it.
 
-Format (version 1): one ``.npz`` file per entry under the cache directory,
+Format (version 2): one ``.npz`` file per entry under the cache directory,
 named ``<sha256 of the canonical key string>.npz`` and containing
 
     key     : the canonical key string (verified on load)
     version : format version
-    prev    : layer u^{n-1} at the end of the run, float64, length N+1
-    curr    : layer u^n at the end of the run, float64, length N+1
+    prev    : layer u^{n-1} at the end of the run, float64, length N
+    curr    : layer u^n at the end of the run, float64, length N
+    n, t    : step index and time of ``curr``
+
+A layer holds the N independent node values; the repeated endpoint of the
+periodic grid is not stored.
 
 Writes go through a temporary file in the same directory followed by an
 atomic rename, so concurrent readers never observe a partial entry and
 concurrent writers of the same key simply race to install identical bytes
 (reference computation is deterministic).  An entry that cannot be trusted
-(unreadable, another version, another key) is logged as a warning, then
-recomputed and replaced like a missing one.
+(unreadable, another version, another key, a layer whose shape is not
+``(N,)``) is logged as a warning, then recomputed and replaced like a
+missing one.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D
 from .nonlinearity import NonlinearityParams
 from .schemes import InitialData, StepperConfig, WaveState, evolve
 
 __all__ = ["CacheError", "reference_key", "reference_state"]
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +83,7 @@ def _entry_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{digest}.npz"
 
 
-def _load(path: Path, key: str) -> WaveState | None:
+def _load(path: Path, key: str, n_nodes: int) -> WaveState | None:
     if not path.exists():
         return None
     try:
@@ -96,7 +101,12 @@ def _load(path: Path, key: str) -> WaveState | None:
         raise CacheError(f"cache entry {path} has version {version}, expected {CACHE_VERSION}")
     if stored_key != key:
         raise CacheError(f"cache digest collision or corruption at {path}")
-    return WaveState(prev=GridFunction(prev), curr=GridFunction(curr), n=n, t=t)
+    if prev.shape != (n_nodes,) or curr.shape != (n_nodes,):
+        raise CacheError(
+            f"cache entry {path} holds layers of shapes {prev.shape} and {curr.shape}, "
+            f"expected ({n_nodes},)"
+        )
+    return WaveState(prev=prev, curr=curr, n=n, t=t)
 
 
 def _store(path: Path, key: str, state: WaveState) -> None:
@@ -108,8 +118,8 @@ def _store(path: Path, key: str, state: WaveState) -> None:
                 fh,
                 key=key,
                 version=CACHE_VERSION,
-                prev=state.prev.values,
-                curr=state.curr.values,
+                prev=state.prev,
+                curr=state.curr,
                 n=state.n,
                 t=state.t,
             )
@@ -143,7 +153,7 @@ def reference_state(
     key = reference_key(problem, "cnfd", p, g, tau, n_steps, newton_tol)
     path = _entry_path(cache_dir, key)
     try:
-        state = _load(path, key)
+        state = _load(path, key, g.N)
     except CacheError as exc:
         log.warning("recomputing cache entry %s: %s", path, exc)
         state = None

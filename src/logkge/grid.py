@@ -1,15 +1,16 @@
 """Periodic 1D grid, difference operators, discrete norms and quadrature.
 
-Grid functions live on the nodes ``x_j = a + j*h`` for ``j = 0..N`` with the
-endpoints identified (``u_0 = u_N``).  All sums, norms and inner products run
-over the independent nodes ``j = 0..N-1``; the stored value at ``j = N`` is a
-redundant copy kept so sampled data lines up with the node array.  Operators
-apply the periodic wrap ``u_{-1} = u_{N-1}``, ``u_{N+1} = u_1`` always.
+A grid function is a float64 array of the N independent values ``u_j`` at
+the nodes ``x_j = a + j*h``, ``j = 0..N-1``; the node ``x_N = b`` is
+identified with ``x_0`` (``u_N = u_0``) and not stored.  Operators apply the
+periodic wrap ``u_{-1} = u_{N-1}``, ``u_N = u_0``, and sums, norms and inner
+products run over the N values.  :class:`GridFunction` is the closed-node
+view for output only: the N values plus the repeated endpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,6 @@ __all__ = [
     "GridFunction",
     "periodic_second_diff",
     "periodic_forward_diff",
-    "laplacian",
-    "forward_diff",
     "norm_l2",
     "norm_linf",
     "inner",
@@ -32,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [a, b] with N cells (N+1 stored nodes)."""
+    """Uniform periodic grid on [a, b] with N cells; x_N = b is x_0."""
 
     a: float
     b: float
@@ -50,15 +49,19 @@ class Grid1D:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.N + 1)
+        """The N independent nodes x_0..x_{N-1}."""
+        return self.a + self.h * np.arange(self.N)
+
+    def sample(self, f) -> np.ndarray:
+        """f at the nodes as a length-N array; f may return a scalar."""
+        return np.asarray(f(self.nodes), dtype=float) * np.ones(self.N)
 
 
 class GridFunction:
-    """Immutable real-valued samples at the N+1 nodes of a periodic grid.
+    """Immutable samples at the N+1 closed nodes x_0..x_N, for output.
 
     Construction normalizes the redundant endpoint (``values[N] := values[0]``)
-    rather than rejecting mismatched input; sampled smooth periodic data may
-    disagree there at roundoff level.
+    rather than rejecting mismatched input.
     """
 
     __slots__ = ("values",)
@@ -77,30 +80,11 @@ class GridFunction:
         core = np.asarray(core, dtype=float)
         return cls(np.concatenate([core, core[:1]]))
 
-    @classmethod
-    def sample(cls, g: Grid1D, f) -> "GridFunction":
-        return cls(np.asarray(f(g.nodes), dtype=float) * np.ones(g.N + 1))
-
-    @classmethod
-    def zeros(cls, g: Grid1D) -> "GridFunction":
-        return cls(np.zeros(g.N + 1))
-
-    @property
-    def core(self) -> np.ndarray:
-        """View of the independent nodes j = 0..N-1."""
-        return self.values[:-1]
-
     def __len__(self) -> int:
         return self.values.size
 
     def __repr__(self) -> str:
         return f"GridFunction(N={self.values.size - 1})"
-
-
-def _core(u: GridFunction, g: Grid1D) -> np.ndarray:
-    if len(u) != g.N + 1:
-        raise ValueError(f"grid function has {len(u)} nodes, grid wants {g.N + 1}")
-    return u.core
 
 
 def periodic_second_diff(v: np.ndarray, h: float) -> np.ndarray:
@@ -113,46 +97,36 @@ def periodic_forward_diff(v: np.ndarray, h: float) -> np.ndarray:
     return (np.roll(v, -1) - v) / h
 
 
-def laplacian(u: GridFunction, g: Grid1D) -> GridFunction:
-    """Periodic three-point second difference (u_{j+1} - 2u_j + u_{j-1})/h^2."""
-    return GridFunction.from_core(periodic_second_diff(_core(u, g), g.h))
+def norm_l2(u: np.ndarray, g: Grid1D) -> float:
+    return float(np.sqrt(g.h * np.sum(u * u)))
 
 
-def forward_diff(u: GridFunction, g: Grid1D) -> GridFunction:
-    """Periodic forward difference (u_{j+1} - u_j)/h."""
-    return GridFunction.from_core(periodic_forward_diff(_core(u, g), g.h))
+def norm_linf(u: np.ndarray, g: Grid1D) -> float:
+    return float(np.max(np.abs(u)))
 
 
-def norm_l2(u: GridFunction, g: Grid1D) -> float:
-    return float(np.sqrt(g.h * np.sum(_core(u, g) ** 2)))
-
-
-def norm_linf(u: GridFunction, g: Grid1D) -> float:
-    return float(np.max(np.abs(_core(u, g))))
-
-
-def inner(u: GridFunction, v: GridFunction, g: Grid1D) -> float:
+def inner(u: np.ndarray, v: np.ndarray, g: Grid1D) -> float:
     """Discrete L2 inner product h * sum_{j<N} u_j v_j."""
-    return float(g.h * np.dot(_core(u, g), _core(v, g)))
+    return float(g.h * np.dot(u, v))
 
 
-def seminorm_h1(u: GridFunction, g: Grid1D) -> float:
+def seminorm_h1(u: np.ndarray, g: Grid1D) -> float:
     """l2 norm of the forward difference."""
-    return norm_l2(forward_diff(u, g), g)
+    return norm_l2(periodic_forward_diff(u, g.h), g)
 
 
-def norm_h1(u: GridFunction, g: Grid1D) -> float:
+def norm_h1(u: np.ndarray, g: Grid1D) -> float:
     return float(np.sqrt(norm_l2(u, g) ** 2 + seminorm_h1(u, g) ** 2))
 
 
-def quad(u: GridFunction, g: Grid1D) -> float:
+def quad(u: np.ndarray, g: Grid1D) -> float:
     """Periodic rectangle rule h * sum_{j<N} u_j.
 
     Identical to the trapezoid rule under the endpoint identification, and
     spectrally accurate for smooth periodic integrands.
     """
-    return float(g.h * np.sum(_core(u, g)))
+    return float(g.h * np.sum(u))
 
 
-def quad_l1(u: GridFunction, g: Grid1D) -> float:
-    return float(g.h * np.sum(np.abs(_core(u, g))))
+def quad_l1(u: np.ndarray, g: Grid1D) -> float:
+    return float(g.h * np.sum(np.abs(u)))

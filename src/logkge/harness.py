@@ -82,6 +82,8 @@ class SweepKind(NamedTuple):
     auto_reference: str
     # The run samples u at the plan's snapshot times.
     snapshots: bool = False
+    # Every eps gets its own cells; False: one run at the first eps.
+    each_epsilon: bool = True
 
 
 SWEEP_KINDS = {
@@ -89,8 +91,8 @@ SWEEP_KINDS = {
     "spatial-sweep": SweepKind("h", "cnfd-fine"),
     "epsilon-sweep": SweepKind("epsilon", "exact-gausson"),
     "diagonal-sweep": SweepKind("diagonal", "exact-gausson"),
-    "energy-drift": SweepKind(None, "none", snapshots=True),
-    "stability-probe": SweepKind(None, "none"),
+    "energy-drift": SweepKind(None, "none", snapshots=True, each_epsilon=False),
+    "stability-probe": SweepKind(None, "none", each_epsilon=False),
     "single-solve": SweepKind(None, "exact-gausson"),
 }
 PLAN_KINDS = tuple(SWEEP_KINDS)
@@ -180,9 +182,14 @@ class ExperimentPlan:
         return errs or _grid_errors(self, kind)
 
     def _kind_errors(self, kind: SweepKind) -> list[str]:
-        """The list lengths and refinement ratios the swept axis needs."""
+        """The list lengths and refinement ratios the swept axis needs.
+
+        A list the kind reads only the first value of may hold no second one,
+        which the run would silently drop.
+        """
         errs = []
         swept = ("tau", "h") if kind.axis == "diagonal" else (kind.axis,)
+        read = swept + (("epsilon",) if kind.each_epsilon else ())
         for name, seq in (("epsilon", self.epsilons), ("tau", self.taus), ("h", self.hs)):
             minimum = 2 if name in swept else 1
             ratios = [a / b for a, b in zip(seq, seq[1:])]
@@ -192,6 +199,8 @@ class ExperimentPlan:
                 errs.append(f"{name}: {self.kind} needs at least {minimum} value(s)")
             elif name in swept and not all(math.isclose(r, want, rel_tol=1e-9) for r in ratios):
                 errs.append(f"{name}: rates need a refinement ratio of {want:g} throughout {seq}")
+            elif name not in read and len(seq) > 1:
+                errs.append(f"{name}: {self.kind} uses one {name} value, got {seq}")
         if kind.axis == "diagonal" and not len(self.taus) == len(self.hs) == len(self.epsilons):
             errs.append("grids: diagonal sweep needs equal-length eps/h/tau lists")
         if kind.axis == "tau" and self.h_ref is not None:
@@ -310,18 +319,14 @@ def default_domain(problem: str) -> tuple[float, float]:
 
 def initial_data_for(plan: ExperimentPlan, g: Grid1D) -> InitialData:
     if plan.problem == "example1-gausson":
-        return InitialData(
-            phi=GridFunction.sample(g, gausson_phi),
-            gamma=GridFunction.sample(g, gausson_gamma),
-        )
+        return InitialData(phi=g.sample(gausson_phi), gamma=g.sample(gausson_gamma))
     if plan.problem == "example2-cos-sin":
         return InitialData(
-            phi=GridFunction.sample(g, lambda x: np.cos(np.pi * x)),
-            gamma=GridFunction.sample(g, lambda x: np.sin(np.pi * x)),
+            phi=g.sample(lambda x: np.cos(np.pi * x)),
+            gamma=g.sample(lambda x: np.sin(np.pi * x)),
         )
     return InitialData(
-        phi=GridFunction(_eval_expr(plan.phi_expr, g.nodes)),
-        gamma=GridFunction(_eval_expr(plan.gamma_expr, g.nodes)),
+        phi=_eval_expr(plan.phi_expr, g.nodes), gamma=_eval_expr(plan.gamma_expr, g.nodes)
     )
 
 
@@ -406,11 +411,10 @@ def _truth_for_cell(plan: ExperimentPlan, policy, eps, g, tau, refs):
     if policy == "none":
         return None, ""
     if policy == "exact-gausson":
-        return GridFunction.sample(g, lambda x: gausson(x, plan.final_time)), "exact-LogKGE"
+        return g.sample(lambda x: gausson(x, plan.final_time)), "exact-LogKGE"
     h_ref, tau_ref = _reference_grid_rule(plan, g.h, tau)
     fine = refs[(eps, h_ref, tau_ref)].curr
-    stride = _grid_for(plan, h_ref).N // g.N
-    return GridFunction(fine.values[::stride]), "reference-RLogKGE"
+    return fine[:: fine.size // g.N], "reference-RLogKGE"
 
 
 def _compute_references(plan: ExperimentPlan, policy: str, cells) -> dict:
@@ -627,14 +631,19 @@ def emit_drift_series(result: SweepResult, path) -> None:
 
 
 def emit_waveforms(result: SweepResult, path) -> None:
-    """Snapshots of u at the requested times, one column per time."""
+    """Snapshots of u at the requested times, one column per time.
+
+    One row per closed node x_0 = a, ..., x_N = b; the last row repeats the
+    periodic endpoint u_N = u_0.
+    """
     snaps = result.aux["snapshots"]
     g = result.aux["grid"]
     times = sorted(snaps)
+    cols = [GridFunction.from_core(snaps[t]).values for t in times]
     lines = ["x," + ",".join(f"u_t{t:g}" for t in times)]
-    xs = g.nodes
+    xs = g.a + g.h * np.arange(g.N + 1)
     for j in range(g.N + 1):
-        vals = ",".join(f"{snaps[t].values[j]:.17g}" for t in times)
+        vals = ",".join(f"{col[j]:.17g}" for col in cols)
         lines.append(f"{xs[j]:.17g},{vals}")
     _write_lines(path, lines)
 
@@ -682,9 +691,11 @@ _PLAN_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _PLAN_FIELDS))
 def plan_from_config(path) -> ExperimentPlan:
     """Parse a line-oriented plan file; collects every error before raising.
 
-    Grammar: ``[section]`` headers, ``key = value`` lines, ``#`` comments and
-    blank lines.  Keys are case-insensitive; a repeated key keeps its last
-    value.  Lists are numbers separated by whitespace or commas.
+    Grammar: ``[section]`` headers, ``key = value`` lines, blank lines, and
+    comment lines whose first non-blank character is ``#``; a ``#`` anywhere
+    else is part of the line, so values may contain it.  Keys are
+    case-insensitive; a repeated key keeps its last value.  Lists are numbers
+    separated by whitespace or commas.
 
         [experiment]  kind, scheme, problem, domain (two numbers), T, lambda
         [grids]       epsilon, tau, h (lists); or N (cell counts) for h
@@ -704,8 +715,8 @@ def plan_from_config(path) -> ExperimentPlan:
     values: dict[tuple[str, str], tuple[str, int]] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()

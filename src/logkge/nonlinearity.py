@@ -85,13 +85,6 @@ def reg_log(rho, p: NonlinearityParams):
     return out if out.ndim else float(out)
 
 
-def reg_log_derivative(rho, p: NonlinearityParams):
-    """d/drho ln(eps^2 + rho) = 1/(eps^2 + rho)."""
-    rho = _check_rho(rho)
-    out = 1.0 / (p.eps2 + rho)
-    return out if out.ndim else float(out)
-
-
 def reg_log_primitive(rho, p: NonlinearityParams):
     """Integral of ln(eps^2 + s) over s in [0, rho].
 

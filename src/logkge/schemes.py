@@ -34,7 +34,8 @@ from scipy.linalg import solve_banded
 from .analysis import siefd_tau_bound, sigma_max
 from .grid import (
     Grid1D,
-    GridFunction,
+    inner,
+    norm_l2,
     norm_linf,
     periodic_forward_diff,
     periodic_second_diff,
@@ -99,26 +100,24 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class InitialData:
-    phi: GridFunction
-    gamma: GridFunction
+    """Initial layer phi and velocity gamma, each of length N."""
 
-    def __post_init__(self):
-        if len(self.phi) != len(self.gamma):
-            raise ValueError("phi and gamma must live on the same grid")
+    phi: np.ndarray
+    gamma: np.ndarray
 
 
 @dataclass(frozen=True)
 class WaveState:
     """Two consecutive layers (u^{n-1}, u^n) of a trajectory, t = n*tau."""
 
-    prev: GridFunction
-    curr: GridFunction
+    prev: np.ndarray
+    curr: np.ndarray
     n: int
     t: float
     newton_iters: int = 0
 
     def __post_init__(self):
-        if len(self.prev) != len(self.curr):
+        if self.prev.shape != self.curr.shape:
             raise ValueError("both layers must live on the same grid")
 
 
@@ -126,21 +125,17 @@ def first_step(
     init: InitialData, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
 ) -> WaveState:
     """Taylor start: u^1 = phi + tau*gamma + tau^2/2 * u_tt(0) evaluated nodewise."""
-    phi, gamma = init.phi.core, init.gamma.core
+    phi, gamma = init.phi, init.gamma
     accel = periodic_second_diff(phi, g.h) - phi - p.lam * phi * reg_log(phi * phi, p)
     u1 = phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
-    return WaveState(prev=init.phi, curr=GridFunction.from_core(u1), n=1, t=cfg.tau)
+    return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau)
 
 
-def _norm(v: np.ndarray, h: float) -> float:
-    """Discrete l2 norm sqrt(h * sum v_j^2) of independent node values."""
-    return float(np.sqrt(h * np.sum(v * v)))
-
-
-def _residual_core(
+def assemble_residual(
     cand: np.ndarray, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
 ) -> np.ndarray:
-    up, uc = state.prev.core, state.curr.core
+    """Left-hand side of the scheme equation at a trial layer u^{n+1}."""
+    up, uc = state.prev, state.curr
     tau2 = cfg.tau**2
     d2t = (cand - 2.0 * uc + up) / tau2
     nonlin = p.lam * discrete_gradient(cand, up, p)
@@ -153,27 +148,14 @@ def _residual_core(
 
 def _rhs_scale(state: WaveState, cfg: StepperConfig, g: Grid1D) -> float:
     """l2 norm of the candidate-independent part of the residual equation."""
-    up, uc = state.prev.core, state.curr.core
+    up, uc = state.prev, state.curr
     tau2 = cfg.tau**2
     b = (2.0 * uc - up) / tau2 - 0.5 * up
     if cfg.scheme == "cnfd":
         b = b + 0.5 * periodic_second_diff(up, g.h)
     else:
         b = b + periodic_second_diff(uc, g.h)
-    return _norm(b, g.h)
-
-
-def assemble_residual(
-    candidate: GridFunction,
-    state: WaveState,
-    p: NonlinearityParams,
-    cfg: StepperConfig,
-    g: Grid1D,
-) -> GridFunction:
-    """Left-hand side of the scheme equation at a trial layer u^{n+1}."""
-    if len(candidate) != g.N + 1 or len(state.curr) != g.N + 1:
-        raise ValueError("candidate/state do not match the grid")
-    return GridFunction.from_core(_residual_core(candidate.core, state, p, cfg, g))
+    return norm_l2(b, g)
 
 
 def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
@@ -217,7 +199,7 @@ def _newton_step(jac_diag: np.ndarray, res: np.ndarray, cfg: StepperConfig, g: G
 
 def solve_newton(
     state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> tuple[GridFunction, list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     """Solve the implicit step equation; returns (next layer, residual history).
 
     Guarded Newton from the linear extrapolation 2u^n - u^{n-1}, stopping at
@@ -231,13 +213,13 @@ def solve_newton(
     :class:`NonConvergenceError` after ``newton_max_iter`` iterations of
     either kind, or when a guarded step falls below alpha = 2^-12.
     """
-    up, uc = state.prev.core, state.curr.core
+    up, uc = state.prev, state.curr
     tol = cfg.newton_tol * (1.0 + _rhs_scale(state, cfg, g))
     lin_diag = 1.0 / cfg.tau**2 + 0.5 + (1.0 / g.h**2 if cfg.scheme == "cnfd" else 0.0)
 
     cand = 2.0 * uc - up
-    res = _residual_core(cand, state, p, cfg, g)
-    rnorm = _norm(res, g.h)
+    res = assemble_residual(cand, state, p, cfg, g)
+    rnorm = norm_l2(res, g)
     norms = [rnorm]
     while not rnorm <= tol and len(norms) <= cfg.newton_max_iter:
         jac_diag = lin_diag + p.lam * discrete_gradient_dz1(cand, up, p)
@@ -246,8 +228,8 @@ def solve_newton(
         ordinary = 0.0 < jac_diag.min() and jac_diag.max() < np.inf
         if ordinary:
             trial = cand + _newton_step(jac_diag, res, cfg, g)
-            trial_res = _residual_core(trial, state, p, cfg, g)
-            trial_norm = _norm(trial_res, g.h)
+            trial_res = assemble_residual(trial, state, p, cfg, g)
+            trial_norm = norm_l2(trial_res, g)
             ordinary = np.isfinite(trial_norm)
         if not ordinary:
             jac_diag = np.where(
@@ -257,8 +239,8 @@ def solve_newton(
             for k in range(13):  # alpha = 1, 1/2, ..., 2^-12; NaN never passes
                 alpha = 0.5**k
                 trial = cand + delta if k == 0 else cand + alpha * delta
-                trial_res = _residual_core(trial, state, p, cfg, g)
-                trial_norm = _norm(trial_res, g.h)
+                trial_res = assemble_residual(trial, state, p, cfg, g)
+                trial_norm = norm_l2(trial_res, g)
                 if trial_norm < rnorm * (1.0 - 1e-4 * alpha):
                     break
             else:
@@ -271,7 +253,7 @@ def solve_newton(
             f"iterations (tolerance {tol:.3e})",
             residual=rnorm,
         )
-    return GridFunction.from_core(cand), norms
+    return cand, norms
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
@@ -301,16 +283,16 @@ def discrete_energy(
     the sign-indefinite cross product h*sum (D+ w)(D+ v) for siefd (no
     positivity is claimed for the latter).
     """
-    if len(state.curr) != g.N + 1:
+    if state.curr.shape != (g.N,):
         raise ValueError("state does not match the grid")
-    v, w, h = state.prev.core, state.curr.core, g.h
-    kinetic = _norm((w - v) / cfg.tau, h) ** 2
+    v, w, h = state.prev, state.curr, g.h
+    kinetic = norm_l2((w - v) / cfg.tau, g) ** 2
     dw, dv = periodic_forward_diff(w, h), periodic_forward_diff(v, h)
     if cfg.scheme == "cnfd":
-        grad = 0.5 * (_norm(dw, h) ** 2 + _norm(dv, h) ** 2)
+        grad = 0.5 * (norm_l2(dw, g) ** 2 + norm_l2(dv, g) ** 2)
     else:
-        grad = float(h * np.dot(dw, dv))
-    mass = 0.5 * (_norm(w, h) ** 2 + _norm(v, h) ** 2)
+        grad = inner(dw, dv, g)
+    mass = 0.5 * (norm_l2(w, g) ** 2 + norm_l2(v, g) ** 2)
     pot = reg_log_primitive(w**2, p) + reg_log_primitive(v**2, p)
     return kinetic + grad + mass + p.lam * 0.5 * h * float(np.sum(pot))
 
@@ -322,7 +304,7 @@ class EvolveResult:
     max_rel_drift: float
     steps: int
     newton_total: int
-    snapshots: dict[int, GridFunction] = field(default_factory=dict)
+    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     energy_series: list[float] = field(default_factory=list)
     blown_up: bool = False
     growth: float = 1.0
@@ -356,6 +338,11 @@ def evolve(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if init.phi.shape != (g.N,) or init.gamma.shape != (g.N,):
+        raise ValueError(
+            f"initial data has shapes {init.phi.shape} and {init.gamma.shape}, "
+            f"grid wants ({g.N},)"
+        )
     if cfg.scheme == "siefd":
         bound = siefd_tau_bound(g.h, sigma_max(init.phi, p))
         if cfg.tau > bound:
@@ -366,7 +353,7 @@ def evolve(
                 stacklevel=2,
             )
 
-    snapshots: dict[int, GridFunction] = {}
+    snapshots: dict[int, np.ndarray] = {}
     if 0 in snapshot_steps:
         snapshots[0] = init.phi
 

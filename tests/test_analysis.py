@@ -19,7 +19,7 @@ from logkge.analysis import (
     siefd_tau_bound,
     sigma_max,
 )
-from logkge.grid import Grid1D, GridFunction, quad_l1
+from logkge.grid import Grid1D, quad_l1
 from logkge.nonlinearity import NonlinearityParams, reg_log_primitive
 
 
@@ -34,7 +34,7 @@ def random_smooth(g, rng, amplitude=5.0, modes=4):
     peak = np.max(np.abs(u))
     if peak > 0:
         u *= rng.uniform(0.0, amplitude) / peak
-    return GridFunction(u)
+    return u
 
 
 class TestGausson:
@@ -81,7 +81,7 @@ class TestGausson:
 class TestContinuousEnergies:
     def test_zero_field(self):
         g = Grid1D(-1.0, 1.0, 32)
-        z = GridFunction.zeros(g)
+        z = np.zeros(g.N)
         p = NonlinearityParams(lam=1.0, epsilon=0.1)
         assert continuous_energy_log(z, z, 1.0, g) == 0.0
         assert continuous_energy_reg(z, z, p, g) == 0.0
@@ -89,16 +89,16 @@ class TestContinuousEnergies:
     def test_constant_field_regularized(self):
         g = Grid1D(-2.0, 3.0, 50)
         p = NonlinearityParams(lam=1.0, epsilon=0.1)
-        u = GridFunction.sample(g, lambda x: 1.0)
-        z = GridFunction.zeros(g)
+        u = g.sample(lambda x: 1.0)
+        z = np.zeros(g.N)
         expected = (g.b - g.a) * (1.0 + reg_log_primitive(1.0, p))
         assert continuous_energy_reg(u, z, p, g) == pytest.approx(expected, rel=1e-12)
 
     def test_gap_of_example1_data(self):
         g = Grid1D(-16.0, 16.0, 2048)
         p = NonlinearityParams(lam=1.0, epsilon=0.01)
-        phi = GridFunction.sample(g, gausson_phi)
-        gam = GridFunction.sample(g, gausson_gamma)
+        phi = g.sample(gausson_phi)
+        gam = g.sample(gausson_gamma)
         e_reg = continuous_energy_reg(phi, gam, p, g)
         e_log = continuous_energy_log(phi, gam, p.lam, g)
         assert abs(e_reg - e_log) <= 4.0 * p.epsilon * quad_l1(phi, g)
@@ -108,13 +108,13 @@ class TestEnergyGapBound:
     def test_zero_data(self):
         g = Grid1D(-1.0, 1.0, 32)
         p = NonlinearityParams(lam=1.0, epsilon=0.1)
-        gap, bound = energy_gap_bound(GridFunction.zeros(g), p, g)
+        gap, bound = energy_gap_bound(np.zeros(g.N), p, g)
         assert gap == 0.0 and bound == 0.0
 
     def test_example1_small_epsilon(self):
         g = Grid1D(-16.0, 16.0, 2048)
         p = NonlinearityParams(lam=1.0, epsilon=0.01)
-        phi = GridFunction.sample(g, gausson_phi)
+        phi = g.sample(gausson_phi)
         gap, bound = energy_gap_bound(phi, p, g)
         assert gap <= 0.04 * quad_l1(phi, g)
         assert bound == pytest.approx(0.04 * quad_l1(phi, g), rel=1e-14)
@@ -123,8 +123,8 @@ class TestEnergyGapBound:
         # excluded kinetic/gradient/quadratic terms cancel identically
         g = Grid1D(-16.0, 16.0, 1024)
         p = NonlinearityParams(lam=1.3, epsilon=0.05)
-        phi = GridFunction.sample(g, gausson_phi)
-        gam = GridFunction.sample(g, gausson_gamma)
+        phi = g.sample(gausson_phi)
+        gam = g.sample(gausson_gamma)
         gap, _ = energy_gap_bound(phi, p, g)
         full = abs(
             continuous_energy_reg(phi, gam, p, g)
@@ -148,27 +148,27 @@ class TestSigmaMax:
     def test_zero_field(self):
         g = Grid1D(-1.0, 1.0, 32)
         p = NonlinearityParams(lam=1.0, epsilon=0.1)
-        assert sigma_max(GridFunction.zeros(g), p) == pytest.approx(
+        assert sigma_max(np.zeros(g.N), p) == pytest.approx(
             4.605170185988091, rel=1e-14
         )
 
     def test_unit_amplitude(self):
         g = Grid1D(-1.0, 1.0, 32)
         p = NonlinearityParams(lam=1.0, epsilon=0.1)
-        u = GridFunction.sample(g, lambda x: np.cos(np.pi * x))
+        u = g.sample(lambda x: np.cos(np.pi * x))
         assert sigma_max(u, p) == pytest.approx(abs(math.log(0.01)), rel=1e-14)
 
     def test_large_amplitude(self):
         g = Grid1D(-1.0, 1.0, 32)
         p = NonlinearityParams(lam=1.0, epsilon=0.1)
-        u = GridFunction.sample(g, lambda x: 10.0)
+        u = g.sample(lambda x: 10.0)
         assert sigma_max(u, p) == pytest.approx(math.log(100.01), rel=1e-12)
 
     def test_monotone_in_amplitude(self):
         g = Grid1D(-1.0, 1.0, 32)
         p = NonlinearityParams(lam=1.0, epsilon=0.05)
         vals = [
-            sigma_max(GridFunction.sample(g, lambda x, a=a: a), p)
+            sigma_max(g.sample(lambda x, a=a: a), p)
             for a in (0.0, 0.5, 1.0, 3.0, 10.0, 100.0)
         ]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
@@ -225,15 +225,15 @@ class TestLinearizedStability:
 class TestErrorsAndOrders:
     def test_identity_gives_zero(self):
         g = Grid1D(-1.0, 1.0, 32)
-        u = GridFunction.sample(g, lambda x: np.sin(np.pi * x))
+        u = g.sample(lambda x: np.sin(np.pi * x))
         rep = error_report(u, u, g)
         assert rep.l2 == rep.linf == rep.h1 == 0.0
 
     def test_h1_dominates_l2(self):
         g = Grid1D(-1.0, 1.0, 64)
         rng = np.random.default_rng(1)
-        u = GridFunction.from_core(rng.standard_normal(g.N))
-        v = GridFunction.from_core(rng.standard_normal(g.N))
+        u = rng.standard_normal(g.N)
+        v = rng.standard_normal(g.N)
         rep = error_report(u, v, g)
         assert rep.h1 >= rep.l2
 

@@ -39,14 +39,17 @@ def _entry(cache_dir):
 
 
 def _assert_same(a, b):
-    assert np.array_equal(a.prev.values, b.prev.values)
-    assert np.array_equal(a.curr.values, b.curr.values)
+    assert np.array_equal(a.prev, b.prev)
+    assert np.array_equal(a.curr, b.curr)
     assert (a.n, a.t) == (b.n, b.t)
 
 
 def test_miss_then_hit(tmp_path, evolve_calls):
     first = _reference(tmp_path)
     assert len(evolve_calls) == 1 and _entry(tmp_path).exists()
+    with np.load(_entry(tmp_path)) as data:
+        assert int(data["version"]) == cache.CACHE_VERSION == 2
+        assert data["prev"].shape == data["curr"].shape == (G.N,)
     second = _reference(tmp_path)
     assert len(evolve_calls) == 1
     _assert_same(first, second)
@@ -72,15 +75,29 @@ def _corrupt_version(path):
         np.savez(fh, **fields)
 
 
+def _corrupt_closed_layers(path):
+    # a current-version entry whose layers repeat the endpoint (length N+1)
+    with np.load(path) as data:
+        fields = dict(data)
+    for name in ("prev", "curr"):
+        fields[name] = np.append(fields[name], fields[name][0])
+    with open(path, "wb") as fh:
+        np.savez(fh, **fields)
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_corrupt_truncated, _corrupt_version], ids=["truncated", "wrong-version"]
+    "corrupt",
+    [_corrupt_truncated, _corrupt_version, _corrupt_closed_layers],
+    ids=["truncated", "wrong-version", "closed-layers"],
 )
 def test_untrusted_entry_is_recomputed_and_replaced(tmp_path, caplog, evolve_calls, corrupt):
     good = _reference(tmp_path)
     path = _entry(tmp_path)
     corrupt(path)
     with pytest.raises(cache.CacheError):
-        cache._load(path, cache.reference_key("example1-gausson", "cnfd", P, G, TAU, STEPS, 1e-12))
+        cache._load(
+            path, cache.reference_key("example1-gausson", "cnfd", P, G, TAU, STEPS, 1e-12), G.N
+        )
 
     with caplog.at_level(logging.WARNING, logger="logkge.cache"):
         again = _reference(tmp_path)

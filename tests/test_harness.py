@@ -9,6 +9,7 @@ from logkge.harness import (
     ExperimentPlan,
     PlanError,
     _eval_expr,
+    emit_waveforms,
     initial_data_for,
     plan_from_config,
     plan_to_config,
@@ -113,6 +114,10 @@ def _reproduce_plans():
         ),
         id="stability-probe",
     )
+    yield pytest.param(
+        replace(reproduce_plan("fig1"), out="results/run#2.csv", cache_dir="refs #1/cache"),
+        id="hash-in-values",
+    )
 
 
 class TestPlanRoundTrip:
@@ -129,6 +134,32 @@ class TestPlanRoundTrip:
         path = tmp_path / "plan.txt"
         path.write_text(text)
         assert plan_from_config(path) == plan
+
+    def test_hash_starts_a_comment_only_at_line_start(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text(
+            "# a plan\n" + _BASE_PLAN + "   # indented comment\n[run]\nout = a#b.csv\n"
+        )
+        assert plan_from_config(path).out == "a#b.csv"
+
+
+class TestWaveforms:
+    def test_closed_nodes_repeat_the_endpoint(self, tmp_path):
+        plan = ExperimentPlan(
+            kind="energy-drift", final_time=0.2, taus=(0.05,), hs=(0.5,),
+            snapshot_times=(0.0, 0.1),
+        )
+        result = harness.run(plan)
+        g, snaps = result.aux["grid"], result.aux["snapshots"]
+        emit_waveforms(result, tmp_path / "w.csv")
+        header, *lines = (tmp_path / "w.csv").read_text().splitlines()
+        assert header == "x,u_t0,u_t0.1"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert rows.shape == (g.N + 1, 3)
+        assert rows[0, 0] == g.a and rows[-1, 0] == g.b
+        np.testing.assert_array_equal(rows[:-1, 1], snaps[0.0])
+        np.testing.assert_array_equal(rows[:-1, 2], snaps[0.1])
+        np.testing.assert_array_equal(rows[-1, 1:], rows[0, 1:])
 
 
 # Tiny sweeps of every cell-sweep kind, pinned by what they compute: the row
@@ -302,6 +333,19 @@ class TestHostilePlans:
             pytest.param(_BASE_PLAN + "[probe]\nwidth = 3\n", id="unknown-key"),
             pytest.param(_BASE_PLAN + "[threads]\nn = 2\n", id="unknown-section"),
             pytest.param(_BASE_PLAN + "[run]\nthreads = 2\n", id="removed-threads-key"),
+            pytest.param(
+                _BASE_PLAN + "[experiment]\nkind = temporal-sweep\n[grids]\ntau = 0.1 0.05\n"
+                "h = 0.5 0.25\n",
+                id="temporal-two-h",
+            ),
+            pytest.param(
+                _BASE_PLAN + "[experiment]\nkind = energy-drift\n[grids]\nepsilon = 0.1 0.05\n",
+                id="energy-drift-two-eps",
+            ),
+            pytest.param(
+                _BASE_PLAN + "[experiment]\nkind = stability-probe\n[grids]\ntau = 0.1 0.05\n",
+                id="stability-probe-two-tau",
+            ),
         ],
     )
     def test_rejected_by_plan_from_config(self, tmp_path, text):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -287,12 +287,15 @@ class TestUnregularized:
         rho=st.floats(min_value=1e-8, max_value=100.0),
         eps=st.floats(min_value=1e-8, max_value=0.9),
     )
+    @example(rho=5.118345000647613e-08, eps=1e-08)
     def test_monotone_epsilon_limit(self, rho, eps):
+        # ln(eps^2 + rho) - ln(rho) <= eps^2/rho, up to the rounding of the
+        # two logs: a few ulps of |ln rho| (3.6e-15 each near rho = 5e-8)
         p = NonlinearityParams(lam=1.0, epsilon=eps)
         f_reg = reg_log(rho, p)
         f_raw = unreg_log(rho)
         assert f_reg >= f_raw
-        assert f_reg - f_raw <= eps * eps / rho + 1e-15
+        assert f_reg - f_raw <= eps * eps / rho + 4.0 * np.spacing(abs(f_raw))
 
     def test_epsilon_limit_decreasing(self):
         rho = 0.7

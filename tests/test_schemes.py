@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logkge.analysis import error_report, gausson, gausson_initial_data
-from logkge.grid import Grid1D, GridFunction, norm_l2, norm_linf
+from logkge.grid import Grid1D, norm_l2, norm_linf
 from logkge.nonlinearity import NonlinearityParams, discrete_gradient_dz1
 from logkge.schemes import (
     InitialData,
@@ -32,20 +32,20 @@ def g():
 
 def example2_data(g):
     return InitialData(
-        phi=GridFunction.sample(g, lambda x: np.cos(np.pi * x)),
-        gamma=GridFunction.sample(g, lambda x: np.sin(np.pi * x)),
+        phi=g.sample(lambda x: np.cos(np.pi * x)),
+        gamma=g.sample(lambda x: np.sin(np.pi * x)),
     )
 
 
 def amplitude5_data(g):
     return InitialData(
-        phi=GridFunction.sample(g, lambda x: 5.0 * np.cos(3 * np.pi * x)),
-        gamma=GridFunction.sample(g, lambda x: 4.0 * np.sin(np.pi * x)),
+        phi=g.sample(lambda x: 5.0 * np.cos(3 * np.pi * x)),
+        gamma=g.sample(lambda x: 4.0 * np.sin(np.pi * x)),
     )
 
 
 def zero_data(g):
-    return InitialData(phi=GridFunction.zeros(g), gamma=GridFunction.zeros(g))
+    return InitialData(phi=np.zeros(g.N), gamma=np.zeros(g.N))
 
 
 class TestConfig:
@@ -69,13 +69,13 @@ class TestFirstStep:
 
     def test_tau_to_zero_limit(self, g):
         init = InitialData(
-            phi=GridFunction.sample(g, lambda x: np.cos(np.pi * x)),
-            gamma=GridFunction.zeros(g),
+            phi=g.sample(lambda x: np.cos(np.pi * x)),
+            gamma=np.zeros(g.N),
         )
         errs = []
         for tau in (0.1, 0.05, 0.025):
             st = first_step(init, P, StepperConfig("cnfd", tau), g)
-            errs.append(norm_l2(GridFunction.from_core(st.curr.core - init.phi.core), g))
+            errs.append(norm_l2(st.curr - init.phi, g))
         # curr -> phi at O(tau^2) when gamma = 0
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
@@ -90,8 +90,8 @@ class TestFirstStep:
         taus = (0.02, 0.01, 0.005)
         for tau in taus:
             st = first_step(init, p, StepperConfig("cnfd", tau), g)
-            truth = GridFunction.sample(g, lambda x: gausson(x, tau))
-            errs.append(norm_l2(GridFunction.from_core(st.curr.core - truth.core), g))
+            truth = g.sample(lambda x: gausson(x, tau))
+            errs.append(norm_l2(st.curr - truth, g))
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
         assert 6.0 < r1 < 10.0
@@ -110,13 +110,13 @@ class TestStepping:
     def test_constant_state_stays_constant(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
         st = WaveState(
-            prev=GridFunction.sample(g, lambda x: 0.8),
-            curr=GridFunction.sample(g, lambda x: 0.79),
+            prev=g.sample(lambda x: 0.8),
+            curr=g.sample(lambda x: 0.79),
             n=1,
             t=cfg.tau,
         )
         nxt = step(st, P, cfg, g)
-        spread = np.ptp(nxt.curr.core)
+        spread = np.ptp(nxt.curr)
         assert spread <= 1e-12 * (1.0 + norm_linf(nxt.curr, g))
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
@@ -129,9 +129,7 @@ class TestStepping:
         fwd = step(st, P, cfg, g)
         back_state = WaveState(prev=fwd.curr, curr=fwd.prev, n=1, t=cfg.tau)
         back = step(back_state, P, cfg, g)
-        assert norm_linf(
-            GridFunction.from_core(back.curr.core - st.prev.core), g
-        ) < 1e-9
+        assert norm_linf(back.curr - st.prev, g) < 1e-9
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_translation_equivariance(self, g, scheme):
@@ -140,22 +138,20 @@ class TestStepping:
         nxt = step(st, P, cfg, g)
         k = 17
         rolled = WaveState(
-            prev=GridFunction.from_core(np.roll(st.prev.core, k)),
-            curr=GridFunction.from_core(np.roll(st.curr.core, k)),
+            prev=np.roll(st.prev, k),
+            curr=np.roll(st.curr, k),
             n=st.n,
             t=st.t,
         )
         nxt_rolled = step(rolled, P, cfg, g)
-        assert norm_linf(
-            GridFunction.from_core(nxt_rolled.curr.core - np.roll(nxt.curr.core, k)), g
-        ) < 1e-9
+        assert norm_linf(nxt_rolled.curr - np.roll(nxt.curr, k), g) < 1e-9
 
 
 class TestResidualAndNewton:
     def test_residual_zero_at_zero(self, g):
         cfg = StepperConfig("cnfd", tau=0.01)
         st = first_step(zero_data(g), P, cfg, g)
-        r = assemble_residual(GridFunction.zeros(g), st, P, cfg, g)
+        r = assemble_residual(np.zeros(g.N), st, P, cfg, g)
         assert norm_linf(r, g) == 0.0
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
@@ -173,18 +169,14 @@ class TestResidualAndNewton:
         cfg = StepperConfig(scheme, tau=0.05)
         rng = np.random.default_rng(8)
         st = first_step(example2_data(g), P, cfg, g)
-        u = GridFunction.from_core(st.curr.core + 0.1 * rng.standard_normal(g.N))
+        u = st.curr + 0.1 * rng.standard_normal(g.N)
         v = rng.standard_normal(g.N)
         delta = 1e-6
-        up = GridFunction.from_core(u.core + delta * v)
-        um = GridFunction.from_core(u.core - delta * v)
         jv_fd = (
-            assemble_residual(up, st, P, cfg, g).core
-            - assemble_residual(um, st, P, cfg, g).core
+            assemble_residual(u + delta * v, st, P, cfg, g)
+            - assemble_residual(u - delta * v, st, P, cfg, g)
         ) / (2 * delta)
-        diag = 1.0 / cfg.tau**2 + 0.5 + P.lam * discrete_gradient_dz1(
-            u.core, st.prev.core, P
-        )
+        diag = 1.0 / cfg.tau**2 + 0.5 + P.lam * discrete_gradient_dz1(u, st.prev, P)
         jv = diag * v
         if scheme == "cnfd":
             jv = jv + 1.0 / g.h**2 * v - 0.5 / g.h**2 * (np.roll(v, 1) + np.roll(v, -1))
@@ -232,16 +224,16 @@ class TestResidualAndNewton:
         for _ in range(5):
             nxt = step(st, P, cfg, g)
             assert nxt.newton_iters >= 1
-            cand = 2.0 * st.curr.core - st.prev.core
+            cand = 2.0 * st.curr - st.prev
             for _ in range(nxt.newton_iters):
-                res = assemble_residual(GridFunction.from_core(cand), st, P, cfg, g).core
-                jac = lin + P.lam * discrete_gradient_dz1(cand, st.prev.core, P)
+                res = assemble_residual(cand, st, P, cfg, g)
+                jac = lin + P.lam * discrete_gradient_dz1(cand, st.prev, P)
                 if scheme == "cnfd":
                     delta = solve_cyclic_tridiag(jac, -0.5 / g.h**2, -res)
                 else:
                     delta = -res / jac
                 cand = cand + delta
-            assert np.array_equal(nxt.curr.core, cand)
+            assert np.array_equal(nxt.curr, cand)
             st = nxt
 
     def test_guarded_iterations_converge(self):
@@ -297,8 +289,8 @@ class TestDiscreteEnergy:
         cfg = StepperConfig(scheme, tau=0.01)
         c = 0.6
         st = WaveState(
-            prev=GridFunction.sample(g, lambda x: c),
-            curr=GridFunction.sample(g, lambda x: c),
+            prev=g.sample(lambda x: c),
+            curr=g.sample(lambda x: c),
             n=1,
             t=cfg.tau,
         )
@@ -336,6 +328,18 @@ class TestEvolve:
         assert res.newton_avg == 1.0
         quiet = evolve(example2_data(g), P, cfg, g, 20, track_energy=False)
         assert quiet.energy_series == []
+
+    def test_dimension_mismatch_rejected(self, g):
+        # evolve is where caller data enters: phi and gamma must have N
+        # values.  Without energy tracking nothing else would notice, and the
+        # stencils would step the wrong grid.
+        cfg = StepperConfig("cnfd", tau=0.01)
+        other = example2_data(Grid1D(-1.0, 1.0, 32))
+        closed = InitialData(phi=np.zeros(g.N + 1), gamma=np.zeros(g.N + 1))
+        mixed = InitialData(phi=np.zeros(g.N), gamma=np.zeros(g.N + 1))
+        for init in (other, closed, mixed):
+            with pytest.raises(ValueError, match="grid wants"):
+                evolve(init, P, cfg, g, 3, track_energy=False)
 
     def test_stability_warning_emitted(self, g):
         from logkge.analysis import siefd_tau_bound, sigma_max
