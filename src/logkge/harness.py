@@ -84,6 +84,9 @@ class SweepKind(NamedTuple):
     snapshots: bool = False
     # Every eps gets its own cells; False: one run at the first eps.
     each_epsilon: bool = True
+    # The run steps to T at the plan's tau; False: it chooses its own time
+    # steps, so tau may be omitted and T need not be a multiple of it.
+    tau_grid: bool = True
 
 
 SWEEP_KINDS = {
@@ -92,7 +95,7 @@ SWEEP_KINDS = {
     "epsilon-sweep": SweepKind("epsilon", "exact-gausson"),
     "diagonal-sweep": SweepKind("diagonal", "exact-gausson"),
     "energy-drift": SweepKind(None, "none", snapshots=True, each_epsilon=False),
-    "stability-probe": SweepKind(None, "none", each_epsilon=False),
+    "stability-probe": SweepKind(None, "none", each_epsilon=False, tau_grid=False),
     "single-solve": SweepKind(None, "exact-gausson"),
 }
 PLAN_KINDS = tuple(SWEEP_KINDS)
@@ -142,9 +145,10 @@ class ExperimentPlan:
         """All problems with the plan, not just the first.
 
         Once the values themselves are sound, also checks every grid the run
-        would build (meshes divide the domain, time steps divide T, reference
-        meshes nest the cell meshes), so a plan that validates never fails
-        on its grids mid-run.  Every float must be finite.
+        would build (meshes divide the domain, time steps divide T where the
+        kind steps to T on them, reference meshes nest the cell meshes), so
+        a plan that validates never fails on its grids mid-run.  Every float
+        must be finite.
         """
         inf, positive = math.inf, "finite and > 0"
         checks = (  # (key, value, ok, requirement)
@@ -185,13 +189,15 @@ class ExperimentPlan:
         """The list lengths and refinement ratios the swept axis needs.
 
         A list the kind reads only the first value of may hold no second one,
-        which the run would silently drop.
+        which the run would silently drop; a kind without a tau grid needs
+        no tau at all.
         """
         errs = []
         swept = ("tau", "h") if kind.axis == "diagonal" else (kind.axis,)
         read = swept + (("epsilon",) if kind.each_epsilon else ())
+        optional = () if kind.tau_grid else ("tau",)
         for name, seq in (("epsilon", self.epsilons), ("tau", self.taus), ("h", self.hs)):
-            minimum = 2 if name in swept else 1
+            minimum = 2 if name in swept else 0 if name in optional else 1
             ratios = [a / b for a, b in zip(seq, seq[1:])]
             # Rates need tau and h halved at each level, eps refined by a fixed ratio.
             want = ratios[0] if name == "epsilon" and ratios else 2.0
@@ -372,7 +378,7 @@ def _grid_errors(plan: ExperimentPlan, kind: SweepKind) -> list[str]:
     errs = [f"h: {h} must divide the domain into at least 4 cells"
             for h in plan.hs if (_count(length, h) or 0) < 4]
     errs += [f"tau: {tau} does not divide T = {T} evenly" for tau in plan.taus
-             if not _count(T, tau)]
+             if kind.tau_grid and not _count(T, tau)]
     if kind.snapshots and not errs and None in _snapshot_steps(plan):
         errs.append(f"snapshot_times: each time up to T must be a multiple of tau {plan.taus[0]}")
     if errs or _resolve_reference(plan) != "cnfd-fine":

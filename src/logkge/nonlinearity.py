@@ -30,6 +30,7 @@ __all__ = [
     "reg_log_primitive",
     "discrete_gradient",
     "discrete_gradient_dz1",
+    "fused_discrete_gradient",
     "unreg_log",
     "unreg_log_primitive",
 ]
@@ -112,6 +113,57 @@ def reg_log_primitive(rho, p: NonlinearityParams):
     return out if out.ndim else float(out)
 
 
+def fused_discrete_gradient(z1, z2, v1, v2, p: NonlinearityParams, derivative: bool = False):
+    """Discrete gradient and, with ``derivative``, its z1-derivative in one pass.
+
+    ``v1`` and ``v2`` are ``reg_log_primitive(z1*z1, p)`` and
+    ``reg_log_primitive(z2*z2, p)``: a stepper already holds them for the
+    layers it knows, so this kernel never evaluates the primitive.  Returns
+    ``(dg, dg_dz1)`` with ``dg_dz1`` None unless requested.  The squares,
+    their gap, the midpoint log and the divided difference are computed once
+    and shared; each output keeps its own branch switch
+    (:data:`COINCIDENCE_REL_TOL` for the gradient, :data:`DERIVATIVE_REL_TOL`
+    for the derivative).  Away from coincidence the divided difference is
+    ``(v1 - v2)/gap`` for both.  Near it, the gradient takes the limit
+    ``reg_log(rho_mid)``; the derivative takes ``f'(rho_mid)/2`` plus the
+    first-order term ``gap*f''(rho_mid)/12``, which keeps it second-order
+    accurate across the switch.  ``z1`` and ``z2`` are float arrays.
+    """
+    rho1 = z1 * z1
+    rho2 = z2 * z2
+    gap = rho1 - rho2
+    scale = rho1 + rho2 + p.eps2
+    rho_mid = 0.5 * (rho1 + rho2)
+    denom_mid = p.eps2 + rho_mid
+    f_mid = np.log(denom_mid)
+    near = np.abs(gap) <= COINCIDENCE_REL_TOL * scale
+    divided = (v1 - v2) / np.where(near, 1.0, gap)
+    dg = np.where(near, f_mid, divided) * 0.5 * (z1 + z2)
+    if not derivative:
+        return dg, None
+    # The derivative band contains the gradient band, so outside it
+    # ``divided`` is the plain quotient by the gap.
+    near = np.abs(gap) <= DERIVATIVE_REL_TOL * scale
+    safe_gap = np.where(near, 1.0, gap)
+    dd = np.where(near, f_mid, divided)
+    # d(dd)/drho1 is (f(rho1) - dd)/gap away from coincidence.
+    ddd_drho1 = np.where(
+        near,
+        0.5 / denom_mid - gap / (12.0 * denom_mid * denom_mid),
+        (np.log(p.eps2 + rho1) - dd) / safe_gap,
+    )
+    return dg, 2.0 * z1 * ddd_drho1 * 0.5 * (z1 + z2) + 0.5 * dd
+
+
+def _fused_from_values(z1, z2, p: NonlinearityParams, derivative: bool):
+    """The fused kernel for callers that hold only z1 and z2."""
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
+    return fused_discrete_gradient(
+        z1, z2, reg_log_primitive(z1 * z1, p), reg_log_primitive(z2 * z2, p), p, derivative
+    )
+
+
 def discrete_gradient(z1, z2, p: NonlinearityParams):
     """Two-point average of the regularized log nonlinearity.
 
@@ -121,22 +173,9 @@ def discrete_gradient(z1, z2, p: NonlinearityParams):
     by its limit ``reg_log((z1^2 + z2^2)/2)``.
 
     Symmetric in (z1, z2) exactly, including evaluation order; vanishes
-    identically when z2 == -z1.
+    identically when z2 == -z1.  See :func:`fused_discrete_gradient`.
     """
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    rho1 = z1 * z1
-    rho2 = z2 * z2
-    gap = rho1 - rho2
-    scale = rho1 + rho2 + p.eps2
-    near = np.abs(gap) <= COINCIDENCE_REL_TOL * scale
-    safe_gap = np.where(near, 1.0, gap)
-    dd = np.where(
-        near,
-        np.log(p.eps2 + 0.5 * (rho1 + rho2)),
-        (reg_log_primitive(rho1, p) - reg_log_primitive(rho2, p)) / safe_gap,
-    )
-    out = dd * 0.5 * (z1 + z2)
+    out, _ = _fused_from_values(z1, z2, p, derivative=False)
     return out if out.ndim else float(out)
 
 
@@ -145,33 +184,10 @@ def discrete_gradient_dz1(z1, z2, p: NonlinearityParams):
 
     Used as the Newton Jacobian of the implicit solves, with z2 frozen at
     the oldest time layer.  Near coincidence the divided-difference pieces
-    are replaced by their midpoint limits (see :data:`DERIVATIVE_REL_TOL`).
+    are replaced by their midpoint limits (see :data:`DERIVATIVE_REL_TOL`
+    and :func:`fused_discrete_gradient`).
     """
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    rho1 = z1 * z1
-    rho2 = z2 * z2
-    gap = rho1 - rho2
-    scale = rho1 + rho2 + p.eps2
-    near = np.abs(gap) <= DERIVATIVE_REL_TOL * scale
-    safe_gap = np.where(near, 1.0, gap)
-    rho_mid = 0.5 * (rho1 + rho2)
-    f_mid = np.log(p.eps2 + rho_mid)
-    dd = np.where(
-        near,
-        f_mid,
-        (reg_log_primitive(rho1, p) - reg_log_primitive(rho2, p)) / safe_gap,
-    )
-    # d(dd)/drho1 is (f(rho1) - dd)/gap away from coincidence; near it, the
-    # limit f'(rho_mid)/2 needs the first-order term gap*f''(rho_mid)/12 to
-    # stay second-order accurate across the branch switch.
-    denom_mid = p.eps2 + rho_mid
-    ddd_drho1 = np.where(
-        near,
-        0.5 / denom_mid - gap / (12.0 * denom_mid * denom_mid),
-        (np.log(p.eps2 + rho1) - dd) / safe_gap,
-    )
-    out = 2.0 * z1 * ddd_drho1 * 0.5 * (z1 + z2) + 0.5 * dd
+    _, out = _fused_from_values(z1, z2, p, derivative=True)
     return out if out.ndim else float(out)
 
 

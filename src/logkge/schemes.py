@@ -21,15 +21,26 @@ the ingredient that gives each scheme an exactly conserved discrete energy
 problem solved by one guarded Newton loop with the analytic Jacobian: a
 cyclic tridiagonal matrix for cnfd, a diagonal one for siefd.  The stepping
 path is :func:`evolve` -> :func:`step` -> :func:`solve_newton`.
+
+Each piece of work in a step is done once.  A :class:`WaveState` made by
+:func:`first_step` or :func:`step` carries the potential V(u^2) of its two
+layers (V = ``reg_log_primitive``): V(u^{n-1}^2) is fixed for the whole
+solve, every Newton iterate evaluates V once and the solution hands its V to
+the next state, so a one-iteration step costs two evaluations of V, and
+:func:`discrete_energy` reuses the carried pair.  One fused kernel gives the
+discrete gradient and its Jacobian diagonal together at the start iterate.
+The cnfd Jacobian is solved by :func:`solve_cyclic_tridiag`, which solves the
+Sherman-Morrison corner vector only on the rows where it is representable.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .analysis import siefd_tau_bound, sigma_max
 from .grid import (
@@ -43,7 +54,7 @@ from .grid import (
 from .nonlinearity import (
     NonlinearityParams,
     discrete_gradient,
-    discrete_gradient_dz1,
+    fused_discrete_gradient,
     reg_log,
     reg_log_primitive,
 )
@@ -108,13 +119,23 @@ class InitialData:
 
 @dataclass(frozen=True)
 class WaveState:
-    """Two consecutive layers (u^{n-1}, u^n) of a trajectory, t = n*tau."""
+    """Two consecutive layers (u^{n-1}, u^n) of a trajectory, t = n*tau.
+
+    :func:`first_step` and :func:`step` also fill ``potentials``: the eps
+    they used and V(u^{n-1}^2), V(u^n^2) at that eps, V being
+    ``reg_log_primitive``.  The next step and :func:`discrete_energy` reuse
+    them; for a state without them (read from the cache, or built by hand)
+    they are computed where needed.
+    """
 
     prev: np.ndarray
     curr: np.ndarray
     n: int
     t: float
     newton_iters: int = 0
+    potentials: tuple[float, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.prev.shape != self.curr.shape:
@@ -128,22 +149,35 @@ def first_step(
     phi, gamma = init.phi, init.gamma
     accel = periodic_second_diff(phi, g.h) - phi - p.lam * phi * reg_log(phi * phi, p)
     u1 = phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
-    return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau)
+    pots = (p.epsilon, reg_log_primitive(phi * phi, p), reg_log_primitive(u1 * u1, p))
+    return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau, potentials=pots)
+
+
+def _layer_potentials(state: WaveState, p: NonlinearityParams):
+    """(V(u^{n-1}^2), V(u^n^2)): the state's own pair if computed at p's eps."""
+    pots = state.potentials
+    if pots is not None and pots[0] == p.epsilon:
+        return pots[1], pots[2]
+    prev, curr = state.prev, state.curr
+    return reg_log_primitive(prev * prev, p), reg_log_primitive(curr * curr, p)
 
 
 def assemble_residual(
     cand: np.ndarray, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
 ) -> np.ndarray:
     """Left-hand side of the scheme equation at a trial layer u^{n+1}."""
+    return _residual(cand, discrete_gradient(cand, state.prev, p), state, p, cfg, g)
+
+
+def _residual(cand, dg, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
+    """:func:`assemble_residual` given dg = DG(cand, u^{n-1})."""
     up, uc = state.prev, state.curr
-    tau2 = cfg.tau**2
-    d2t = (cand - 2.0 * uc + up) / tau2
-    nonlin = p.lam * discrete_gradient(cand, up, p)
+    d2t = (cand - 2.0 * uc + up) / cfg.tau**2
     if cfg.scheme == "cnfd":
         diff = -0.5 * periodic_second_diff(cand + up, g.h)
     else:
         diff = -periodic_second_diff(uc, g.h)
-    return d2t + diff + 0.5 * (cand + up) + nonlin
+    return d2t + diff + 0.5 * (cand + up) + p.lam * dg
 
 
 def _rhs_scale(state: WaveState, cfg: StepperConfig, g: Grid1D) -> float:
@@ -161,10 +195,31 @@ def _rhs_scale(state: WaveState, cfg: StepperConfig, g: Grid1D) -> float:
 def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
     """Solve the periodic tridiagonal system with constant off-diagonal.
 
-    The matrix has ``diag`` on the diagonal and ``off`` on the two
+    The matrix A has ``diag`` on the diagonal and ``off`` on the two
     off-diagonals including the periodic corner entries (0, N-1) and
-    (N-1, 0).  Solved as a plain tridiagonal banded factorization plus a
-    Sherman-Morrison rank-one correction for the corners; O(N) total.
+    (N-1, 0).  With gamma = -diag[0], A = T + u v^T where T is plainly
+    tridiagonal, u = gamma e_0 + off e_{N-1} and v = e_0 + (off/gamma)
+    e_{N-1}; Sherman-Morrison (Press et al., Numerical Recipes 2.7) gives
+    x = y - q (v.y)/(1 + v.q) from T y = rhs and T q = u, each solved by
+    LAPACK ``dgtsv``.  O(N) total.
+
+    The corner vector q is solved only where it is representable.  Let
+    s = min(diag)/|off| > 2 and r = (s - sqrt(s^2 - 4))/2 < 1.  T is
+    strictly diagonally dominant with every diagonal entry at least
+    s*|off|, so by M-matrix comparison |T^-1| <= T_c^-1 entrywise, where
+    T_c = |off| tridiag(-1, s, -1), whose inverse is at most
+    r^|i-j| / (|off| sqrt(s^2 - 4)).  Hence
+
+        |q_i| <= (|gamma/off| r^i + r^(N-1-i)) / sqrt(s^2 - 4),
+
+    which falls below 2^-1100, under the smallest subnormal 2^-1074, on
+    every row at least m rows from both ends.  A full-length solve only
+    fills those rows with subnormal rounding noise (when r > 1/2 they
+    stick at the smallest subnormal, each a slow path in LAPACK).  So q is
+    solved on the first m and the last m rows, as two blocks decoupled in
+    one ``dgtsv`` call, and is exactly 0 in between.  Where s <= 2 (a
+    clamped Newton diagonal, say), off = 0 or 2m >= N, q is solved at full
+    length.
     """
     n = diag.size
     if n < 3:
@@ -173,21 +228,50 @@ def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.nd
     d = diag.copy()
     d[0] -= gamma
     d[-1] -= off * off / gamma
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = d
-    ab[2, :-1] = off
-
-    u = np.zeros(n)
+    y = _gtsv(np.full(n - 1, off), d, rhs)
+    rows = _q_rows(diag, off, gamma)
+    u = np.zeros(rows.size)
     u[0] = gamma
     u[-1] = off
-    sol = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-    y, q = sol[:, 0], sol[:, 1]
-    # v = e_0 + (off/gamma) e_{N-1} closes the rank-one update A = T + u v^T
+    # A zero off-diagonal where the rows jump decouples the two end blocks.
+    q = _gtsv(np.where(np.diff(rows) == 1, off, 0.0), d[rows], u)
     vy = y[0] + off / gamma * y[-1]
     vq = q[0] + off / gamma * q[-1]
-    return y - q * (vy / (1.0 + vq))
+    y[rows] -= q * (vy / (1.0 + vq))
+    return y
+
+
+# q entries below 2^-_Q_FLOOR_BITS are taken as 0 (see solve_cyclic_tridiag).
+_Q_FLOOR_BITS = 1100
+
+
+def _q_rows(diag: np.ndarray, off: float, gamma: float) -> np.ndarray:
+    """Rows on which the corner vector q is solved: the first and last m, or all.
+
+    All rows when off = 0, s <= 2, an entry is not finite, or 2m >= N.  s
+    is capped at 1e6 so that s^2 stays finite; a smaller s only widens the
+    window.
+    """
+    n = diag.size
+    s = min(diag.min() / abs(off), 1e6) if off != 0.0 else 0.0
+    if not s > 2.0:
+        return np.arange(n)
+    root = math.sqrt(s * s - 4.0)
+    # log2 of the bound's factor (|gamma/off| + 1)/sqrt(s^2 - 4), finite for tiny |off|
+    factor = 1.0 + max(math.log2(abs(gamma)) - math.log2(abs(off)), 0.0) - math.log2(root)
+    m = (_Q_FLOOR_BITS + factor) / math.log2(0.5 * (s + root))  # log2(1/r) = log2((s+root)/2)
+    if not 2.0 * m + 2.0 < n:
+        return np.arange(n)
+    m = math.ceil(m)
+    return np.concatenate((np.arange(m), np.arange(n - m, n)))
+
+
+def _gtsv(band: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with diagonal d and both off-diagonals ``band``."""
+    _, _, _, x, info = lapack.dgtsv(band, d, band, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def _newton_step(jac_diag: np.ndarray, res: np.ndarray, cfg: StepperConfig, g: Grid1D):
@@ -213,22 +297,44 @@ def solve_newton(
     :class:`NonConvergenceError` after ``newton_max_iter`` iterations of
     either kind, or when a guarded step falls below alpha = 2^-12.
     """
+    nxt, _, norms = _solve_newton(state, _layer_potentials(state, p)[0], p, cfg, g)
+    return nxt, norms
+
+
+def _solve_newton(
+    state: WaveState, v_up: np.ndarray, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
+):
+    """:func:`solve_newton` given v_up = V(u^{n-1}^2); also returns V of the solution.
+
+    Each iterate costs one ``reg_log_primitive`` call; the start iterate's
+    residual and Jacobian share one pass of the fused kernel.
+    """
     up, uc = state.prev, state.curr
     tol = cfg.newton_tol * (1.0 + _rhs_scale(state, cfg, g))
     lin_diag = 1.0 / cfg.tau**2 + 0.5 + (1.0 / g.h**2 if cfg.scheme == "cnfd" else 0.0)
 
+    def kernel(cand, v_cand, jacobian):
+        dg, dg_dz1 = fused_discrete_gradient(cand, up, v_cand, v_up, p, jacobian)
+        return dg, (lin_diag + p.lam * dg_dz1 if jacobian else None)
+
+    def evaluate(cand, jacobian=False):
+        v_cand = reg_log_primitive(cand * cand, p)
+        dg, jac_diag = kernel(cand, v_cand, jacobian)
+        return _residual(cand, dg, state, p, cfg, g), v_cand, jac_diag
+
     cand = 2.0 * uc - up
-    res = assemble_residual(cand, state, p, cfg, g)
+    res, v_cand, jac_diag = evaluate(cand, jacobian=True)
     rnorm = norm_l2(res, g)
     norms = [rnorm]
     while not rnorm <= tol and len(norms) <= cfg.newton_max_iter:
-        jac_diag = lin_diag + p.lam * discrete_gradient_dz1(cand, up, p)
+        if jac_diag is None:
+            jac_diag = kernel(cand, v_cand, True)[1]
         # min/max propagate NaN, so this tests positivity and finiteness
         # without an N-sized temporary on the ordinary path.
         ordinary = 0.0 < jac_diag.min() and jac_diag.max() < np.inf
         if ordinary:
             trial = cand + _newton_step(jac_diag, res, cfg, g)
-            trial_res = assemble_residual(trial, state, p, cfg, g)
+            trial_res, trial_v, _ = evaluate(trial)
             trial_norm = norm_l2(trial_res, g)
             ordinary = np.isfinite(trial_norm)
         if not ordinary:
@@ -239,13 +345,13 @@ def solve_newton(
             for k in range(13):  # alpha = 1, 1/2, ..., 2^-12; NaN never passes
                 alpha = 0.5**k
                 trial = cand + delta if k == 0 else cand + alpha * delta
-                trial_res = assemble_residual(trial, state, p, cfg, g)
+                trial_res, trial_v, _ = evaluate(trial)
                 trial_norm = norm_l2(trial_res, g)
                 if trial_norm < rnorm * (1.0 - 1e-4 * alpha):
                     break
             else:
                 break  # no step decreases the residual: stalled
-        cand, res, rnorm = trial, trial_res, trial_norm
+        cand, res, v_cand, rnorm, jac_diag = trial, trial_res, trial_v, trial_norm, None
         norms.append(rnorm)
     if not rnorm <= tol:
         raise NonConvergenceError(
@@ -253,18 +359,20 @@ def solve_newton(
             f"iterations (tolerance {tol:.3e})",
             residual=rnorm,
         )
-    return cand, norms
+    return cand, v_cand, norms
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
     """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``."""
-    nxt, norms = solve_newton(state, p, cfg, g)
+    v_prev, v_curr = _layer_potentials(state, p)
+    nxt, v_nxt, norms = _solve_newton(state, v_prev, p, cfg, g)
     return WaveState(
         prev=state.curr,
         curr=nxt,
         n=state.n + 1,
         t=state.t + cfg.tau,
         newton_iters=len(norms) - 1,
+        potentials=(p.epsilon, v_curr, v_nxt),
     )
 
 
@@ -281,7 +389,8 @@ def discrete_energy(
     where V is the primitive of the regularized log.  The gradient terms are
     the average of the two squared forward-difference norms for cnfd, and
     the sign-indefinite cross product h*sum (D+ w)(D+ v) for siefd (no
-    positivity is claimed for the latter).
+    positivity is claimed for the latter).  V of the two layers comes from
+    the state when it carries them at p's eps, and is computed otherwise.
     """
     if state.curr.shape != (g.N,):
         raise ValueError("state does not match the grid")
@@ -293,7 +402,8 @@ def discrete_energy(
     else:
         grad = inner(dw, dv, g)
     mass = 0.5 * (norm_l2(w, g) ** 2 + norm_l2(v, g) ** 2)
-    pot = reg_log_primitive(w**2, p) + reg_log_primitive(v**2, p)
+    v_prev, v_curr = _layer_potentials(state, p)
+    pot = v_curr + v_prev
     return kinetic + grad + mass + p.lam * 0.5 * h * float(np.sum(pot))
 
 

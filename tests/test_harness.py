@@ -71,6 +71,12 @@ class TestExpressions:
             initial_data_for(plan, Grid1D(-16.0, 16.0, 128))
 
 
+# A probe steps at factor * siefd_tau_bound, so the plan's tau and T are unread.
+_PROBE = ExperimentPlan(
+    kind="stability-probe", scheme="siefd", hs=(0.5,), probe_factors=(0.5, 1.5), probe_steps=10
+)
+
+
 def _reproduce_plans():
     targets = ("table1", "table2", "table3-diagonal", "table3-epsilon", "fig1", "fig-energy")
     for target in targets:
@@ -114,6 +120,8 @@ def _reproduce_plans():
         ),
         id="stability-probe",
     )
+    for taus, name in (((0.3,), "stability-probe-tau-off-T-grid"), ((), "stability-probe-no-tau")):
+        yield pytest.param(replace(_PROBE, taus=taus), id=name)
     yield pytest.param(
         replace(reproduce_plan("fig1"), out="results/run#2.csv", cache_dir="refs #1/cache"),
         id="hash-in-values",
@@ -262,6 +270,17 @@ class TestSweepKinds:
         has_truth = bool(ref_calls) or fields.get("problem") != "example2-cos-sin"
         assert all((r.norm_l2 is not None) == has_truth for r in result.rows)
         assert calls == ref_calls
+
+    @pytest.mark.parametrize("taus", [(0.3,), ()], ids=["tau-off-T-grid", "no-tau"])
+    def test_probe_ignores_tau(self, taus):
+        plan = replace(_PROBE, taus=taus)
+        assert plan.validate() == []
+        def untimed(rows):
+            return [replace(r, wall_time=0.0) for r in rows]
+
+        rows = untimed(harness.run(plan).rows)
+        assert rows == untimed(harness.run(replace(_PROBE, taus=(0.25,))).rows)
+        assert [r.status for r in rows] == ["ok", "unstable"]
 
     def test_fig1_eps_rates_near_one(self):
         rows = harness.run(reproduce_plan("fig1")).rows

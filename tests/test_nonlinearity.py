@@ -9,8 +9,10 @@ from scipy.integrate import quad as scipy_quad
 from logkge.nonlinearity import (
     COINCIDENCE_REL_TOL,
     NonlinearityParams,
+    DERIVATIVE_REL_TOL,
     discrete_gradient,
     discrete_gradient_dz1,
+    fused_discrete_gradient,
     reg_log,
     reg_log_primitive,
     reg_unreg_gap_density,
@@ -268,6 +270,82 @@ class TestDiscreteGradientDerivative:
             d = discrete_gradient_dz1(z1, z2, p)
             ref = d_exact(z1, z2, eps)
             assert abs(d - ref) < 1e-6 * (1.0 + abs(ref))
+
+
+def _reference_dg(z1, z2, p):
+    """discrete_gradient as two separate formulas computed it, kept as an oracle."""
+    rho1 = z1 * z1
+    rho2 = z2 * z2
+    gap = rho1 - rho2
+    scale = rho1 + rho2 + p.eps2
+    near = np.abs(gap) <= COINCIDENCE_REL_TOL * scale
+    safe_gap = np.where(near, 1.0, gap)
+    dd = np.where(
+        near,
+        np.log(p.eps2 + 0.5 * (rho1 + rho2)),
+        (reg_log_primitive(rho1, p) - reg_log_primitive(rho2, p)) / safe_gap,
+    )
+    return dd * 0.5 * (z1 + z2)
+
+
+def _reference_dg_dz1(z1, z2, p):
+    """discrete_gradient_dz1 as two separate formulas computed it, kept as an oracle."""
+    rho1 = z1 * z1
+    rho2 = z2 * z2
+    gap = rho1 - rho2
+    scale = rho1 + rho2 + p.eps2
+    near = np.abs(gap) <= DERIVATIVE_REL_TOL * scale
+    safe_gap = np.where(near, 1.0, gap)
+    rho_mid = 0.5 * (rho1 + rho2)
+    f_mid = np.log(p.eps2 + rho_mid)
+    dd = np.where(
+        near,
+        f_mid,
+        (reg_log_primitive(rho1, p) - reg_log_primitive(rho2, p)) / safe_gap,
+    )
+    denom_mid = p.eps2 + rho_mid
+    ddd_drho1 = np.where(
+        near,
+        0.5 / denom_mid - gap / (12.0 * denom_mid * denom_mid),
+        (np.log(p.eps2 + rho1) - dd) / safe_gap,
+    )
+    return 2.0 * z1 * ddd_drho1 * 0.5 * (z1 + z2) + 0.5 * dd
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestFusedKernel:
+    @settings(max_examples=300)
+    @given(
+        z=z_values,
+        eps=st.floats(min_value=1e-8, max_value=1.0),
+        inside=st.floats(min_value=1e-14, max_value=1e-9),
+        band=st.floats(min_value=1e-7, max_value=1e-5),
+        outside=st.floats(min_value=1e-3, max_value=10.0),
+    )
+    @example(z=0.0, eps=1e-8, inside=1e-12, band=1e-6, outside=1.0)
+    @example(z=1e-300, eps=1e-8, inside=1e-12, band=1e-6, outside=1.0)
+    def test_matches_separate_formulas_bitwise(self, z, eps, inside, band, outside):
+        # z2 = +-z1 and 0, then relative offsets inside the 1e-8 gradient
+        # band, inside the 1e-4 derivative band only, and outside both.
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        offsets = np.array([inside, band, outside])
+        z2 = np.concatenate(([z, -z, 0.0], z * (1.0 + offsets), -z * (1.0 - offsets)))
+        z1 = np.concatenate((np.full(z2.size, z), [0.0, 0.0]))
+        z2 = np.concatenate((z2, [0.0, z]))
+        v1, v2 = reg_log_primitive(z1 * z1, p), reg_log_primitive(z2 * z2, p)
+        want_dg, want_dz1 = _reference_dg(z1, z2, p), _reference_dg_dz1(z1, z2, p)
+
+        dg, dz1 = fused_discrete_gradient(z1, z2, v1, v2, p, derivative=True)
+        assert _bits(dg) == _bits(want_dg) and _bits(dz1) == _bits(want_dz1)
+        dg_only, none = fused_discrete_gradient(z1, z2, v1, v2, p)
+        assert _bits(dg_only) == _bits(want_dg) and none is None
+        assert _bits(discrete_gradient(z1, z2, p)) == _bits(want_dg)
+        assert _bits(discrete_gradient_dz1(z1, z2, p)) == _bits(want_dz1)
+        for a, b in zip(z1, z2):  # the scalar wrappers take the same path
+            assert discrete_gradient(a, b, p) == _reference_dg(np.float64(a), np.float64(b), p)
 
 
 class TestUnregularized:

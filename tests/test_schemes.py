@@ -257,6 +257,29 @@ class TestResidualAndNewton:
         assert res.max_rel_drift <= 1e-8
 
 
+def _full_length_cyclic_solve(diag, off, rhs):
+    """Banded solve of rhs and the whole corner vector together, kept as an oracle."""
+    from scipy.linalg import solve_banded
+
+    n = diag.size
+    gamma = -diag[0]
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= off * off / gamma
+    ab = np.zeros((3, n))
+    ab[0, 1:] = off
+    ab[1, :] = d
+    ab[2, :-1] = off
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = off
+    sol = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
+    y, q = sol[:, 0], sol[:, 1]
+    vy = y[0] + off / gamma * y[-1]
+    vq = q[0] + off / gamma * q[-1]
+    return y - q * (vy / (1.0 + vq))
+
+
 class TestCyclicTridiagonal:
     def test_multiply_back_random(self):
         rng = np.random.default_rng(12)
@@ -272,6 +295,37 @@ class TestCyclicTridiagonal:
         rhs = np.arange(1.0, 9.0)
         x = solve_cyclic_tridiag(np.ones(8), 0.0, rhs)
         np.testing.assert_allclose(x, rhs, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, ratio, spread",
+        [
+            pytest.param(65536, 2.477, 1e-6, id="cnfd-65536-ratio"),
+            pytest.param(4096, 1.5, 2.0, id="s-below-2"),
+            pytest.param(3, 2.477, 1e-6, id="n-3"),
+        ],
+    )
+    def test_matches_full_length_solve(self, n, ratio, spread):
+        # The cnfd-65536 Jacobian has diag/|off| about 2.477, where the
+        # corner vector q decays by about 0.508 per node.  Beside a random
+        # rhs, a load on the corner node gives a solution that lives on q
+        # alone near node 0, so a too-short q window loses digits there.
+        rng = np.random.default_rng(21)
+        off = -0.5 * (65536 / 32.0) ** 2
+        diag = abs(off) * (ratio + spread * rng.random(n))
+        corner = np.zeros(n)
+        corner[-1] = abs(off)
+        for rhs in (rng.standard_normal(n), corner):
+            x = solve_cyclic_tridiag(diag, off, rhs)
+            ax = diag * x + off * (np.roll(x, 1) + np.roll(x, -1))
+            assert np.linalg.norm(ax - rhs) <= 1e-14 * np.linalg.norm(rhs)
+            ref = _full_length_cyclic_solve(diag, off, rhs)
+            if rhs is not corner:
+                assert x.tobytes() == ref.tobytes()
+            # The corner solution decays into subnormals, where both solves
+            # hold only rounding noise of a few units of 2^-1074.
+            normal = np.abs(ref) >= np.finfo(float).tiny
+            assert x[normal].tobytes() == ref[normal].tobytes()
+            assert np.all(np.abs(x - ref)[~normal] <= 2.0**-1072)
 
 
 class TestDiscreteEnergy:
@@ -308,6 +362,39 @@ class TestDiscreteEnergy:
         cfg = StepperConfig("cnfd", tau=0.01)
         res = evolve(example2_data(g), p, cfg, g, 200)
         assert res.max_rel_drift <= 1e-10
+
+
+class TestCarriedPotentials:
+    @pytest.mark.parametrize(
+        "scheme, eps, tau, n, steps",
+        [
+            pytest.param("cnfd", 0.05, 0.01, 64, 5, id="cnfd"),
+            pytest.param("siefd", 0.05, 0.01, 64, 5, id="siefd"),
+            # test_guarded_iterations_converge: step 2 starts on a Jacobian
+            # diagonal that is not positive, so it takes a guarded iteration.
+            pytest.param("cnfd", 1e-3, 1.0, 64, 3, id="guarded"),
+        ],
+    )
+    def test_energy_equals_fresh_state(self, scheme, eps, tau, n, steps):
+        # V of both layers is carried from step to step; the energy must be
+        # what a state holding only the two layers gives, bit for bit.
+        g = Grid1D(-16.0, 16.0, n)
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        other = NonlinearityParams(lam=1.0, epsilon=2.0 * eps)
+        cfg = StepperConfig(scheme, tau=tau)
+        st = first_step(gausson_initial_data(g), p, cfg, g)
+        lin = 1.0 / tau**2 + 0.5 + (1.0 / g.h**2 if scheme == "cnfd" else 0.0)
+        guarded = False
+        for k in range(steps + 1):
+            fresh = WaveState(st.prev, st.curr, st.n, st.t)
+            for q in (p, other):
+                assert discrete_energy(st, q, cfg, g) == discrete_energy(fresh, q, cfg, g)
+            if k < steps:
+                start = 2.0 * st.curr - st.prev
+                jac = lin + p.lam * discrete_gradient_dz1(start, st.prev, p)
+                guarded |= not 0.0 < jac.min()
+                st = step(st, p, cfg, g)
+        assert guarded == (eps == 1e-3)
 
 
 class TestEvolve:
