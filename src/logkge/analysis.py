@@ -161,20 +161,20 @@ def linearized_amplification(scheme: str, h: float, tau: float, alpha: float, N:
     Freezes the log nonlinearity at the constant value alpha and inserts the
     Fourier ansatz; each mode l obeys xi^2 - 2 theta_l xi + 1 = 0 with
 
-        theta_l = 2 / (2 + tau^2 (alpha + s_l^2 + 1))          (cnfd)
-        theta_l = (2 - s_l^2 tau^2) / (2 + tau^2 (alpha + 1))  (siefd)
+        theta_l = (2 - (1-2w) s_l^2 tau^2) / (2 + tau^2 (alpha + 2w s_l^2 + 1)),
 
-    and s_l = (2/h) sin(l pi / N).  |theta| <= 1 puts both roots on the unit
+    s_l = (2/h) sin(l pi / N) and w the scheme's Laplacian weight in
+    :data:`logkge.schemes.SCHEMES`.  |theta| <= 1 puts both roots on the unit
     circle; |theta| > 1 yields a growing root |theta| + sqrt(theta^2 - 1).
     """
+    from .schemes import SCHEMES
+
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    w = SCHEMES[scheme]
     ls = np.arange(-(N // 2), N - N // 2)
     s2 = (2.0 / h * np.sin(ls * np.pi / N)) ** 2
-    if scheme == "cnfd":
-        theta = 2.0 / (2.0 + tau**2 * (alpha + s2 + 1.0))
-    elif scheme == "siefd":
-        theta = (2.0 - s2 * tau**2) / (2.0 + tau**2 * (alpha + 1.0))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    theta = (2.0 - (1.0 - 2.0 * w) * s2 * tau**2) / (2.0 + tau**2 * (alpha + 2.0 * w * s2 + 1.0))
     a = np.abs(theta)
     xi = np.where(a <= 1.0, 1.0, a + np.sqrt(np.maximum(a * a - 1.0, 0.0)))
     return float(np.max(xi))

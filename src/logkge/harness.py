@@ -25,7 +25,7 @@ import ast
 import math
 import operator
 import os
-import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -45,6 +45,8 @@ from .cache import reference_state
 from .grid import Grid1D, GridFunction
 from .nonlinearity import NonlinearityParams
 from .schemes import (
+    SCHEMES,
+    EvolveResult,
     InitialData,
     NonConvergenceError,
     StabilityWarning,
@@ -80,7 +82,8 @@ class SweepKind(NamedTuple):
     # What reference = auto means: "cnfd-fine", "none", or "exact-gausson",
     # which falls back to "none" for problems without an exact solution.
     auto_reference: str
-    # The run samples u at the plan's snapshot times.
+    # The one cell samples u at the plan's snapshot times, and the result's
+    # aux holds those snapshots and the cell's energy series.
     snapshots: bool = False
     # Every eps gets its own cells; False: one run at the first eps.
     each_epsilon: bool = True
@@ -171,7 +174,7 @@ class ExperimentPlan:
         kind = SWEEP_KINDS.get(self.kind)
         if kind is None:
             errs.append(f"kind: unknown kind {self.kind!r}, expected one of {PLAN_KINDS}")
-        if self.scheme not in ("cnfd", "siefd"):
+        if self.scheme not in SCHEMES:
             errs.append(f"scheme: unknown scheme {self.scheme!r}")
         if self.problem not in PROBLEMS:
             errs.append(f"problem: unknown problem {self.problem!r}")
@@ -237,8 +240,6 @@ class CellRow:
     energy_drift: float | None = None
     newton_avg_iters: float | None = None
     status: str = "ok"
-    wall_time: float = 0.0
-    growth: float | None = None
 
     def sort_key(self):
         return (self.epsilon, self.h, self.tau)
@@ -466,26 +467,28 @@ def _stepper(plan: ExperimentPlan, tau: float) -> StepperConfig:
     return StepperConfig(plan.scheme, tau, plan.newton_tol, plan.newton_max_iter)
 
 
-def _run_cell(plan, policy, refs, cell) -> CellRow:
+def _run_cell(plan, policy, refs, cell) -> tuple[CellRow, EvolveResult | None]:
+    """One cell's row and trajectory; a failed Newton solve gives no trajectory."""
     eps, h, tau = cell
-    t0 = time.perf_counter()
     row = _row(plan, eps, h, tau)
     g = _grid_for(plan, h)
     p = NonlinearityParams(lam=plan.lam, epsilon=eps)
-    init = initial_data_for(plan, g)
+    snapshot_steps = _snapshot_steps(plan) if SWEEP_KINDS[plan.kind].snapshots else ()
     try:
-        res = evolve(init, p, _stepper(plan, tau), g, _count(plan.final_time, tau))
+        res = evolve(
+            initial_data_for(plan, g), p, _stepper(plan, tau), g,
+            _count(plan.final_time, tau), snapshot_steps=snapshot_steps,
+        )
     except NonConvergenceError:
         row.status = "non-convergence"
-    else:
-        row.energy_drift = res.max_rel_drift
-        row.newton_avg_iters = res.newton_avg
-        truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
-        if truth is not None:
-            rep = error_report(res.state.curr, truth, g, against=against)
-            row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
-    row.wall_time = time.perf_counter() - t0
-    return row
+        return row, None
+    row.energy_drift = res.max_rel_drift
+    row.newton_avg_iters = res.newton_avg
+    truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
+    if truth is not None:
+        rep = error_report(res.state.curr, truth, g, against=against)
+        row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
+    return row, res
 
 
 def _attach_rates(plan: ExperimentPlan, rows: list[CellRow]) -> None:
@@ -514,33 +517,20 @@ def _attach_rates(plan: ExperimentPlan, rows: list[CellRow]) -> None:
                     setattr(fine, f"rate_{name}", order)
 
 
-def _run_energy_drift(plan: ExperimentPlan) -> SweepResult:
-    eps, h, tau = plan.epsilons[0], plan.hs[0], plan.taus[0]
-    g = _grid_for(plan, h)
-    p = NonlinearityParams(lam=plan.lam, epsilon=eps)
-    n_steps = _count(plan.final_time, tau)
-    t0 = time.perf_counter()
-    res = evolve(
-        initial_data_for(plan, g), p, _stepper(plan, tau), g, n_steps,
-        snapshot_steps=_snapshot_steps(plan),
-    )
-    row = _row(
-        plan, eps, h, tau, energy_drift=res.max_rel_drift,
-        newton_avg_iters=res.newton_avg, wall_time=time.perf_counter() - t0,
-    )
-    aux = {
-        "times": np.arange(len(res.energy_series)) * tau,
-        "energies": np.asarray(res.energy_series),
-        "energy0": res.energy0,
-        "snapshots": {k * tau: v for k, v in res.snapshots.items()},
-        "grid": g,
+def _trajectory_aux(plan: ExperimentPlan, cell, res: EvolveResult | None) -> dict:
+    """Energy series and snapshots, keyed by time, of a snapshot kind's one cell."""
+    _, h, tau = cell
+    series = res.energy_series if res else []  # a failed Newton solve leaves none
+    return {
+        "times": np.arange(len(series)) * tau,
+        "energies": np.asarray(series, dtype=float),
+        "energy0": series[0] if series else None,
+        "snapshots": {k * tau: v for k, v in (res.snapshots if res else {}).items()},
+        "grid": _grid_for(plan, h),
     }
-    return SweepResult(plan=plan, rows=[row], aux=aux)
 
 
 def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
-    import warnings
-
     eps, h = plan.epsilons[0], plan.hs[0]
     g = _grid_for(plan, h)
     p = NonlinearityParams(lam=plan.lam, epsilon=eps)
@@ -549,23 +539,17 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
     rows = []
     for fac in plan.probe_factors:
         tau = fac * bound
-        t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             try:
-                res = evolve(
+                blown = evolve(
                     init, p, _stepper(plan, tau), g, plan.probe_steps,
                     abort_on_growth=10.0, track_energy=False,
-                )
-                blown, growth = res.blown_up, res.growth
+                ).blown_up
             except NonConvergenceError:
-                blown, growth = True, math.inf
+                blown = True
         rows.append(
-            _row(
-                plan, eps, h, tau, T=plan.probe_steps * tau,
-                status="unstable" if blown else "ok",
-                growth=growth, wall_time=time.perf_counter() - t0,
-            )
+            _row(plan, eps, h, tau, T=plan.probe_steps * tau, status="unstable" if blown else "ok")
         )
     return SweepResult(plan=plan, rows=rows, aux={"bound": bound})
 
@@ -581,18 +565,17 @@ def run(plan: ExperimentPlan) -> SweepResult:
     errors = plan.validate()
     if errors:
         raise PlanError(errors)
-    if plan.kind == "energy-drift":
-        return _run_energy_drift(plan)
     if plan.kind == "stability-probe":
         return _run_stability_probe(plan)
 
     policy = _resolve_reference(plan)
     cells = _cells_for(plan)
     refs = _compute_references(plan, policy, cells)
-    rows = [_run_cell(plan, policy, refs, c) for c in cells]
+    rows, results = map(list, zip(*(_run_cell(plan, policy, refs, c) for c in cells)))
     _attach_rates(plan, rows)
     rows.sort(key=CellRow.sort_key)
-    return SweepResult(plan=plan, rows=rows)
+    aux = _trajectory_aux(plan, cells[0], results[0]) if SWEEP_KINDS[plan.kind].snapshots else {}
+    return SweepResult(plan=plan, rows=rows, aux=aux)
 
 
 # --- CSV ------------------------------------------------------------------
@@ -646,9 +629,9 @@ def emit_waveforms(result: SweepResult, path) -> None:
     g = result.aux["grid"]
     times = sorted(snaps)
     cols = [GridFunction.from_core(snaps[t]).values for t in times]
-    lines = ["x," + ",".join(f"u_t{t:g}" for t in times)]
+    lines = [",".join(["x", *(f"u_t{t:g}" for t in times)])]
     xs = g.a + g.h * np.arange(g.N + 1)
-    for j in range(g.N + 1):
+    for j in range(g.N + 1) if cols else ():  # no snapshot, no rows
         vals = ",".join(f"{col[j]:.17g}" for col in cols)
         lines.append(f"{xs[j]:.17g},{vals}")
     _write_lines(path, lines)

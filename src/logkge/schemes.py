@@ -1,36 +1,34 @@
 """Two energy-conserving time steppers for the regularized log wave equation.
 
-Both schemes advance the two-layer recurrence
+Both schemes are one three-level equation on a periodic grid,
 
-    (u^{n+1} - 2u^n + u^{n-1})/tau^2 + (implicit terms) = 0
+    (u^{n+1} - 2u^n + u^{n-1})/tau^2 - lap(w u^{n+1} + (1-2w) u^n + w u^{n-1})
+        + 1/2 (u^{n+1} + u^{n-1}) + lam * DG(u^{n+1}, u^{n-1}) = 0,
 
-on a periodic grid.  The fully implicit scheme ("cnfd") averages the
-Laplacian and the mass term over the outer layers n+1 and n-1:
-
-    d2t u - 1/2 lap(u^{n+1} + u^{n-1}) + 1/2 (u^{n+1} + u^{n-1})
-        + lam * DG(u^{n+1}, u^{n-1}) = 0,
-
-while the semi-implicit scheme ("siefd") keeps the Laplacian explicit on the
-middle layer, making its implicit system nodewise scalar:
-
-    d2t u - lap u^n + 1/2 (u^{n+1} + u^{n-1}) + lam * DG(u^{n+1}, u^{n-1}) = 0.
-
+differing only in the Laplacian weight w of each outer layer (:data:`SCHEMES`).
+The fully implicit "cnfd" (w = 1/2) averages the Laplacian over the outer
+layers; the semi-implicit "siefd" (w = 0) keeps it on the middle layer, so
+its implicit system is nodewise scalar.  The residual, the Newton coupling
+-w/h^2 and the gradient term of :func:`discrete_energy` all follow from w.
 ``DG`` is the two-point discrete gradient of the regularized log potential,
-the ingredient that gives each scheme an exactly conserved discrete energy
-(see :func:`discrete_energy`).  Each step is a smooth nonlinear root-finding
-problem solved by one guarded Newton loop with the analytic Jacobian: a
-cyclic tridiagonal matrix for cnfd, a diagonal one for siefd.  The stepping
-path is :func:`evolve` -> :func:`step` -> :func:`solve_newton`.
+which gives each scheme an exactly conserved discrete energy.  Each step is
+solved by one guarded Newton loop with the analytic Jacobian (cyclic
+tridiagonal for cnfd, diagonal for siefd): :func:`evolve` -> :func:`step`
+-> :func:`solve_newton`.
 
-Each piece of work in a step is done once.  A :class:`WaveState` made by
-:func:`first_step` or :func:`step` carries the potential V(u^2) of its two
-layers (V = ``reg_log_primitive``): V(u^{n-1}^2) is fixed for the whole
-solve, every Newton iterate evaluates V once and the solution hands its V to
-the next state, so a one-iteration step costs two evaluations of V, and
-:func:`discrete_energy` reuses the carried pair.  One fused kernel gives the
-discrete gradient and its Jacobian diagonal together at the start iterate.
-The cnfd Jacobian is solved by :func:`solve_cyclic_tridiag`, which solves the
-Sherman-Morrison corner vector only on the rows where it is representable.
+Each piece of work in a step is done once.  known = w u^{n-1} + (1-2w) u^n
+and its Laplacian are formed once per step, so a trial layer costs one
+Laplacian, of w u^{n+1} + known, and none when w = 0.  Halving commutes with
+rounding, so at w = 1/2 that Laplacian is 1/2 lap(u^{n+1} + u^{n-1}) bit
+for bit.  A :class:`WaveState` made by :func:`first_step` or :func:`step`
+carries the potential V(u^2) of its two layers (V = ``reg_log_primitive``):
+V(u^{n-1}^2) is fixed for the whole solve, every Newton iterate evaluates V
+once and the solution hands its V to the next state, so a one-iteration
+step costs two evaluations of V, and :func:`discrete_energy` reuses the
+carried pair.  One fused kernel gives the discrete gradient and its Jacobian
+diagonal together at the start iterate.  The cnfd Jacobian is solved by
+:func:`solve_cyclic_tridiag`, which solves the Sherman-Morrison corner
+vector only on the rows where it is representable.
 """
 
 from __future__ import annotations
@@ -76,7 +74,8 @@ __all__ = [
     "EvolveResult",
 ]
 
-SCHEMES = ("cnfd", "siefd")
+# Laplacian weight w of each outer layer u^{n+1}, u^{n-1}; u^n carries 1 - 2w.
+SCHEMES = {"cnfd": 0.5, "siefd": 0.0}
 
 
 class NonConvergenceError(RuntimeError):
@@ -100,7 +99,7 @@ class StepperConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not 0.0 < self.newton_tol <= 1e-6:
@@ -166,30 +165,30 @@ def assemble_residual(
     cand: np.ndarray, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
 ) -> np.ndarray:
     """Left-hand side of the scheme equation at a trial layer u^{n+1}."""
-    return _residual(cand, discrete_gradient(cand, state.prev, p), state, p, cfg, g)
+    residual, _ = _step_equation(state, p, cfg, g)
+    return residual(cand, discrete_gradient(cand, state.prev, p))
 
 
-def _residual(cand, dg, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
-    """:func:`assemble_residual` given dg = DG(cand, u^{n-1})."""
-    up, uc = state.prev, state.curr
-    d2t = (cand - 2.0 * uc + up) / cfg.tau**2
-    if cfg.scheme == "cnfd":
-        diff = -0.5 * periodic_second_diff(cand + up, g.h)
-    else:
-        diff = -periodic_second_diff(uc, g.h)
-    return d2t + diff + 0.5 * (cand + up) + p.lam * dg
+def _step_equation(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
+    """(residual(cand, dg), ||b||) of one step, built once from the known layers.
 
-
-def _rhs_scale(state: WaveState, cfg: StepperConfig, g: Grid1D) -> float:
-    """l2 norm of the candidate-independent part of the residual equation."""
+    ``residual`` is :func:`assemble_residual` given dg = DG(cand, u^{n-1}).
+    b = (2u^n - u^{n-1})/tau^2 - u^{n-1}/2 + lap(known) is the
+    candidate-independent part of the equation, with
+    known = w u^{n-1} + (1-2w) u^n.
+    """
+    w = SCHEMES[cfg.scheme]
     up, uc = state.prev, state.curr
     tau2 = cfg.tau**2
-    b = (2.0 * uc - up) / tau2 - 0.5 * up
-    if cfg.scheme == "cnfd":
-        b = b + 0.5 * periodic_second_diff(up, g.h)
-    else:
-        b = b + periodic_second_diff(uc, g.h)
-    return norm_l2(b, g)
+    known = w * up + (1.0 - 2.0 * w) * uc
+    lap_known = periodic_second_diff(known, g.h)
+    b = (2.0 * uc - up) / tau2 - 0.5 * up + lap_known
+
+    def residual(cand, dg):
+        lap = lap_known if w == 0.0 else periodic_second_diff(w * cand + known, g.h)
+        return (cand - 2.0 * uc + up) / tau2 - lap + 0.5 * (cand + up) + p.lam * dg
+
+    return residual, norm_l2(b, g)
 
 
 def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
@@ -274,11 +273,11 @@ def _gtsv(band: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_step(jac_diag: np.ndarray, res: np.ndarray, cfg: StepperConfig, g: Grid1D):
-    """Newton update: solve J delta = -res, J = diag(jac_diag) + cnfd coupling."""
-    if cfg.scheme == "cnfd":
-        return solve_cyclic_tridiag(jac_diag, -0.5 / g.h**2, -res)
-    return -res / jac_diag
+def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float):
+    """Newton update: solve J delta = -res, J = diag(jac_diag) + periodic ``coupling``."""
+    if coupling == 0.0:
+        return -res / jac_diag
+    return solve_cyclic_tridiag(jac_diag, coupling, -res)
 
 
 def solve_newton(
@@ -310,8 +309,11 @@ def _solve_newton(
     residual and Jacobian share one pass of the fused kernel.
     """
     up, uc = state.prev, state.curr
-    tol = cfg.newton_tol * (1.0 + _rhs_scale(state, cfg, g))
-    lin_diag = 1.0 / cfg.tau**2 + 0.5 + (1.0 / g.h**2 if cfg.scheme == "cnfd" else 0.0)
+    w = SCHEMES[cfg.scheme]
+    residual, b_norm = _step_equation(state, p, cfg, g)
+    tol = cfg.newton_tol * (1.0 + b_norm)
+    coupling = -w / g.h**2
+    lin_diag = 1.0 / cfg.tau**2 + 0.5 + 2.0 * w / g.h**2
 
     def kernel(cand, v_cand, jacobian):
         dg, dg_dz1 = fused_discrete_gradient(cand, up, v_cand, v_up, p, jacobian)
@@ -320,7 +322,7 @@ def _solve_newton(
     def evaluate(cand, jacobian=False):
         v_cand = reg_log_primitive(cand * cand, p)
         dg, jac_diag = kernel(cand, v_cand, jacobian)
-        return _residual(cand, dg, state, p, cfg, g), v_cand, jac_diag
+        return residual(cand, dg), v_cand, jac_diag
 
     cand = 2.0 * uc - up
     res, v_cand, jac_diag = evaluate(cand, jacobian=True)
@@ -333,7 +335,7 @@ def _solve_newton(
         # without an N-sized temporary on the ordinary path.
         ordinary = 0.0 < jac_diag.min() and jac_diag.max() < np.inf
         if ordinary:
-            trial = cand + _newton_step(jac_diag, res, cfg, g)
+            trial = cand + _newton_step(jac_diag, res, coupling)
             trial_res, trial_v, _ = evaluate(trial)
             trial_norm = norm_l2(trial_res, g)
             ordinary = np.isfinite(trial_norm)
@@ -341,7 +343,7 @@ def _solve_newton(
             jac_diag = np.where(
                 np.isfinite(jac_diag), np.maximum(jac_diag, 0.1 * lin_diag), lin_diag
             )
-            delta = _newton_step(jac_diag, res, cfg, g)
+            delta = _newton_step(jac_diag, res, coupling)
             for k in range(13):  # alpha = 1, 1/2, ..., 2^-12; NaN never passes
                 alpha = 0.5**k
                 trial = cand + delta if k == 0 else cand + alpha * delta
@@ -381,27 +383,26 @@ def discrete_energy(
 ) -> float:
     """Exactly conserved two-layer energy of the selected scheme.
 
-    With (v, w) = (state.prev, state.curr) playing (u^n, u^{n+1}):
+    With (v, u) = (state.prev, state.curr) playing (u^n, u^{n+1}) and w the
+    scheme's Laplacian weight:
 
-        ||(w - v)/tau||^2 + gradient terms + (||w||^2 + ||v||^2)/2
-            + lam * h/2 * sum_j [ V(w_j^2) + V(v_j^2) ]
+        ||(u - v)/tau||^2 + w (||D+ u||^2 + ||D+ v||^2) + (1-2w) (D+ u, D+ v)
+            + (||u||^2 + ||v||^2)/2 + lam * h/2 * sum_j [ V(u_j^2) + V(v_j^2) ]
 
-    where V is the primitive of the regularized log.  The gradient terms are
+    where V is the primitive of the regularized log.  The gradient term is
     the average of the two squared forward-difference norms for cnfd, and
-    the sign-indefinite cross product h*sum (D+ w)(D+ v) for siefd (no
+    the sign-indefinite cross product h*sum (D+ u)(D+ v) for siefd (no
     positivity is claimed for the latter).  V of the two layers comes from
     the state when it carries them at p's eps, and is computed otherwise.
     """
     if state.curr.shape != (g.N,):
         raise ValueError("state does not match the grid")
-    v, w, h = state.prev, state.curr, g.h
-    kinetic = norm_l2((w - v) / cfg.tau, g) ** 2
-    dw, dv = periodic_forward_diff(w, h), periodic_forward_diff(v, h)
-    if cfg.scheme == "cnfd":
-        grad = 0.5 * (norm_l2(dw, g) ** 2 + norm_l2(dv, g) ** 2)
-    else:
-        grad = inner(dw, dv, g)
-    mass = 0.5 * (norm_l2(w, g) ** 2 + norm_l2(v, g) ** 2)
+    w = SCHEMES[cfg.scheme]
+    v, u, h = state.prev, state.curr, g.h
+    kinetic = norm_l2((u - v) / cfg.tau, g) ** 2
+    du, dv = periodic_forward_diff(u, h), periodic_forward_diff(v, h)
+    grad = w * (norm_l2(du, g) ** 2 + norm_l2(dv, g) ** 2) + (1.0 - 2.0 * w) * inner(du, dv, g)
+    mass = 0.5 * (norm_l2(u, g) ** 2 + norm_l2(v, g) ** 2)
     v_prev, v_curr = _layer_potentials(state, p)
     pot = v_curr + v_prev
     return kinetic + grad + mass + p.lam * 0.5 * h * float(np.sum(pot))
@@ -417,7 +418,6 @@ class EvolveResult:
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     energy_series: list[float] = field(default_factory=list)
     blown_up: bool = False
-    growth: float = 1.0
 
     @property
     def newton_avg(self) -> float:
@@ -502,5 +502,4 @@ def evolve(
         snapshots=snapshots,
         energy_series=series,
         blown_up=blown,
-        growth=growth,
     )

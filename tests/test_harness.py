@@ -9,6 +9,8 @@ from logkge.harness import (
     ExperimentPlan,
     PlanError,
     _eval_expr,
+    emit_csv,
+    emit_drift_series,
     emit_waveforms,
     initial_data_for,
     plan_from_config,
@@ -170,6 +172,27 @@ class TestWaveforms:
         np.testing.assert_array_equal(rows[-1, 1:], rows[0, 1:])
 
 
+class TestEnergyDriftFailure:
+    def test_nonconvergence_is_a_row_status(self, tmp_path):
+        # The amplitude-5 step of the schemes tests: one Newton iteration is
+        # not enough, so the trajectory fails on its first implicit step.
+        plan = ExperimentPlan(
+            kind="energy-drift", problem="custom", phi_expr="5*cos(3*pi*x)",
+            gamma_expr="4*sin(pi*x)", domain=(-1.0, 1.0), epsilons=(0.05,),
+            taus=(0.5,), hs=(2 / 64,), newton_max_iter=1, snapshot_times=(0.0,),
+        )
+        result = harness.run(plan)
+        assert [r.status for r in result.rows] == ["non-convergence"]
+        assert result.rows[0].energy_drift is None
+        emit_csv(result, tmp_path / "e.csv")
+        emit_drift_series(result, tmp_path / "e_drift.csv")
+        emit_waveforms(result, tmp_path / "e_waveforms.csv")
+        _, row = (tmp_path / "e.csv").read_text().splitlines()
+        assert row.endswith(",non-convergence")
+        assert (tmp_path / "e_drift.csv").read_text() == "t,energy,rel_drift\n"
+        assert (tmp_path / "e_waveforms.csv").read_text() == "x\n"
+
+
 # Tiny sweeps of every cell-sweep kind, pinned by what they compute: the row
 # keys (eps, h, tau), which rows carry rates, and the (eps, N, tau) of every
 # reference run.  Gausson data on [-16, 16] unless a domain is given.
@@ -275,11 +298,8 @@ class TestSweepKinds:
     def test_probe_ignores_tau(self, taus):
         plan = replace(_PROBE, taus=taus)
         assert plan.validate() == []
-        def untimed(rows):
-            return [replace(r, wall_time=0.0) for r in rows]
-
-        rows = untimed(harness.run(plan).rows)
-        assert rows == untimed(harness.run(replace(_PROBE, taus=(0.25,))).rows)
+        rows = harness.run(plan).rows
+        assert rows == harness.run(replace(_PROBE, taus=(0.25,))).rows
         assert [r.status for r in rows] == ["ok", "unstable"]
 
     def test_fig1_eps_rates_near_one(self):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from logkge import schemes
 from logkge.analysis import error_report, gausson, gausson_initial_data
 from logkge.grid import Grid1D, norm_l2, norm_linf
 from logkge.nonlinearity import NonlinearityParams, discrete_gradient_dz1
@@ -255,6 +256,35 @@ class TestResidualAndNewton:
         res = evolve(gausson_initial_data(g), p, cfg, g, 20)
         assert res.steps == 20
         assert res.max_rel_drift <= 1e-8
+
+
+class TestLaplacianCount:
+    @pytest.mark.parametrize(
+        "scheme, domain, n, tau, data, iters, per_step",
+        [
+            ("siefd", (-16.0, 16.0), 256, 1e-3, gausson_initial_data, 1, 1.0),
+            ("siefd", (-1.0, 1.0), 64, 0.01, example2_data, 2, 1.0),
+            ("cnfd", (-16.0, 16.0), 256, 1e-3, gausson_initial_data, 1, 3.0),
+        ],
+        ids=["siefd-one-iteration", "siefd-two-iterations", "cnfd-one-iteration"],
+    )
+    def test_laplacians_per_step(self, monkeypatch, scheme, domain, n, tau, data, iters, per_step):
+        # the known layers' Laplacian once per step, then one per trial layer
+        # (the start iterate and each Newton iterate) only when w > 0
+        g = Grid1D(*domain, n)
+        cfg = StepperConfig(scheme, tau)
+        state = first_step(data(g), P, cfg, g)
+        calls, real = [], schemes.periodic_second_diff
+
+        def counting(v, h):
+            calls.append(h)
+            return real(v, h)
+
+        monkeypatch.setattr(schemes, "periodic_second_diff", counting)
+        for _ in range(100):
+            state = step(state, P, cfg, g)
+            assert state.newton_iters == iters
+        assert len(calls) / 100 == per_step
 
 
 def _full_length_cyclic_solve(diag, off, rhs):
