@@ -148,7 +148,7 @@ def reference_state(
     """
     cfg = StepperConfig(scheme="cnfd", tau=tau, newton_tol=newton_tol)
     if cache_dir is None:
-        return evolve(init, p, cfg, g, n_steps, track_energy=False).state
+        return evolve(init, p, cfg, g, n_steps).state
     cache_dir = Path(cache_dir)
     key = reference_key(problem, "cnfd", p, g, tau, n_steps, newton_tol)
     path = _entry_path(cache_dir, key)
@@ -159,6 +159,6 @@ def reference_state(
         state = None
     if state is not None:
         return state
-    state = evolve(init, p, cfg, g, n_steps, track_energy=False).state
+    state = evolve(init, p, cfg, g, n_steps).state
     _store(path, key, state)
     return state

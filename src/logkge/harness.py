@@ -10,6 +10,12 @@ A sweep is described by an :class:`ExperimentPlan` (built in code, by the
 Floats carry 17 significant digits, rows sort by (epsilon, h, tau), rate
 cells are empty except between adjacent refinement rows, and wall-clock time
 never enters the file, so identical plans produce byte-identical CSV.
+``energy_drift`` is the largest :func:`~logkge.schemes.relative_drift` of
+the cell's energy series.  ``status`` is ``ok``; ``non-convergence`` (the
+cell's Newton solve failed: no norms, rates, drift or iterations);
+``reference-non-convergence`` (its cnfd-fine reference failed: no norms or
+rates); or, for a stability probe, ``unstable`` (the sup norm grew past 10x
+its start, or Newton failed).
 
 Two tables hold what would otherwise be spread over many branches.
 :data:`SWEEP_KINDS` gives each plan kind its swept axis and the meaning of
@@ -35,23 +41,23 @@ import numpy as np
 from .analysis import (
     error_report,
     gausson,
-    gausson_gamma,
-    gausson_phi,
+    gausson_initial_data,
     observed_order,
     siefd_tau_bound,
     sigma_max,
 )
 from .cache import reference_state
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D, GridFunction, norm_linf
 from .nonlinearity import NonlinearityParams
 from .schemes import (
     SCHEMES,
-    EvolveResult,
     InitialData,
     NonConvergenceError,
     StabilityWarning,
     StepperConfig,
+    discrete_energy,
     evolve,
+    relative_drift,
 )
 
 __all__ = [
@@ -326,7 +332,7 @@ def default_domain(problem: str) -> tuple[float, float]:
 
 def initial_data_for(plan: ExperimentPlan, g: Grid1D) -> InitialData:
     if plan.problem == "example1-gausson":
-        return InitialData(phi=g.sample(gausson_phi), gamma=g.sample(gausson_gamma))
+        return gausson_initial_data(g)
     if plan.problem == "example2-cos-sin":
         return InitialData(
             phi=g.sample(lambda x: np.cos(np.pi * x)),
@@ -415,17 +421,17 @@ def _reference_grid_rule(plan: ExperimentPlan, h_cell: float, tau_cell: float):
 
 
 def _truth_for_cell(plan: ExperimentPlan, policy, eps, g, tau, refs):
+    """(truth, label); truth is None with no policy or a failed reference."""
     if policy == "none":
         return None, ""
     if policy == "exact-gausson":
         return g.sample(lambda x: gausson(x, plan.final_time)), "exact-LogKGE"
-    h_ref, tau_ref = _reference_grid_rule(plan, g.h, tau)
-    fine = refs[(eps, h_ref, tau_ref)].curr
-    return fine[:: fine.size // g.N], "reference-RLogKGE"
+    fine = refs[(eps, *_reference_grid_rule(plan, g.h, tau))]
+    return (None, "") if fine is None else (fine[:: fine.size // g.N], "reference-RLogKGE")
 
 
 def _compute_references(plan: ExperimentPlan, policy: str, cells) -> dict:
-    """Reference states the cells need, keyed by (eps, h_ref, tau_ref)."""
+    """Final reference layers the cells need, keyed by (eps, h_ref, tau_ref); None if failed."""
     if policy != "cnfd-fine":
         return {}
     refs = {}
@@ -433,16 +439,19 @@ def _compute_references(plan: ExperimentPlan, policy: str, cells) -> dict:
         {(eps, *_reference_grid_rule(plan, h, tau)) for eps, h, tau in cells}
     ):
         g_ref = _grid_for(plan, h_ref)
-        refs[(eps, h_ref, tau_ref)] = reference_state(
-            _problem_tag(plan),
-            initial_data_for(plan, g_ref),
-            NonlinearityParams(lam=plan.lam, epsilon=eps),
-            g_ref,
-            tau_ref,
-            _count(plan.final_time, tau_ref),
-            newton_tol=plan.newton_tol,
-            cache_dir=plan.cache_dir,
-        )
+        try:
+            refs[(eps, h_ref, tau_ref)] = reference_state(
+                _problem_tag(plan),
+                initial_data_for(plan, g_ref),
+                NonlinearityParams(lam=plan.lam, epsilon=eps),
+                g_ref,
+                tau_ref,
+                _count(plan.final_time, tau_ref),
+                newton_tol=plan.newton_tol,
+                cache_dir=plan.cache_dir,
+            ).curr
+        except NonConvergenceError:
+            refs[(eps, h_ref, tau_ref)] = None
     return refs
 
 
@@ -467,28 +476,36 @@ def _stepper(plan: ExperimentPlan, tau: float) -> StepperConfig:
     return StepperConfig(plan.scheme, tau, plan.newton_tol, plan.newton_max_iter)
 
 
-def _run_cell(plan, policy, refs, cell) -> tuple[CellRow, EvolveResult | None]:
-    """One cell's row and trajectory; a failed Newton solve gives no trajectory."""
+def _run_cell(plan, policy, refs, cell) -> tuple[CellRow, tuple[list[float], dict]]:
+    """One cell's row and (energy series, snapshots by time); both empty if Newton fails."""
     eps, h, tau = cell
     row = _row(plan, eps, h, tau)
     g = _grid_for(plan, h)
     p = NonlinearityParams(lam=plan.lam, epsilon=eps)
+    cfg = _stepper(plan, tau)
+    init = initial_data_for(plan, g)
     snapshot_steps = _snapshot_steps(plan) if SWEEP_KINDS[plan.kind].snapshots else ()
+    energies, snapshots = [], ({0.0: init.phi} if 0 in snapshot_steps else {})
+
+    def observe(state):
+        energies.append(discrete_energy(state, p, cfg, g))
+        if state.n in snapshot_steps:
+            snapshots[state.n * tau] = state.curr
+
     try:
-        res = evolve(
-            initial_data_for(plan, g), p, _stepper(plan, tau), g,
-            _count(plan.final_time, tau), snapshot_steps=snapshot_steps,
-        )
+        res = evolve(init, p, cfg, g, _count(plan.final_time, tau), observe)
     except NonConvergenceError:
         row.status = "non-convergence"
-        return row, None
-    row.energy_drift = res.max_rel_drift
+        return row, ([], {})
+    row.energy_drift = float(relative_drift(energies).max())
     row.newton_avg_iters = res.newton_avg
     truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
     if truth is not None:
         rep = error_report(res.state.curr, truth, g, against=against)
         row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
-    return row, res
+    elif policy == "cnfd-fine":
+        row.status = "reference-non-convergence"
+    return row, (energies, snapshots)
 
 
 def _attach_rates(plan: ExperimentPlan, rows: list[CellRow]) -> None:
@@ -517,41 +534,30 @@ def _attach_rates(plan: ExperimentPlan, rows: list[CellRow]) -> None:
                     setattr(fine, f"rate_{name}", order)
 
 
-def _trajectory_aux(plan: ExperimentPlan, cell, res: EvolveResult | None) -> dict:
-    """Energy series and snapshots, keyed by time, of a snapshot kind's one cell."""
-    _, h, tau = cell
-    series = res.energy_series if res else []  # a failed Newton solve leaves none
-    return {
-        "times": np.arange(len(series)) * tau,
-        "energies": np.asarray(series, dtype=float),
-        "energy0": series[0] if series else None,
-        "snapshots": {k * tau: v for k, v in (res.snapshots if res else {}).items()},
-        "grid": _grid_for(plan, h),
-    }
-
-
 def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
     eps, h = plan.epsilons[0], plan.hs[0]
     g = _grid_for(plan, h)
     p = NonlinearityParams(lam=plan.lam, epsilon=eps)
     init = initial_data_for(plan, g)
     bound = siefd_tau_bound(g.h, sigma_max(init.phi, p))
+    u0_inf = max(norm_linf(init.phi, g), 1e-300)
+
+    def growing(state):  # sup norm past 10x its start, or not finite
+        return not norm_linf(state.curr, g) / u0_inf <= 10.0
+
     rows = []
     for fac in plan.probe_factors:
         tau = fac * bound
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             try:
-                blown = evolve(
-                    init, p, _stepper(plan, tau), g, plan.probe_steps,
-                    abort_on_growth=10.0, track_energy=False,
-                ).blown_up
+                blown = evolve(init, p, _stepper(plan, tau), g, plan.probe_steps, growing).stopped
             except NonConvergenceError:
                 blown = True
         rows.append(
             _row(plan, eps, h, tau, T=plan.probe_steps * tau, status="unstable" if blown else "ok")
         )
-    return SweepResult(plan=plan, rows=rows, aux={"bound": bound})
+    return SweepResult(plan=plan, rows=rows)
 
 
 def run(plan: ExperimentPlan) -> SweepResult:
@@ -571,10 +577,14 @@ def run(plan: ExperimentPlan) -> SweepResult:
     policy = _resolve_reference(plan)
     cells = _cells_for(plan)
     refs = _compute_references(plan, policy, cells)
-    rows, results = map(list, zip(*(_run_cell(plan, policy, refs, c) for c in cells)))
+    rows, records = map(list, zip(*(_run_cell(plan, policy, refs, c) for c in cells)))
     _attach_rates(plan, rows)
     rows.sort(key=CellRow.sort_key)
-    aux = _trajectory_aux(plan, cells[0], results[0]) if SWEEP_KINDS[plan.kind].snapshots else {}
+    aux = {}
+    if SWEEP_KINDS[plan.kind].snapshots:  # the one cell's energy series and snapshots by time
+        (energies, snapshots), (_, h, tau) = records[0], cells[0]
+        aux = {"times": np.arange(len(energies)) * tau, "energies": np.array(energies),
+               "snapshots": snapshots, "grid": _grid_for(plan, h)}
     return SweepResult(plan=plan, rows=rows, aux=aux)
 
 
@@ -610,12 +620,10 @@ def emit_csv(result: SweepResult, path) -> None:
 
 def emit_drift_series(result: SweepResult, path) -> None:
     """Energy series of an energy-drift run: t, energy, relative drift."""
-    t = result.aux["times"]
     e = result.aux["energies"]
-    e0 = result.aux["energy0"]
     lines = ["t,energy,rel_drift"]
-    for ti, ei in zip(t, e):
-        lines.append(f"{ti:.17g},{ei:.17g},{abs(ei - e0) / (1.0 + abs(e0)):.17g}")
+    for ti, ei, di in zip(result.aux["times"], e, relative_drift(e)):
+        lines.append(f"{ti:.17g},{ei:.17g},{di:.17g}")
     _write_lines(path, lines)
 
 
@@ -874,9 +882,7 @@ def run_reproduce(
     if target == "table3":
         diag = run(reproduce_plan("table3-diagonal", **kw))
         col = run(reproduce_plan("table3-epsilon", **kw))
-        result = SweepResult(
-            diag.plan, diag.rows + col.rows, aux={"diagonal": diag, "epsilon_column": col}
-        )
+        result = SweepResult(diag.plan, diag.rows + col.rows)
     else:
         result = run(reproduce_plan(target, **kw))
     if out is not None:

@@ -14,7 +14,9 @@ its implicit system is nodewise scalar.  The residual, the Newton coupling
 which gives each scheme an exactly conserved discrete energy.  Each step is
 solved by one guarded Newton loop with the analytic Jacobian (cyclic
 tridiagonal for cnfd, diagonal for siefd): :func:`evolve` -> :func:`step`
--> :func:`solve_newton`.
+-> :func:`solve_newton`.  :func:`evolve` keeps no records: its one hook
+``observe(state)`` sees every state from the Taylor start on and may end the
+run, and callers keep their own energies, snapshots or blow-up tests.
 
 Each piece of work in a step is done once.  known = w u^{n-1} + (1-2w) u^n
 and its Laplacian are formed once per step, so a trial layer costs one
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +48,6 @@ from .grid import (
     Grid1D,
     inner,
     norm_l2,
-    norm_linf,
     periodic_forward_diff,
     periodic_second_diff,
 )
@@ -72,6 +74,7 @@ __all__ = [
     "solve_cyclic_tridiag",
     "evolve",
     "EvolveResult",
+    "relative_drift",
 ]
 
 # Laplacian weight w of each outer layer u^{n+1}, u^{n-1}; u^n carries 1 - 2w.
@@ -411,18 +414,20 @@ def discrete_energy(
 @dataclass
 class EvolveResult:
     state: WaveState
-    energy0: float
-    max_rel_drift: float
     steps: int
     newton_total: int
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
-    energy_series: list[float] = field(default_factory=list)
-    blown_up: bool = False
+    stopped: bool
 
     @property
     def newton_avg(self) -> float:
         """Mean Newton iterations per Newton step (the Taylor start has none)."""
         return self.newton_total / (self.steps - 1) if self.steps > 1 else 0.0
+
+
+def relative_drift(energies) -> np.ndarray:
+    """|E - E_0| / (1 + |E_0|) of each entry of an energy series (empty stays empty)."""
+    e = np.asarray(energies, dtype=float)
+    return np.abs(e - e[:1]) / (1.0 + np.abs(e[:1]))
 
 
 def evolve(
@@ -431,20 +436,17 @@ def evolve(
     cfg: StepperConfig,
     g: Grid1D,
     n_steps: int,
-    snapshot_steps: tuple[int, ...] = (),
-    abort_on_growth: float | None = None,
-    track_energy: bool = True,
+    observe: Callable[[WaveState], object] | None = None,
 ) -> EvolveResult:
     """Run a trajectory for n_steps time steps from the Taylor first step.
 
     Each later step is one :func:`step` (one guarded Newton solve, whose
-    :class:`NonConvergenceError` propagates).  With ``track_energy`` the
-    result carries the discrete energy series from step 1 and its largest
-    relative drift.  Collects snapshots of u^n at the requested step
-    indices, and (for siefd) warns once if tau exceeds the stability bound
-    predicted from the initial layer.  With ``abort_on_growth`` set, stops
-    early and flags blow-up as soon as the sup norm grows past that factor
-    of its initial value.
+    :class:`NonConvergenceError` propagates).  ``observe(state)`` is called
+    with the Taylor state (n = 1, ``prev`` = phi) and after every later
+    step; a true return ends the run there and sets ``stopped``.  Energies,
+    snapshots and blow-up tests are the observer's business.  For siefd,
+    warns once if tau exceeds the stability bound predicted from the
+    initial layer.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -463,43 +465,11 @@ def evolve(
                 stacklevel=2,
             )
 
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in snapshot_steps:
-        snapshots[0] = init.phi
-
     state = first_step(init, p, cfg, g)
-    if 1 in snapshot_steps:
-        snapshots[1] = state.curr
-
-    e0 = discrete_energy(state, p, cfg, g) if track_energy else 0.0
-    series = [e0] if track_energy else []
-    drift = 0.0
     newton_total = 0
-    u0_inf = max(norm_linf(init.phi, g), 1e-300)
-    growth = norm_linf(state.curr, g) / u0_inf
-    blown = abort_on_growth is not None and growth > abort_on_growth
-
-    while state.n < n_steps and not blown:
+    while True:
+        stopped = observe is not None and bool(observe(state))
+        if stopped or state.n >= n_steps:
+            return EvolveResult(state, state.n, newton_total, stopped)
         state = step(state, p, cfg, g)
         newton_total += state.newton_iters
-        if track_energy:
-            e = discrete_energy(state, p, cfg, g)
-            drift = max(drift, abs(e - e0) / (1.0 + abs(e0)))
-            series.append(e)
-        if state.n in snapshot_steps:
-            snapshots[state.n] = state.curr
-        if abort_on_growth is not None:
-            growth = max(growth, norm_linf(state.curr, g) / u0_inf)
-            if not np.isfinite(growth) or growth > abort_on_growth:
-                blown = True
-
-    return EvolveResult(
-        state=state,
-        energy0=e0,
-        max_rel_drift=drift,
-        steps=state.n,
-        newton_total=newton_total,
-        snapshots=snapshots,
-        energy_series=series,
-        blown_up=blown,
-    )

@@ -193,6 +193,28 @@ class TestEnergyDriftFailure:
         assert (tmp_path / "e_waveforms.csv").read_text() == "x\n"
 
 
+class TestReferenceFailure:
+    def test_failed_reference_is_a_row_status(self, tmp_path):
+        # The eps = 1e-8 reference (h = 1/16, tau = 0.5) runs out of Newton
+        # iterations.  Its h = 0.5 cell converges and keeps its own drift and
+        # iteration count; its h = 1.0 cell fails its own solve.
+        fields = dict(kind="spatial-sweep", taus=(0.5,), hs=(1.0, 0.5), final_time=4.0,
+                      reference="cnfd-fine")
+        rows = harness.run(
+            ExperimentPlan(epsilons=(0.05, 1e-8), cache_dir=str(tmp_path), **fields)
+        ).rows
+        assert rows[2:] == harness.run(ExperimentPlan(epsilons=(0.05,), **fields)).rows
+        assert [r.status for r in rows] == [
+            "reference-non-convergence", "non-convergence", "ok", "ok"
+        ]
+        failed = rows[0]
+        assert (failed.epsilon, failed.h) == (1e-8, 0.5)
+        assert failed.energy_drift is not None and failed.newton_avg_iters is not None
+        assert all(getattr(failed, f"{kind}_{name}") is None
+                   for kind in ("norm", "rate") for name in ("l2", "linf", "h1"))
+        assert len(list(tmp_path.iterdir())) == 1  # only the eps = 0.05 reference
+
+
 # Tiny sweeps of every cell-sweep kind, pinned by what they compute: the row
 # keys (eps, h, tau), which rows carry rates, and the (eps, N, tau) of every
 # reference run.  Gausson data on [-16, 16] unless a domain is given.

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from logkge import schemes
 from logkge.analysis import error_report, gausson, gausson_initial_data
 from logkge.grid import Grid1D, norm_l2, norm_linf
 from logkge.nonlinearity import NonlinearityParams, discrete_gradient_dz1
 from logkge.schemes import (
+    SCHEMES,
     InitialData,
     NonConvergenceError,
     StabilityWarning,
@@ -18,6 +21,7 @@ from logkge.schemes import (
     discrete_energy,
     evolve,
     first_step,
+    relative_drift,
     solve_cyclic_tridiag,
     solve_newton,
     step,
@@ -47,6 +51,17 @@ def amplitude5_data(g):
 
 def zero_data(g):
     return InitialData(phi=np.zeros(g.N), gamma=np.zeros(g.N))
+
+
+def evolve_with_drift(init, p, cfg, g, n_steps):
+    """(EvolveResult, largest relative energy drift) of one trajectory."""
+    energies = []
+
+    def observe(st):
+        energies.append(discrete_energy(st, p, cfg, g))
+
+    res = evolve(init, p, cfg, g, n_steps, observe)
+    return res, max(relative_drift(energies))
 
 
 class TestConfig:
@@ -243,9 +258,9 @@ class TestResidualAndNewton:
         g = Grid1D(-16.0, 16.0, 64)
         p = NonlinearityParams(lam=1.0, epsilon=1e-3)
         cfg = StepperConfig("cnfd", tau=1.0)
-        res = evolve(gausson_initial_data(g), p, cfg, g, 20)
+        res, drift = evolve_with_drift(gausson_initial_data(g), p, cfg, g, 20)
         assert res.steps == 20
-        assert res.max_rel_drift <= 1e-8
+        assert drift <= 1e-8
 
     def test_nonmonotone_newton_converges(self):
         # plain Newton's residual rises on some iterations here, so a
@@ -253,9 +268,9 @@ class TestResidualAndNewton:
         g = Grid1D(-16.0, 16.0, 256)
         p = NonlinearityParams(lam=1.0, epsilon=1e-6)
         cfg = StepperConfig("cnfd", tau=0.5)
-        res = evolve(gausson_initial_data(g), p, cfg, g, 20)
+        res, drift = evolve_with_drift(gausson_initial_data(g), p, cfg, g, 20)
         assert res.steps == 20
-        assert res.max_rel_drift <= 1e-8
+        assert drift <= 1e-8
 
 
 class TestLaplacianCount:
@@ -384,14 +399,39 @@ class TestDiscreteEnergy:
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_conservation_along_trajectory(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
-        res = evolve(example2_data(g), P, cfg, g, 1000)
-        assert res.max_rel_drift <= 1e-8
+        _, drift = evolve_with_drift(example2_data(g), P, cfg, g, 1000)
+        assert drift <= 1e-8
 
     def test_conservation_with_general_lambda(self, g):
         p = NonlinearityParams(lam=-0.7, epsilon=0.1)
         cfg = StepperConfig("cnfd", tau=0.01)
-        res = evolve(example2_data(g), p, cfg, g, 200)
-        assert res.max_rel_drift <= 1e-10
+        _, drift = evolve_with_drift(example2_data(g), p, cfg, g, 200)
+        assert drift <= 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        scheme=hst.sampled_from(sorted(SCHEMES)),
+        lam=hst.floats(0.1, 1.0).flatmap(lambda a: hst.sampled_from((a, -a))),
+        log10_eps=hst.floats(-8.0, -1.0),
+        amps=hst.lists(hst.floats(-1.0, 1.0), min_size=4, max_size=4),
+        modes=hst.lists(hst.integers(1, 4), min_size=4, max_size=4),
+    )
+    def test_conservation_for_random_smooth_data(self, scheme, lam, log10_eps, amps, modes):
+        # phi and gamma are each a cosine plus a sine mode; tau = 0.01 lies
+        # below the siefd bound (about h = 1/32) for every drawn eps.  The
+        # scheme conserves the energy of the exact step solution; a solve
+        # stopped at the default tolerance may leave drift up to ~4e-12 here
+        # (phi = 0, one Newton iteration), so the solve is tightened.
+        g = Grid1D(-1.0, 1.0, 64)
+        p = NonlinearityParams(lam=lam, epsilon=10.0**log10_eps)
+        cfg = StepperConfig(scheme, tau=0.01, newton_tol=1e-14)
+        x = np.pi * g.nodes
+        init = InitialData(
+            phi=amps[0] * np.cos(modes[0] * x) + amps[1] * np.sin(modes[1] * x),
+            gamma=amps[2] * np.cos(modes[2] * x) + amps[3] * np.sin(modes[3] * x),
+        )
+        _, drift = evolve_with_drift(init, p, cfg, g, 20)
+        assert drift <= 1e-12
 
 
 class TestCarriedPotentials:
@@ -428,27 +468,40 @@ class TestCarriedPotentials:
 
 
 class TestEvolve:
-    def test_snapshots(self, g):
+    def test_observer_sees_every_state_and_can_stop(self, g):
+        # the Taylor state (n = 1, prev = phi) and every later state, once;
+        # a true return ends the run on that state
         cfg = StepperConfig("cnfd", tau=0.01)
-        res = evolve(example2_data(g), P, cfg, g, 20, snapshot_steps=(0, 10, 20))
-        assert set(res.snapshots) == {0, 10, 20}
-        assert res.steps == 20
+        init = example2_data(g)
+        seen = []
+        res = evolve(init, P, cfg, g, 20, lambda st: seen.append((st.n, st.prev)))
+        assert [n for n, _ in seen] == list(range(1, 21))
+        assert seen[0][1] is init.phi
+        assert res.steps == 20 and not res.stopped
+        res = evolve(init, P, cfg, g, 20, lambda st: st.n == 7)
+        assert res.steps == 7 and res.state.n == 7 and res.stopped
+        assert evolve(init, P, cfg, g, 20, lambda st: st.n == 20).stopped
 
     def test_energy_series_and_newton_average(self, g):
         # one Newton iteration per step at this tau; the Taylor start takes none
         cfg = StepperConfig("cnfd", tau=1e-3)
-        res = evolve(example2_data(g), P, cfg, g, 20)
-        assert len(res.energy_series) == 20
-        assert res.energy_series[0] == res.energy0
-        assert res.energy_series[-1] == discrete_energy(res.state, P, cfg, g)
+        energies = []
+        res = evolve(
+            example2_data(g), P, cfg, g, 20,
+            lambda st: energies.append(discrete_energy(st, P, cfg, g)),
+        )
+        assert len(energies) == 20
+        assert relative_drift(energies)[0] == 0.0
+        assert energies[-1] == discrete_energy(res.state, P, cfg, g)
         assert res.newton_total == 19
         assert res.newton_avg == 1.0
-        quiet = evolve(example2_data(g), P, cfg, g, 20, track_energy=False)
-        assert quiet.energy_series == []
+        quiet = evolve(example2_data(g), P, cfg, g, 20)
+        assert np.array_equal(quiet.state.curr, res.state.curr)
+        assert quiet.newton_total == 19
 
     def test_dimension_mismatch_rejected(self, g):
         # evolve is where caller data enters: phi and gamma must have N
-        # values.  Without energy tracking nothing else would notice, and the
+        # values.  Without an observer nothing else would notice, and the
         # stencils would step the wrong grid.
         cfg = StepperConfig("cnfd", tau=0.01)
         other = example2_data(Grid1D(-1.0, 1.0, 32))
@@ -456,7 +509,7 @@ class TestEvolve:
         mixed = InitialData(phi=np.zeros(g.N), gamma=np.zeros(g.N + 1))
         for init in (other, closed, mixed):
             with pytest.raises(ValueError, match="grid wants"):
-                evolve(init, P, cfg, g, 3, track_energy=False)
+                evolve(init, P, cfg, g, 3)
 
     def test_stability_warning_emitted(self, g):
         from logkge.analysis import siefd_tau_bound, sigma_max
@@ -465,7 +518,7 @@ class TestEvolve:
         bound = siefd_tau_bound(g.h, sigma_max(init.phi, P))
         cfg = StepperConfig("siefd", tau=1.5 * bound)
         with pytest.warns(StabilityWarning):
-            evolve(init, P, cfg, g, 2, abort_on_growth=1e6, track_energy=False)
+            evolve(init, P, cfg, g, 2)
 
     def test_no_warning_inside_bound(self, g):
         cfg = StepperConfig("siefd", tau=0.01)
@@ -479,8 +532,9 @@ class TestEvolve:
         init = example2_data(g)
         bound = siefd_tau_bound(g.h, sigma_max(init.phi, P))
         cfg = StepperConfig("siefd", tau=1.5 * bound)
+        u0_inf = norm_linf(init.phi, g)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
-            res = evolve(init, P, cfg, g, 500, abort_on_growth=10.0, track_energy=False)
-        assert res.blown_up
+            res = evolve(init, P, cfg, g, 500, lambda st: norm_linf(st.curr, g) > 10.0 * u0_inf)
+        assert res.stopped
         assert res.steps < 500
