@@ -33,6 +33,7 @@ import operator
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +49,7 @@ from .analysis import (
 )
 from .cache import reference_state
 from .grid import Grid1D, GridFunction, norm_linf
-from .nonlinearity import NonlinearityParams
+from .nonlinearity import BLOCK, NonlinearityParams
 from .schemes import (
     SCHEMES,
     InitialData,
@@ -631,17 +632,19 @@ def emit_waveforms(result: SweepResult, path) -> None:
     """Snapshots of u at the requested times, one column per time.
 
     One row per closed node x_0 = a, ..., x_N = b; the last row repeats the
-    periodic endpoint u_N = u_0.
+    periodic endpoint u_N = u_0.  Rows are formatted :data:`BLOCK` at a
+    time, so only one block's Python floats exist at once.
     """
     snaps = result.aux["snapshots"]
     g = result.aux["grid"]
     times = sorted(snaps)
     cols = [GridFunction.from_core(snaps[t]).values for t in times]
     lines = [",".join(["x", *(f"u_t{t:g}" for t in times)])]
-    xs = g.a + g.h * np.arange(g.N + 1)
-    for j in range(g.N + 1) if cols else ():  # no snapshot, no rows
-        vals = ",".join(f"{col[j]:.17g}" for col in cols)
-        lines.append(f"{xs[j]:.17g},{vals}")
+    if cols:  # no snapshot, no rows
+        table = np.column_stack([g.a + g.h * np.arange(g.N + 1), *cols])
+        row = ",".join(["{:.17g}"] * table.shape[1])
+        for lo in range(0, len(table), BLOCK):
+            lines.extend(starmap(row.format, table[lo : lo + BLOCK].tolist()))
     _write_lines(path, lines)
 
 

@@ -18,11 +18,13 @@ tridiagonal for cnfd, diagonal for siefd): :func:`evolve` -> :func:`step`
 ``observe(state)`` sees every state from the Taylor start on and may end the
 run, and callers keep their own energies, snapshots or blow-up tests.
 
-Each piece of work in a step is done once.  known = w u^{n-1} + (1-2w) u^n
-and its Laplacian are formed once per step, so a trial layer costs one
-Laplacian, of w u^{n+1} + known, and none when w = 0.  Halving commutes with
-rounding, so at w = 1/2 that Laplacian is 1/2 lap(u^{n+1} + u^{n-1}) bit
-for bit.  A :class:`WaveState` made by :func:`first_step` or :func:`step`
+Each piece of work in a step is done once, and a term of weight 0 not at
+all: cnfd forms no 0 * u^n and no energy cross product, siefd no 0 * u^{n-1}
+and no gradient norms.  known = w u^{n-1} + (1-2w) u^n and its Laplacian
+are formed once per step, so a trial layer costs one Laplacian, of
+w u^{n+1} + known, and none when w = 0.  Halving commutes with rounding,
+so at w = 1/2 that Laplacian is 1/2 lap(u^{n+1} + u^{n-1}) bit for bit.
+A :class:`WaveState` made by :func:`first_step` or :func:`step`
 carries the potential V(u^2) of its two layers (V = ``reg_log_primitive``):
 V(u^{n-1}^2) is fixed for the whole solve, every Newton iterate evaluates V
 once and the solution hands its V to the next state, so a one-iteration
@@ -172,6 +174,12 @@ def assemble_residual(
     return residual(cand, discrete_gradient(cand, state.prev, p))
 
 
+def _weighted_sum(terms):
+    """Sum of c * x() over the (weight c, term x) pairs; x() runs only where c != 0."""
+    parts = [c * x() for c, x in terms if c]
+    return sum(parts[1:], parts[0])
+
+
 def _step_equation(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
     """(residual(cand, dg), ||b||) of one step, built once from the known layers.
 
@@ -183,7 +191,7 @@ def _step_equation(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, 
     w = SCHEMES[cfg.scheme]
     up, uc = state.prev, state.curr
     tau2 = cfg.tau**2
-    known = w * up + (1.0 - 2.0 * w) * uc
+    known = _weighted_sum(((w, lambda: up), (1.0 - 2.0 * w, lambda: uc)))
     lap_known = periodic_second_diff(known, g.h)
     b = (2.0 * uc - up) / tau2 - 0.5 * up + lap_known
 
@@ -404,7 +412,8 @@ def discrete_energy(
     v, u, h = state.prev, state.curr, g.h
     kinetic = norm_l2((u - v) / cfg.tau, g) ** 2
     du, dv = periodic_forward_diff(u, h), periodic_forward_diff(v, h)
-    grad = w * (norm_l2(du, g) ** 2 + norm_l2(dv, g) ** 2) + (1.0 - 2.0 * w) * inner(du, dv, g)
+    grad = _weighted_sum(((w, lambda: norm_l2(du, g) ** 2 + norm_l2(dv, g) ** 2),
+                          (1.0 - 2.0 * w, lambda: inner(du, dv, g))))
     mass = 0.5 * (norm_l2(u, g) ** 2 + norm_l2(v, g) ** 2)
     v_prev, v_curr = _layer_potentials(state, p)
     pot = v_curr + v_prev

@@ -1,4 +1,6 @@
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -109,3 +111,51 @@ def test_untrusted_entry_is_recomputed_and_replaced(tmp_path, caplog, evolve_cal
     _assert_same(good, _reference(tmp_path))
     assert len(evolve_calls) == 2
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_concurrent_writers_of_one_key(tmp_path, monkeypatch):
+    # Two threads miss the same key in an empty directory.  Neither starts
+    # its run before both have missed, so both store the entry at once.
+    g8 = Grid1D(-4.0, 4.0, 8)
+    init = gausson_initial_data(g8)
+    calls = []
+    both_missed = threading.Barrier(2, timeout=30)
+    real = cache.evolve
+
+    def evolve_once_both_missed(*args, **kwargs):
+        calls.append(args)
+        if len(calls) <= 2:
+            both_missed.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cache, "evolve", evolve_once_both_missed)
+
+    def reference():
+        return cache.reference_state(
+            "example1-gausson", init, P, g8, TAU, STEPS, cache_dir=tmp_path
+        )
+
+    states = [None, None]
+
+    def writer(i):
+        states[i] = reference()
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 2
+    _assert_same(states[0], states[1])
+    # One entry under the key's name, and no temporary file left behind.
+    key = cache.reference_key("example1-gausson", "cnfd", P, g8, TAU, STEPS, 1e-12)
+    assert [p.name for p in tmp_path.iterdir()] == [cache._entry_path(tmp_path, key).name]
+
+    _assert_same(reference(), states[0])
+    assert len(calls) == 2

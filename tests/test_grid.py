@@ -98,6 +98,17 @@ class TestOperators:
         back = (d - np.roll(d, 1)) / g.h
         np.testing.assert_allclose(periodic_second_diff(u, g.h), back, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [4, 5, 256, 4097])
+    def test_stencils_are_the_roll_forms_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        v[:2] = (-0.0, 5e-324)
+        h = 0.3
+        second = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2
+        forward = (np.roll(v, -1) - v) / h
+        assert periodic_second_diff(v, h).tobytes() == second.tobytes()
+        assert periodic_forward_diff(v, h).tobytes() == forward.tobytes()
+
 
 class TestNormsAndQuadrature:
     def test_l2_of_one(self, g):

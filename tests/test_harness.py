@@ -5,9 +5,11 @@ import pytest
 
 from logkge import harness
 from logkge.grid import Grid1D
+from logkge.nonlinearity import BLOCK
 from logkge.harness import (
     ExperimentPlan,
     PlanError,
+    SweepResult,
     _eval_expr,
     emit_csv,
     emit_drift_series,
@@ -170,6 +172,25 @@ class TestWaveforms:
         np.testing.assert_array_equal(rows[:-1, 1], snaps[0.0])
         np.testing.assert_array_equal(rows[:-1, 2], snaps[0.1])
         np.testing.assert_array_equal(rows[-1, 1:], rows[0, 1:])
+
+    def test_bytes_match_the_per_node_formatter(self, tmp_path):
+        # N + 1 > BLOCK rows span two format blocks; the columns hold -0.0,
+        # the smallest subnormal and +-1e300 on both sides of the block seam.
+        g = Grid1D(-1.0, 3.0, BLOCK + 6)
+        rng = np.random.default_rng(3)
+        snaps = {t: rng.standard_normal(g.N) for t in (1.0, 0.0, 0.25)}
+        snaps[0.25][[0, BLOCK - 1, BLOCK, g.N - 1]] = (-0.0, 5e-324, 1e300, -1e300)
+        snaps[1.0][[1, BLOCK + 1]] = (1e300, -0.0)
+        result = SweepResult(ExperimentPlan(), aux={"snapshots": snaps, "grid": g})
+        emit_waveforms(result, tmp_path / "w.csv")
+
+        times = sorted(snaps)
+        cols = [np.append(snaps[t], snaps[t][0]) for t in times]
+        xs = g.a + g.h * np.arange(g.N + 1)
+        want = [",".join(["x", *(f"u_t{t:g}" for t in times)])]
+        for j in range(g.N + 1):
+            want.append(f"{xs[j]:.17g}," + ",".join(f"{col[j]:.17g}" for col in cols))
+        assert (tmp_path / "w.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestEnergyDriftFailure:

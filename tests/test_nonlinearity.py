@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from logkge import nonlinearity
 from logkge.nonlinearity import (
+    BLOCK,
     COINCIDENCE_REL_TOL,
     NonlinearityParams,
     DERIVATIVE_REL_TOL,
@@ -346,6 +348,43 @@ class TestFusedKernel:
         assert _bits(discrete_gradient_dz1(z1, z2, p)) == _bits(want_dz1)
         for a, b in zip(z1, z2):  # the scalar wrappers take the same path
             assert discrete_gradient(a, b, p) == _reference_dg(np.float64(a), np.float64(b), p)
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_blocks_match_one_pass_bitwise(self, n, derivative):
+        # Relative gaps cycle through the 1e-8 gradient band, the 1e-4
+        # derivative band only, and outside both; zeros and z2 = -z1 too.
+        p = NonlinearityParams(lam=1.0, epsilon=0.05)
+        rng = np.random.default_rng(n)
+        z1 = rng.uniform(-3.0, 3.0, n)
+        rel = np.resize([1e-12, 1e-6, 1e-2, 0.5], n) * rng.choice([-1.0, 1.0], n)
+        z2 = z1 * (1.0 + rel)
+        z1[::97], z2[1::89], z2[2::101] = 0.0, 0.0, -z1[2::101]
+        gap = np.abs(z1 * z1 - z2 * z2) / (z1 * z1 + z2 * z2 + p.eps2)
+        assert np.any(gap <= COINCIDENCE_REL_TOL) and np.any(gap > DERIVATIVE_REL_TOL)
+        assert np.any((gap > COINCIDENCE_REL_TOL) & (gap <= DERIVATIVE_REL_TOL))
+        v1, v2 = reg_log_primitive(z1 * z1, p), reg_log_primitive(z2 * z2, p)
+        dg, dz1 = fused_discrete_gradient(z1, z2, v1, v2, p, derivative)
+        want_dg, want_dz1 = nonlinearity._fused_block(z1, z2, v1, v2, p, derivative)
+        assert _bits(dg) == _bits(want_dg)
+        if derivative:
+            assert _bits(dz1) == _bits(want_dz1)
+            assert _bits(discrete_gradient_dz1(z1, z2, p)) == _bits(want_dz1)
+        else:
+            assert dz1 is None
+            assert _bits(discrete_gradient(z1, z2, p)) == _bits(want_dg)
+
+    def test_scalar_and_zero_d_inputs(self):
+        z1 = np.linspace(-2.0, 2.0, BLOCK + 5)
+        z2 = 0.75 * z1[::-1]
+        dg, dz1 = discrete_gradient(z1, z2, P01), discrete_gradient_dz1(z1, z2, P01)
+        for i in (0, BLOCK, BLOCK + 4):
+            for a, b in ((z1[i], z2[i]), (np.asarray(z1[i]), np.asarray(z2[i]))):
+                got, got_dz1 = discrete_gradient(a, b, P01), discrete_gradient_dz1(a, b, P01)
+                assert type(got) is float and got == dg[i]
+                assert type(got_dz1) is float and got_dz1 == dz1[i]
 
 
 class TestUnregularized:
