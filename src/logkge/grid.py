@@ -5,7 +5,9 @@ the nodes ``x_j = a + j*h``, ``j = 0..N-1``; the node ``x_N = b`` is
 identified with ``x_0`` (``u_N = u_0``) and not stored.  Operators apply the
 periodic wrap ``u_{-1} = u_{N-1}``, ``u_N = u_0`` from a padded copy (bit for
 bit the ``np.roll`` form, without its call overhead), and sums, norms and
-inner products run over the N values.  :class:`GridFunction` is the
+inner products run over the N values.  A (B, N) array holds B grid functions
+as rows: operators act on each row, and norms and inner products return one
+value per row, each bit for bit the value of that row on its own.  :class:`GridFunction` is the
 closed-node view for output only: the N values plus the repeated endpoint.
 """
 
@@ -25,6 +27,7 @@ __all__ = [
     "inner",
     "seminorm_h1",
     "norm_h1",
+    "square",
     "quad",
     "quad_l1",
 ]
@@ -90,35 +93,54 @@ class GridFunction:
 
 def periodic_second_diff(v: np.ndarray, h: float) -> np.ndarray:
     """(v_{j+1} - 2v_j + v_{j-1})/h^2 on the independent values v_0..v_{N-1}."""
-    w = np.concatenate((v[-1:], v, v[:1]))
-    return (w[2:] - 2.0 * v + w[:-2]) / h**2
+    w = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
+    return (w[..., 2:] - 2.0 * v + w[..., :-2]) / h**2
 
 
 def periodic_forward_diff(v: np.ndarray, h: float) -> np.ndarray:
     """(v_{j+1} - v_j)/h on the independent values v_0..v_{N-1}."""
-    return (np.concatenate((v, v[:1]))[1:] - v) / h
+    return (np.concatenate((v, v[..., :1]), axis=-1)[..., 1:] - v) / h
 
 
-def norm_l2(u: np.ndarray, g: Grid1D) -> float:
-    return float(np.sqrt(g.h * np.sum(u * u)))
+def _per_row(x):
+    """A float for one grid function, the array of row values for several."""
+    return x if x.ndim else float(x)
 
 
-def norm_linf(u: np.ndarray, g: Grid1D) -> float:
-    return float(np.max(np.abs(u)))
+def norm_l2(u: np.ndarray, g: Grid1D):
+    return _per_row(np.sqrt(g.h * (u * u).sum(axis=-1)))
 
 
-def inner(u: np.ndarray, v: np.ndarray, g: Grid1D) -> float:
-    """Discrete L2 inner product h * sum_{j<N} u_j v_j."""
-    return float(g.h * np.dot(u, v))
+def norm_linf(u: np.ndarray, g: Grid1D):
+    return _per_row(np.abs(u).max(axis=-1))
 
 
-def seminorm_h1(u: np.ndarray, g: Grid1D) -> float:
+def inner(u: np.ndarray, v: np.ndarray, g: Grid1D):
+    """Discrete L2 inner product h * sum_{j<N} u_j v_j.
+
+    A pairwise sum, like the norms: unlike ``np.dot`` its rounding does not
+    depend on how many BLAS threads split the sum.
+    """
+    return _per_row(g.h * (u * v).sum(axis=-1))
+
+
+def seminorm_h1(u: np.ndarray, g: Grid1D):
     """l2 norm of the forward difference."""
     return norm_l2(periodic_forward_diff(u, g.h), g)
 
 
-def norm_h1(u: np.ndarray, g: Grid1D) -> float:
-    return float(np.sqrt(norm_l2(u, g) ** 2 + seminorm_h1(u, g) ** 2))
+def norm_h1(u: np.ndarray, g: Grid1D):
+    return _per_row(np.sqrt(square(norm_l2(u, g)) + square(seminorm_h1(u, g))))
+
+
+def square(x):
+    """x ** 2 of a norm, or of each row's norm, in Python's float power.
+
+    Python's ``float ** 2`` (libm ``pow``) and numpy's array square (x * x)
+    can differ in the last bit, so row values are squared one at a time as
+    floats: bit for bit what a single grid function gets.
+    """
+    return x**2 if np.ndim(x) == 0 else np.array([r**2 for r in x.tolist()])
 
 
 def quad(u: np.ndarray, g: Grid1D) -> float:

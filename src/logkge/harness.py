@@ -477,36 +477,52 @@ def _stepper(plan: ExperimentPlan, tau: float) -> StepperConfig:
     return StepperConfig(plan.scheme, tau, plan.newton_tol, plan.newton_max_iter)
 
 
-def _run_cell(plan, policy, refs, cell) -> tuple[CellRow, tuple[list[float], dict]]:
-    """One cell's row and (energy series, snapshots by time); both empty if Newton fails."""
-    eps, h, tau = cell
-    row = _row(plan, eps, h, tau)
+def _run_cells(plan, policy, refs, cells) -> list[tuple[CellRow, tuple[list, dict]]]:
+    """Row and (energy series, snapshots by time) of cells that share (h, tau).
+
+    The cells' eps are the members of one batch.  A member whose own Newton
+    solve fails gets a non-convergence row (no records) and the others are
+    rerun without it, so every row is what a run of its cell alone gives.
+    """
+    _, h, tau = cells[0]
     g = _grid_for(plan, h)
-    p = NonlinearityParams(lam=plan.lam, epsilon=eps)
     cfg = _stepper(plan, tau)
     init = initial_data_for(plan, g)
     snapshot_steps = _snapshot_steps(plan) if SWEEP_KINDS[plan.kind].snapshots else ()
-    energies, snapshots = [], ({0.0: init.phi} if 0 in snapshot_steps else {})
+    out = [(_row(plan, eps, h, tau, status="non-convergence"), ([], {})) for eps, _, _ in cells]
+    live = list(range(len(cells)))
+    while live:
+        p = NonlinearityParams(lam=plan.lam, epsilon=[cells[i][0] for i in live])
+        energies = []
+        snapshots = [{0.0: init.phi} if 0 in snapshot_steps else {} for _ in live]
 
-    def observe(state):
-        energies.append(discrete_energy(state, p, cfg, g))
-        if state.n in snapshot_steps:
-            snapshots[state.n * tau] = state.curr
+        def observe(state):
+            energies.append(discrete_energy(state, p, cfg, g))
+            if state.n in snapshot_steps:
+                for snaps, u in zip(snapshots, state.curr):
+                    snaps[state.n * tau] = u
 
-    try:
-        res = evolve(init, p, cfg, g, _count(plan.final_time, tau), observe)
-    except NonConvergenceError:
-        row.status = "non-convergence"
-        return row, ([], {})
-    row.energy_drift = float(relative_drift(energies).max())
-    row.newton_avg_iters = res.newton_avg
-    truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
-    if truth is not None:
-        rep = error_report(res.state.curr, truth, g, against=against)
-        row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
-    elif policy == "cnfd-fine":
-        row.status = "reference-non-convergence"
-    return row, (energies, snapshots)
+        batch = InitialData(*(np.tile(x, (len(live), 1)) for x in (init.phi, init.gamma)))
+        try:
+            res = evolve(batch, p, cfg, g, _count(plan.final_time, tau), observe)
+        except NonConvergenceError as exc:
+            live = [i for k, i in enumerate(live) if k not in exc.members]
+            continue
+        energies = np.array(energies)  # (steps, members)
+        for k, i in enumerate(live):
+            eps = cells[i][0]
+            series = energies[:, k]
+            row = _row(plan, eps, h, tau, energy_drift=float(relative_drift(series).max()),
+                       newton_avg_iters=res.member_newton_avg(k))
+            truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
+            if truth is not None:
+                rep = error_report(res.state.curr[k], truth, g, against=against)
+                row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
+            elif policy == "cnfd-fine":
+                row.status = "reference-non-convergence"
+            out[i] = row, (list(series), snapshots[k])
+        break
+    return out
 
 
 def _attach_rates(plan: ExperimentPlan, rows: list[CellRow]) -> None:
@@ -562,8 +578,9 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
 
 
 def run(plan: ExperimentPlan) -> SweepResult:
-    """Execute a plan cell by cell; output order is canonical.
+    """Execute a plan; output order is canonical.
 
+    Cells that share (h, tau) run as one batch whose members are their eps.
     The plan is validated first, so a bad plan raises :class:`PlanError`
     before any reference is computed.  Solver failures inside a cell mark
     that row's status and never abort the sweep.  Two runs of the same plan
@@ -578,7 +595,13 @@ def run(plan: ExperimentPlan) -> SweepResult:
     policy = _resolve_reference(plan)
     cells = _cells_for(plan)
     refs = _compute_references(plan, policy, cells)
-    rows, records = map(list, zip(*(_run_cell(plan, policy, refs, c) for c in cells)))
+    groups: dict[tuple[float, float], list[int]] = {}  # cells by (h, tau)
+    for i, (_, h, tau) in enumerate(cells):
+        groups.setdefault((h, tau), []).append(i)
+    done = {}
+    for members in groups.values():
+        done.update(zip(members, _run_cells(plan, policy, refs, [cells[i] for i in members])))
+    rows, records = map(list, zip(*(done[i] for i in range(len(cells)))))
     _attach_rates(plan, rows)
     rows.sort(key=CellRow.sort_key)
     aux = {}

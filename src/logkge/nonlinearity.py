@@ -13,13 +13,16 @@ with ``V = reg_log_primitive``, which is what makes the discrete energy
 telescope exactly along a trajectory.
 
 All functions accept scalars or numpy arrays and are pure; the coupling
-strength ``lam`` is never applied here, callers multiply by it.
+strength ``lam`` is never applied here, callers multiply by it.  Parameters
+with B widths eps (see :class:`NonlinearityParams`) apply one width to each
+row of a (B, N) array, bit for bit what each row gives on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import xlogy
@@ -59,27 +62,57 @@ class NonlinearityParams:
     ``epsilon`` must be strictly positive: every formula here divides by or
     takes logs of ``epsilon**2``.  The unregularized model is reachable only
     through :func:`unreg_log` / :func:`unreg_log_primitive`.
+
+    A sequence of B widths (stored as a tuple) describes B members that share
+    ``lam`` and are stepped together as the rows of (B, N) layers; ``eps2`` is
+    then a (B, 1) column, so every formula broadcasts one width per row.
     """
 
     lam: float
-    epsilon: float
+    epsilon: float | tuple[float, ...]
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.epsilon * self.epsilon == 0.0:
-            raise ValueError(f"epsilon={self.epsilon} is so small that epsilon**2 underflows")
+        if np.ndim(self.epsilon) != 0:
+            object.__setattr__(self, "epsilon", tuple(map(float, self.epsilon)))
+            if not self.epsilon:
+                raise ValueError("epsilon needs at least one member")
+        for eps in self.widths:
+            if not (math.isfinite(eps) and eps > 0.0):
+                raise ValueError(f"epsilon must be finite and > 0, got {eps}")
+            if eps * eps == 0.0:
+                raise ValueError(f"epsilon={eps} is so small that epsilon**2 underflows")
 
     @property
-    def eps2(self) -> float:
+    def widths(self) -> tuple[float, ...]:
+        """The width of every member; one for a single width."""
+        return self.epsilon if isinstance(self.epsilon, tuple) else (self.epsilon,)
+
+    @cached_property
+    def eps2(self):
+        if isinstance(self.epsilon, tuple):
+            return np.array([[eps * eps] for eps in self.epsilon])
         return self.epsilon * self.epsilon
+
+    def layer_shape(self, n: int) -> tuple[int, ...]:
+        """Shape of a layer of n nodes: (n,) for one width, (B, n) for B."""
+        return (len(self.epsilon), n) if isinstance(self.epsilon, tuple) else (n,)
+
+    def member(self, m: int) -> NonlinearityParams:
+        """The parameters of member m alone, with a single width."""
+        return NonlinearityParams(self.lam, self.widths[m])
+
+    def take(self, rows) -> NonlinearityParams:
+        """The members at ``rows`` (an index array or ``slice(None)``) as one batch."""
+        if isinstance(rows, slice) or not isinstance(self.epsilon, tuple):
+            return self
+        return NonlinearityParams(self.lam, tuple(self.epsilon[m] for m in rows))
 
 
 def _check_rho(rho):
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
+    if (rho < 0.0).any():
         raise ValueError("rho must be nonnegative")
     return rho
 
@@ -105,7 +138,7 @@ def reg_log_primitive(rho, p: NonlinearityParams):
     with np.errstate(over="ignore"):
         ratio = rho / eps2
     finite = np.isfinite(ratio)
-    if np.all(finite):
+    if finite.all():
         mid = eps2 * np.log1p(ratio)
     else:
         safe_rho = np.where(finite, 1.0, rho)
@@ -134,19 +167,24 @@ def fused_discrete_gradient(z1, z2, v1, v2, p: NonlinearityParams, derivative: b
     first-order term ``gap*f''(rho_mid)/12``, which keeps it second-order
     accurate across the switch.  The four inputs are float arrays of one shape.
 
-    Above :data:`BLOCK` values it runs block by block into two preallocated
-    outputs; every operation is elementwise, so that is bitwise one pass.
+    Above :data:`BLOCK` values it runs row by row (one row for a 1-D input)
+    and block by block within a row, into two preallocated outputs; every
+    operation is elementwise, so that is bitwise one pass.
     """
     if z1.size <= BLOCK:
         return _fused_block(z1, z2, v1, v2, p, derivative)
+    shape, n = z1.shape, z1.shape[-1]
+    z1, z2, v1, v2 = (a.reshape(-1, n) for a in (z1, z2, v1, v2))
     dg = np.empty(z1.shape)
     dg_dz1 = np.empty(z1.shape) if derivative else None
-    for lo in range(0, len(z1), BLOCK):
-        s = slice(lo, lo + BLOCK)
-        dg[s], block_dz1 = _fused_block(z1[s], z2[s], v1[s], v2[s], p, derivative)
-        if derivative:
-            dg_dz1[s] = block_dz1
-    return dg, dg_dz1
+    for m in range(len(z1)):
+        q = p.member(m) if isinstance(p.epsilon, tuple) else p
+        for lo in range(0, n, BLOCK):
+            s = (m, slice(lo, lo + BLOCK))
+            dg[s], block_dz1 = _fused_block(z1[s], z2[s], v1[s], v2[s], q, derivative)
+            if derivative:
+                dg_dz1[s] = block_dz1
+    return dg.reshape(shape), (dg_dz1.reshape(shape) if derivative else None)
 
 
 def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative: bool):

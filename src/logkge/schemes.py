@@ -33,11 +33,22 @@ carried pair.  One fused kernel gives the discrete gradient and its Jacobian
 diagonal together at the start iterate.  The cnfd Jacobian is solved by
 :func:`solve_cyclic_tridiag`, which solves the Sherman-Morrison corner
 vector only on the rows where it is representable.
+
+Members.  With B widths eps in :class:`~logkge.nonlinearity.NonlinearityParams`
+a layer is a (B, N) array whose row m is member m, and one call steps all B
+members on a shared grid and time step; a 1-D layer with a single width is
+one member.  Every operation acts on rows alone and every norm is a row-wise
+pairwise sum, so each row is bit for bit the trajectory of that member run
+alone: the Newton loop iterates only the members still above their own
+tolerance (a converged member is never touched again), each member's cnfd
+Jacobian is its own cyclic solve, and energies come back one per member.
+Batching saves per-call overhead, which dominates small grids.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -52,6 +63,7 @@ from .grid import (
     norm_l2,
     periodic_forward_diff,
     periodic_second_diff,
+    square,
 )
 from .nonlinearity import (
     NonlinearityParams,
@@ -84,11 +96,16 @@ SCHEMES = {"cnfd": 0.5, "siefd": 0.0}
 
 
 class NonConvergenceError(RuntimeError):
-    """Implicit solve failed to reach tolerance; carries the last residual."""
+    """Implicit solve failed to reach tolerance; carries the last residual.
 
-    def __init__(self, message: str, residual: float):
+    ``members`` holds the rows of the members that failed, (0,) for a 1-D
+    layer; ``residual`` is that of the first of them.
+    """
+
+    def __init__(self, message: str, residual: float, members: tuple[int, ...] = (0,)):
         super().__init__(message)
         self.residual = residual
+        self.members = members
 
 
 class StabilityWarning(UserWarning):
@@ -115,7 +132,7 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial layer phi and velocity gamma, each of length N."""
+    """Initial layer phi and velocity gamma, each of length N (or (B, N) for B members)."""
 
     phi: np.ndarray
     gamma: np.ndarray
@@ -129,14 +146,15 @@ class WaveState:
     they used and V(u^{n-1}^2), V(u^n^2) at that eps, V being
     ``reg_log_primitive``.  The next step and :func:`discrete_energy` reuse
     them; for a state without them (read from the cache, or built by hand)
-    they are computed where needed.
+    they are computed where needed.  ``newton_iters`` counts the iterations
+    of the step that made the state, one int per member for (B, N) layers.
     """
 
     prev: np.ndarray
     curr: np.ndarray
     n: int
     t: float
-    newton_iters: int = 0
+    newton_iters: int | tuple[int, ...] = 0
     potentials: tuple[float, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -170,7 +188,7 @@ def assemble_residual(
     cand: np.ndarray, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
 ) -> np.ndarray:
     """Left-hand side of the scheme equation at a trial layer u^{n+1}."""
-    residual, _ = _step_equation(state, p, cfg, g)
+    residual, _ = _step_equation(state.prev, state.curr, p, cfg, g)
     return residual(cand, discrete_gradient(cand, state.prev, p))
 
 
@@ -180,24 +198,29 @@ def _weighted_sum(terms):
     return sum(parts[1:], parts[0])
 
 
-def _step_equation(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
-    """(residual(cand, dg), ||b||) of one step, built once from the known layers.
+# Every member: the rows argument of the step equation, the kernel and p.take.
+_ALL = slice(None)
 
-    ``residual`` is :func:`assemble_residual` given dg = DG(cand, u^{n-1}).
+
+def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
+    """(residual(cand, dg, rows), ||b||) of one step, built once from the known layers.
+
+    ``residual`` is :func:`assemble_residual` given dg = DG(cand, u^{n-1}),
+    for the members at ``rows`` of (B, N) layers (all by default).
     b = (2u^n - u^{n-1})/tau^2 - u^{n-1}/2 + lap(known) is the
     candidate-independent part of the equation, with
     known = w u^{n-1} + (1-2w) u^n.
     """
     w = SCHEMES[cfg.scheme]
-    up, uc = state.prev, state.curr
     tau2 = cfg.tau**2
     known = _weighted_sum(((w, lambda: up), (1.0 - 2.0 * w, lambda: uc)))
     lap_known = periodic_second_diff(known, g.h)
     b = (2.0 * uc - up) / tau2 - 0.5 * up + lap_known
 
-    def residual(cand, dg):
-        lap = lap_known if w == 0.0 else periodic_second_diff(w * cand + known, g.h)
-        return (cand - 2.0 * uc + up) / tau2 - lap + 0.5 * (cand + up) + p.lam * dg
+    def residual(cand, dg, rows=_ALL):
+        u_p = up[rows]
+        lap = lap_known[rows] if w == 0.0 else periodic_second_diff(w * cand + known[rows], g.h)
+        return (cand - 2.0 * uc[rows] + u_p) / tau2 - lap + 0.5 * (cand + u_p) + p.lam * dg
 
     return residual, norm_l2(b, g)
 
@@ -230,24 +253,50 @@ def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.nd
     one ``dgtsv`` call, and is exactly 0 in between.  Where s <= 2 (a
     clamped Newton diagonal, say), off = 0 or 2m >= N, q is solved at full
     length.
+
+    ``diag`` and ``rhs`` may also be (B, N): B systems sharing ``off``,
+    each solved on its own as above.  Every array handed to ``dgtsv`` is
+    the solver's own and is overwritten in place, so LAPACK's wrapper copies
+    none of them.
     """
-    n = diag.size
+    n = diag.shape[-1]
     if n < 3:
         raise ValueError("cyclic tridiagonal solve needs at least 3 unknowns")
+    x = np.array(rhs, dtype=float)
+    for dm, xm in zip(diag.reshape(-1, n), x.reshape(-1, n)):
+        y = _solve_cyclic_row(dm, off, xm)
+        if y is not xm and y.base is not x:  # dgtsv solved in a copy
+            xm[...] = y
+    return x
+
+
+def _solve_cyclic_row(diag: np.ndarray, off: float, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_cyclic_tridiag` of one system; overwrites the right-hand side b."""
+    n = diag.size
     gamma = -diag[0]
     d = diag.copy()
     d[0] -= gamma
     d[-1] -= off * off / gamma
-    y = _gtsv(np.full(n - 1, off), d, rhs)
-    rows = _q_rows(diag, off, gamma)
-    u = np.zeros(rows.size)
+    m = _q_window(diag, off, gamma)
+    # Taken before the y solve overwrites d.  A zero off-diagonal between
+    # the two end blocks of a window decouples them.
+    d_q = d.copy() if m is None else np.concatenate((d[:m], d[-m:]))
+    band_q = np.full(d_q.size - 1, off)
+    if m is not None:
+        band_q[m - 1] = 0.0
+    y = _gtsv(np.full(n - 1, off), d, b)
+    u = np.zeros(d_q.size)
     u[0] = gamma
     u[-1] = off
-    # A zero off-diagonal where the rows jump decouples the two end blocks.
-    q = _gtsv(np.where(np.diff(rows) == 1, off, 0.0), d[rows], u)
+    q = _gtsv(band_q, d_q, u)
     vy = y[0] + off / gamma * y[-1]
     vq = q[0] + off / gamma * q[-1]
-    y[rows] -= q * (vy / (1.0 + vq))
+    c = vy / (1.0 + vq)
+    if m is None:
+        y -= q * c
+    else:
+        y[:m] -= q[:m] * c
+        y[-m:] -= q[m:] * c
     return y
 
 
@@ -255,30 +304,31 @@ def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.nd
 _Q_FLOOR_BITS = 1100
 
 
-def _q_rows(diag: np.ndarray, off: float, gamma: float) -> np.ndarray:
-    """Rows on which the corner vector q is solved: the first and last m, or all.
+def _q_window(diag: np.ndarray, off: float, gamma: float) -> int | None:
+    """Rows m at each end on which the corner vector q is solved; None for all.
 
     All rows when off = 0, s <= 2, an entry is not finite, or 2m >= N.  s
     is capped at 1e6 so that s^2 stays finite; a smaller s only widens the
     window.
     """
-    n = diag.size
     s = min(diag.min() / abs(off), 1e6) if off != 0.0 else 0.0
     if not s > 2.0:
-        return np.arange(n)
+        return None
     root = math.sqrt(s * s - 4.0)
     # log2 of the bound's factor (|gamma/off| + 1)/sqrt(s^2 - 4), finite for tiny |off|
     factor = 1.0 + max(math.log2(abs(gamma)) - math.log2(abs(off)), 0.0) - math.log2(root)
     m = (_Q_FLOOR_BITS + factor) / math.log2(0.5 * (s + root))  # log2(1/r) = log2((s+root)/2)
-    if not 2.0 * m + 2.0 < n:
-        return np.arange(n)
-    m = math.ceil(m)
-    return np.concatenate((np.arange(m), np.arange(n - m, n)))
+    return math.ceil(m) if 2.0 * m + 2.0 < diag.size else None
 
 
 def _gtsv(band: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with diagonal d and both off-diagonals ``band``."""
-    _, _, _, x, info = lapack.dgtsv(band, d, band, b)
+    """Solve the tridiagonal system with diagonal d and both off-diagonals ``band``.
+
+    Overwrites ``band``, ``d`` and ``b``; the solution is returned in ``b``.
+    """
+    # The flags are overwrite_dl, _d, _du and _b, given by position: f2py
+    # parses keywords at about half the cost of a small solve.
+    _, _, _, x, info = lapack.dgtsv(band, d, band.copy(), b, 1, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -291,9 +341,14 @@ def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float):
     return solve_cyclic_tridiag(jac_diag, coupling, -res)
 
 
+def _pick(ks: list[int], n: int):
+    """Rows ``ks`` of n as an index: ``_ALL`` when they are all n, else an index array."""
+    return _ALL if len(ks) == n else np.array(ks, dtype=np.intp)
+
+
 def solve_newton(
     state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> tuple[np.ndarray, list[float]]:
+) -> tuple[np.ndarray, list]:
     """Solve the implicit step equation; returns (next layer, residual history).
 
     Guarded Newton from the linear extrapolation 2u^n - u^{n-1}, stopping at
@@ -305,10 +360,12 @@ def solve_newton(
     (lin_diag where d is not finite) and halves the step until the residual
     drops by the Armijo factor 1 - 1e-4*alpha.  Raises
     :class:`NonConvergenceError` after ``newton_max_iter`` iterations of
-    either kind, or when a guarded step falls below alpha = 2^-12.
+    either kind, or when a guarded step falls below alpha = 2^-12.  Each
+    member of (B, N) layers runs this test on its own, and the history is
+    one list per member.
     """
     nxt, _, norms = _solve_newton(state, _layer_potentials(state, p)[0], p, cfg, g)
-    return nxt, norms
+    return nxt, (norms if state.curr.ndim > 1 else norms[0])
 
 
 def _solve_newton(
@@ -316,82 +373,122 @@ def _solve_newton(
 ):
     """:func:`solve_newton` given v_up = V(u^{n-1}^2); also returns V of the solution.
 
-    Each iterate costs one ``reg_log_primitive`` call; the start iterate's
+    Works on (B, N) rows (a 1-D layer is one row).  Each iteration steps the
+    members still above their tolerance, and only those: the ordinary ones
+    together, then the guarded ones through one shared line search.  Each
+    iterate costs one ``reg_log_primitive`` call; the start iterate's
     residual and Jacobian share one pass of the fused kernel.
     """
-    up, uc = state.prev, state.curr
+    shape = state.curr.shape
+    up, uc, v_up = (a.reshape(-1, shape[-1]) for a in (state.prev, state.curr, v_up))
     w = SCHEMES[cfg.scheme]
-    residual, b_norm = _step_equation(state, p, cfg, g)
+    residual, b_norm = _step_equation(up, uc, p, cfg, g)
     tol = cfg.newton_tol * (1.0 + b_norm)
     coupling = -w / g.h**2
     lin_diag = 1.0 / cfg.tau**2 + 0.5 + 2.0 * w / g.h**2
 
-    def kernel(cand, v_cand, jacobian):
-        dg, dg_dz1 = fused_discrete_gradient(cand, up, v_cand, v_up, p, jacobian)
+    def kernel(rows, cand, v_cand, jacobian):
+        q = p.take(rows)
+        dg, dg_dz1 = fused_discrete_gradient(cand, up[rows], v_cand, v_up[rows], q, jacobian)
         return dg, (lin_diag + p.lam * dg_dz1 if jacobian else None)
 
-    def evaluate(cand, jacobian=False):
-        v_cand = reg_log_primitive(cand * cand, p)
-        dg, jac_diag = kernel(cand, v_cand, jacobian)
-        return residual(cand, dg), v_cand, jac_diag
+    def evaluate(rows, cand, jacobian=False):
+        """(cand, residual, V(cand^2), ||residual||) and the Jacobian diagonal."""
+        v_cand = reg_log_primitive(cand * cand, p.take(rows))
+        dg, jac_diag = kernel(rows, cand, v_cand, jacobian)
+        res = residual(cand, dg, rows)
+        return (cand, res, v_cand, norm_l2(res, g)), jac_diag
 
-    cand = 2.0 * uc - up
-    res, v_cand, jac_diag = evaluate(cand, jacobian=True)
-    rnorm = norm_l2(res, g)
-    norms = [rnorm]
-    while not rnorm <= tol and len(norms) <= cfg.newton_max_iter:
-        if jac_diag is None:
-            jac_diag = kernel(cand, v_cand, True)[1]
+    (cand, res, v_cand, rnorm), jac_diag = evaluate(_ALL, 2.0 * uc - up, jacobian=True)
+    tol = tol.tolist()
+    norms = [[r] for r in rnorm.tolist()]  # each member's residual history
+    n_members, stalled = len(norms), set()
+    for _ in range(cfg.newton_max_iter):
+        going = [m for m, h in enumerate(norms) if not h[-1] <= tol[m] and m not in stalled]
+        if not going:
+            break
+        rows = _pick(going, n_members)
+        c, r = cand[rows], res[rows]
+        jd = kernel(rows, c, v_cand[rows], True)[1] if jac_diag is None else jac_diag[rows]
         # min/max propagate NaN, so this tests positivity and finiteness
         # without an N-sized temporary on the ordinary path.
-        ordinary = 0.0 < jac_diag.min() and jac_diag.max() < np.inf
-        if ordinary:
-            trial = cand + _newton_step(jac_diag, res, coupling)
-            trial_res, trial_v, _ = evaluate(trial)
-            trial_norm = norm_l2(trial_res, g)
-            ordinary = np.isfinite(trial_norm)
-        if not ordinary:
-            jac_diag = np.where(
-                np.isfinite(jac_diag), np.maximum(jac_diag, 0.1 * lin_diag), lin_diag
-            )
-            delta = _newton_step(jac_diag, res, coupling)
+        lows, highs = jd.min(axis=-1).tolist(), jd.max(axis=-1).tolist()
+        ordinary = [0.0 < lo and hi < math.inf for lo, hi in zip(lows, highs)]
+        taken = []  # (members, their rows of the trial, trial layers, residual norms)
+        if any(ordinary):
+            ks = [k for k, ok in enumerate(ordinary) if ok]
+            o, members = _pick(ks, len(going)), [going[k] for k in ks]
+            trial, _ = evaluate(_pick(members, n_members),
+                                c[o] + _newton_step(jd[o], r[o], coupling))
+            t_norm = trial[3].tolist()
+            keep = [i for i, x in enumerate(t_norm) if math.isfinite(x)]
+            for i in set(range(len(ks))) - set(keep):
+                ordinary[ks[i]] = False
+            if keep:
+                taken.append(([members[i] for i in keep], _pick(keep, len(ks)), trial[:3],
+                              [t_norm[i] for i in keep]))
+        if not all(ordinary):
+            ks = [k for k, ok in enumerate(ordinary) if not ok]
+            sel, members = _pick(ks, len(going)), [going[k] for k in ks]
+            jg = jd[sel]
+            jg = np.where(np.isfinite(jg), np.maximum(jg, 0.1 * lin_diag), lin_diag)
+            delta = _newton_step(jg, r[sel], coupling)
+            c_g, searching = c[sel], list(range(len(ks)))
             for k in range(13):  # alpha = 1, 1/2, ..., 2^-12; NaN never passes
                 alpha = 0.5**k
-                trial = cand + delta if k == 0 else cand + alpha * delta
-                trial_res, trial_v, _ = evaluate(trial)
-                trial_norm = norm_l2(trial_res, g)
-                if trial_norm < rnorm * (1.0 - 1e-4 * alpha):
-                    break
+                s = _pick(searching, len(ks))
+                trial_c = c_g[s] + delta[s] if k == 0 else c_g[s] + alpha * delta[s]
+                at = [members[i] for i in searching]
+                trial, _ = evaluate(_pick(at, n_members), trial_c)
+                t_norm = trial[3].tolist()
+                factor = 1.0 - 1e-4 * alpha
+                done = [i for i, m in enumerate(at) if t_norm[i] < norms[m][-1] * factor]
+                if done:
+                    taken.append(([at[i] for i in done], _pick(done, len(at)), trial[:3],
+                                  [t_norm[i] for i in done]))
+                    searching = [j for i, j in enumerate(searching) if i not in done]
+                    if not searching:
+                        break
             else:
-                break  # no step decreases the residual: stalled
-        cand, res, v_cand, rnorm, jac_diag = trial, trial_res, trial_v, trial_norm, None
-        norms.append(rnorm)
-    if not rnorm <= tol:
+                stalled.update(members[i] for i in searching)  # no step decreases the residual
+        for members, sel, layers, t_norm in taken:
+            rows = _pick(members, n_members)
+            if rows is _ALL:
+                cand, res, v_cand = layers
+            else:
+                cand[rows], res[rows], v_cand[rows] = (x[sel] for x in layers)
+            for m, x in zip(members, t_norm):
+                norms[m].append(x)
+        jac_diag = None
+    failed = [m for m, h in enumerate(norms) if not h[-1] <= tol[m]]
+    if failed:
+        m = failed[0]
+        on = f" on members {failed}" if len(shape) > 1 else ""
         raise NonConvergenceError(
-            f"Newton stopped at residual {rnorm:.3e} after {len(norms) - 1} "
-            f"iterations (tolerance {tol:.3e})",
-            residual=rnorm,
+            f"Newton stopped at residual {norms[m][-1]:.3e} after {len(norms[m]) - 1} "
+            f"iterations (tolerance {tol[m]:.3e}){on}",
+            residual=norms[m][-1],
+            members=tuple(failed),
         )
-    return cand, v_cand, norms
+    return cand.reshape(shape), v_cand.reshape(shape), norms
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
     """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``."""
     v_prev, v_curr = _layer_potentials(state, p)
     nxt, v_nxt, norms = _solve_newton(state, v_prev, p, cfg, g)
+    iters = tuple(len(h) - 1 for h in norms)
     return WaveState(
         prev=state.curr,
         curr=nxt,
         n=state.n + 1,
         t=state.t + cfg.tau,
-        newton_iters=len(norms) - 1,
+        newton_iters=iters if nxt.ndim > 1 else iters[0],
         potentials=(p.epsilon, v_curr, v_nxt),
     )
 
 
-def discrete_energy(
-    state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> float:
+def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
     """Exactly conserved two-layer energy of the selected scheme.
 
     With (v, u) = (state.prev, state.curr) playing (u^n, u^{n+1}) and w the
@@ -405,32 +502,51 @@ def discrete_energy(
     the sign-indefinite cross product h*sum (D+ u)(D+ v) for siefd (no
     positivity is claimed for the latter).  V of the two layers comes from
     the state when it carries them at p's eps, and is computed otherwise.
+    A float for 1-D layers, one energy per member for (B, N) layers.
     """
-    if state.curr.shape != (g.N,):
+    if state.curr.shape != p.layer_shape(g.N):
         raise ValueError("state does not match the grid")
     w = SCHEMES[cfg.scheme]
     v, u, h = state.prev, state.curr, g.h
-    kinetic = norm_l2((u - v) / cfg.tau, g) ** 2
+    kinetic = square(norm_l2((u - v) / cfg.tau, g))
     du, dv = periodic_forward_diff(u, h), periodic_forward_diff(v, h)
-    grad = _weighted_sum(((w, lambda: norm_l2(du, g) ** 2 + norm_l2(dv, g) ** 2),
+    grad = _weighted_sum(((w, lambda: square(norm_l2(du, g)) + square(norm_l2(dv, g))),
                           (1.0 - 2.0 * w, lambda: inner(du, dv, g))))
-    mass = 0.5 * (norm_l2(u, g) ** 2 + norm_l2(v, g) ** 2)
+    mass = 0.5 * (square(norm_l2(u, g)) + square(norm_l2(v, g)))
     v_prev, v_curr = _layer_potentials(state, p)
     pot = v_curr + v_prev
-    return kinetic + grad + mass + p.lam * 0.5 * h * float(np.sum(pot))
+    energy = kinetic + grad + mass + p.lam * 0.5 * h * pot.sum(axis=-1)
+    return energy if energy.ndim else float(energy)
 
 
 @dataclass
 class EvolveResult:
+    """The final state of :func:`evolve` and its Newton counts.
+
+    ``newton_by_member`` holds each member's Newton iterations over the run.
+    ``newton_total`` is their sum, and ``steps`` is 1 + B (n - 1) for B
+    members ending at step n: the Taylor start, taken by all members in one
+    evaluation, once, plus each member's Newton steps.  For one member that
+    is n.  So ``newton_avg`` is the mean over member steps, and summing
+    ``steps`` and ``newton_total`` over runs counts a batch like B one-member
+    runs, but for their Taylor starts.  All counts are Python ints.
+    """
+
     state: WaveState
     steps: int
     newton_total: int
     stopped: bool
+    newton_by_member: tuple[int, ...] = ()
 
     @property
     def newton_avg(self) -> float:
         """Mean Newton iterations per Newton step (the Taylor start has none)."""
         return self.newton_total / (self.steps - 1) if self.steps > 1 else 0.0
+
+    def member_newton_avg(self, m: int) -> float:
+        """:attr:`newton_avg` of member m alone."""
+        n = self.state.n
+        return self.newton_by_member[m] / (n - 1) if n > 1 else 0.0
 
 
 def relative_drift(energies) -> np.ndarray:
@@ -456,16 +572,24 @@ def evolve(
     snapshots and blow-up tests are the observer's business.  For siefd,
     warns once if tau exceeds the stability bound predicted from the
     initial layer.
+
+    With B widths in ``p`` the run steps B members at once: phi and gamma
+    are (B, N), row m being member m's data, every state holds (B, N)
+    layers, and a Newton failure of any member ends the run with the failed
+    rows in :attr:`NonConvergenceError.members`.  Each row is bit for bit
+    the run of that member alone.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if init.phi.shape != (g.N,) or init.gamma.shape != (g.N,):
+    shape = p.layer_shape(g.N)
+    if init.phi.shape != shape or init.gamma.shape != shape:
         raise ValueError(
             f"initial data has shapes {init.phi.shape} and {init.gamma.shape}, "
-            f"grid wants ({g.N},)"
+            f"grid wants {shape}"
         )
     if cfg.scheme == "siefd":
-        bound = siefd_tau_bound(g.h, sigma_max(init.phi, p))
+        phis = init.phi.reshape(-1, g.N)
+        bound = min(siefd_tau_bound(g.h, sigma_max(phi, p.member(m))) for m, phi in enumerate(phis))
         if cfg.tau > bound:
             warnings.warn(
                 f"siefd time step tau={cfg.tau:.6g} exceeds the predicted stable "
@@ -475,10 +599,12 @@ def evolve(
             )
 
     state = first_step(init, p, cfg, g)
-    newton_total = 0
+    by_member = (0,) * len(p.widths)
     while True:
         stopped = observe is not None and bool(observe(state))
         if stopped or state.n >= n_steps:
-            return EvolveResult(state, state.n, newton_total, stopped)
+            steps = 1 + len(by_member) * (state.n - 1)
+            return EvolveResult(state, steps, sum(by_member), stopped, by_member)
         state = step(state, p, cfg, g)
-        newton_total += state.newton_iters
+        iters = state.newton_iters
+        by_member = tuple(map(operator.add, by_member, iters if state.curr.ndim > 1 else (iters,)))

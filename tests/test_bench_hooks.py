@@ -2,13 +2,16 @@
 
 ``bench/tracing.py`` patches logkge functions by name and reads two fields
 of every ``evolve`` result, so a rename here would break the benchmark
-without failing any other test.  The tracer is loaded by path, as the
+without failing any other test.  A batched ``evolve`` must keep those two
+fields Python ints whose sums over calls mean what they mean for one
+member per call.  The tracer is loaded by path, as the
 benchmark loads it.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -70,3 +73,28 @@ def test_energy_spans_are_children_of_evolve(tracing):
     m = tracing.layer_metrics(tracer.spans, tracer.evolve_results)
     assert m["schemes.evolve.steps"] == 10
     assert m["schemes.discrete_energy.calls"] == 10
+
+
+def test_batched_sweep_keeps_the_traced_newton_rate(tracing):
+    # Both eps of each h run as one evolve call.  The tracer sums steps and
+    # newton_total over evolve calls, so its Newton rate must be what one
+    # evolve per cell gives, and its metrics must stay plain JSON.
+    plan = harness.ExperimentPlan(
+        kind="spatial-sweep", epsilons=(0.05, 1e-6), hs=(2.0, 1.0), taus=(0.5,),
+        final_time=4.0, reference="none",
+    )
+    with tracing.Tracer(logkge) as tracer:
+        harness.run(plan)
+    m = tracing.layer_metrics(tracer.spans, tracer.evolve_results)
+    assert json.loads(json.dumps(m)) == m
+    assert m["schemes.evolve.calls"] == 2
+    totals, newton_steps = [], 0
+    for eps in plan.epsilons:
+        for h in plan.hs:
+            g = Grid1D(*plan.domain, round((plan.domain[1] - plan.domain[0]) / h))
+            p = NonlinearityParams(lam=plan.lam, epsilon=eps)
+            res = evolve(harness.initial_data_for(plan, g), p, StepperConfig("cnfd", 0.5), g, 8)
+            totals.append(res.newton_total)
+            newton_steps += res.steps - 1
+    assert len(set(totals)) > 1  # the members' counts differ
+    assert m["schemes.newton_iters_per_step"] == sum(totals) / newton_steps

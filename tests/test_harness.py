@@ -358,6 +358,44 @@ _NO_H_PLAN = "[experiment]\nkind = single-solve\n[grids]\ntau = 0.1\n"
 _BASE_PLAN = _NO_H_PLAN + "h = 0.5\n"
 
 
+class TestBatchedCells:
+    def test_each_row_is_its_cell_run_alone(self):
+        # fig1 steps its six eps as one batch; every row must be what a
+        # one-member evolve and error_report of that eps give, bit for bit.
+        from logkge.analysis import error_report, gausson, gausson_initial_data
+        from logkge.nonlinearity import NonlinearityParams
+        from logkge.schemes import StepperConfig, discrete_energy, evolve, relative_drift
+
+        plan = reproduce_plan("fig1")
+        rows = harness.run(plan).rows
+        (a, b), tau = plan.domain, plan.taus[0]
+        g = Grid1D(a, b, round((b - a) / plan.hs[0]))
+        init, cfg = gausson_initial_data(g), StepperConfig(plan.scheme, tau)
+        truth = g.sample(lambda x: gausson(x, plan.final_time))
+        assert sorted(r.epsilon for r in rows) == sorted(plan.epsilons) and len(rows) == 6
+        for row in rows:
+            p = NonlinearityParams(plan.lam, row.epsilon)
+            energies = []
+            res = evolve(init, p, cfg, g, round(plan.final_time / tau),
+                         lambda st: energies.append(discrete_energy(st, p, cfg, g)))
+            rep = error_report(res.state.curr, truth, g, against="exact-LogKGE")
+            assert (row.norm_l2, row.norm_linf, row.norm_h1) == (rep.l2, rep.linf, rep.h1)
+            assert row.energy_drift == relative_drift(energies).max()
+            assert row.newton_avg_iters == res.newton_avg
+            assert row.status == "ok"
+
+    def test_table2_desk_rates_near_two(self, tmp_path):
+        # The paper's second order in h, on the finest rows of the desk
+        # table2 (references computed into an empty cache).
+        rows = harness.run_reproduce("table2", cache_dir=str(tmp_path)).rows
+        finest = min(r.h for r in rows)
+        fine = [r for r in rows if r.h == finest]
+        assert len(fine) == 2
+        for r in fine:
+            for rate in (r.rate_l2, r.rate_linf, r.rate_h1):
+                assert abs(rate - 2.0) < 0.1
+
+
 class TestHostilePlans:
     @pytest.mark.parametrize(
         "text",

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,44 @@ def _full_length_cyclic_solve(diag, off, rhs):
     return y - q * (vy / (1.0 + vq))
 
 
+def _copying_cyclic_solve(diag, off, rhs):
+    """The solver as it was before it handed its own arrays to dgtsv, kept as an oracle.
+
+    Every ``dgtsv`` argument is copied by the wrapper here, the two
+    off-diagonals are one array, and the corner window is a row index array.
+    """
+    from scipy.linalg import lapack
+
+    def gtsv(band, d, b):
+        _, _, _, x, info = lapack.dgtsv(band, d, band, b)
+        assert info == 0
+        return x
+
+    n = diag.size
+    gamma = -diag[0]
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= off * off / gamma
+    y = gtsv(np.full(n - 1, off), d, rhs)
+    rows = np.arange(n)
+    s = min(diag.min() / abs(off), 1e6) if off != 0.0 else 0.0
+    if s > 2.0:
+        root = math.sqrt(s * s - 4.0)
+        factor = 1.0 + max(math.log2(abs(gamma)) - math.log2(abs(off)), 0.0) - math.log2(root)
+        m = (1100 + factor) / math.log2(0.5 * (s + root))
+        if 2.0 * m + 2.0 < n:
+            m = math.ceil(m)
+            rows = np.concatenate((np.arange(m), np.arange(n - m, n)))
+    u = np.zeros(rows.size)
+    u[0] = gamma
+    u[-1] = off
+    q = gtsv(np.where(np.diff(rows) == 1, off, 0.0), d[rows], u)
+    vy = y[0] + off / gamma * y[-1]
+    vq = q[0] + off / gamma * q[-1]
+    y[rows] -= q * (vy / (1.0 + vq))
+    return y
+
+
 class TestCyclicTridiagonal:
     def test_multiply_back_random(self):
         rng = np.random.default_rng(12)
@@ -335,6 +377,28 @@ class TestCyclicTridiagonal:
             x = solve_cyclic_tridiag(diag, off, rhs)
             ax = diag * x + off * (np.roll(x, 1) + np.roll(x, -1))
             assert np.max(np.abs(ax - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize(
+        "n, ratio",
+        [
+            pytest.param(65536, 2.477, id="window-cnfd-65536"),
+            pytest.param(256, 1e4, id="window-small-tau"),
+            pytest.param(64, 1e4, id="full-2m-over-n"),
+            pytest.param(4096, 1.5, id="full-s-below-2"),
+            pytest.param(3, 2.477, id="full-n-3"),
+        ],
+    )
+    def test_bitwise_the_copying_solver(self, n, ratio):
+        # Handing dgtsv the solver's own arrays changes no bit of the solution,
+        # on the windowed corner solve and on the full-length one.
+        rng = np.random.default_rng(5)
+        off = -0.5 * (n / 32.0) ** 2
+        diag = abs(off) * (ratio + 1e-3 * rng.random(n))
+        rhs = rng.standard_normal(n)
+        keep = rhs.copy()
+        x = solve_cyclic_tridiag(diag, off, rhs)
+        assert x.tobytes() == _copying_cyclic_solve(diag, off, rhs).tobytes()
+        assert rhs.tobytes() == keep.tobytes()  # the caller's rhs is left alone
 
     def test_identity(self):
         rhs = np.arange(1.0, 9.0)
@@ -432,6 +496,41 @@ class TestDiscreteEnergy:
         )
         _, drift = evolve_with_drift(init, p, cfg, g, 20)
         assert drift <= 1e-12
+
+
+# Prints the siefd energies of a 10-step trajectory at N = 65536, where
+# OpenBLAS splits a dot product between threads.
+_SIEFD_ENERGIES = """
+from logkge.analysis import gausson_initial_data
+from logkge.grid import Grid1D
+from logkge.nonlinearity import NonlinearityParams
+from logkge.schemes import StepperConfig, discrete_energy, evolve
+
+g = Grid1D(-16.0, 16.0, 65536)
+p = NonlinearityParams(lam=1.0, epsilon=0.05)
+cfg = StepperConfig("siefd", tau=2.0**-12)
+energies = []
+evolve(gausson_initial_data(g), p, cfg, g, 10,
+       lambda st: energies.append(discrete_energy(st, p, cfg, g)))
+print(" ".join(map(repr, energies)))
+"""
+
+
+def test_siefd_energy_is_the_same_on_any_blas_thread_count():
+    # The siefd energy's cross product is a pairwise sum, not a BLAS dot,
+    # so its rounding does not depend on how many threads run.
+    import logkge
+
+    src = str(Path(logkge.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _SIEFD_ENERGIES], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 10
+    assert outputs[0] == outputs[1]
 
 
 class TestCarriedPotentials:
@@ -538,3 +637,107 @@ class TestEvolve:
             res = evolve(init, P, cfg, g, 500, lambda st: norm_linf(st.curr, g) > 10.0 * u0_inf)
         assert res.stopped
         assert res.steps < 500
+
+
+def _observed_run(init, p, cfg, g, n_steps):
+    """(EvolveResult, energies, Newton counts) of every observed state."""
+    energies, iters = [], []
+
+    def observe(st):
+        energies.append(discrete_energy(st, p, cfg, g))
+        iters.append(st.newton_iters)
+
+    return evolve(init, p, cfg, g, n_steps, observe), energies, iters
+
+
+def _assert_batch_is_single_runs(members, cfg, g, n_steps):
+    """B members stepped as one (B, N) batch equal B one-member runs bit for bit.
+
+    ``members`` holds (eps, InitialData) pairs; lam is 1.
+    """
+    p = NonlinearityParams(lam=1.0, epsilon=[eps for eps, _ in members])
+    batch = InitialData(*(np.stack([getattr(d, f) for _, d in members]) for f in ("phi", "gamma")))
+    res, energies, iters = _observed_run(batch, p, cfg, g, n_steps)
+    assert res.state.curr.shape == (len(members), g.N)
+    for m, (eps, data) in enumerate(members):
+        one, one_energies, one_iters = _observed_run(
+            data, NonlinearityParams(lam=1.0, epsilon=eps), cfg, g, n_steps
+        )
+        assert res.state.prev[m].tobytes() == one.state.prev.tobytes()
+        assert res.state.curr[m].tobytes() == one.state.curr.tobytes()
+        assert [e[m] for e in energies] == one_energies
+        assert [it[m] for it in iters[1:]] == one_iters[1:]
+        assert res.newton_by_member[m] == one.newton_total
+        assert res.member_newton_avg(m) == one.newton_avg
+    n = res.state.n
+    assert res.newton_total == sum(res.newton_by_member)
+    assert res.steps == 1 + len(members) * (n - 1)
+    assert all(type(x) is int for x in (res.steps, res.newton_total, *res.newton_by_member))
+    return res
+
+
+class TestMembers:
+    @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
+    def test_batch_equals_single_runs(self, scheme):
+        g = Grid1D(-16.0, 16.0, 256)
+        data = gausson_initial_data(g)
+        members = [(eps, data) for eps in (0.05, 0.0125, 1e-3)]
+        _assert_batch_is_single_runs(members, StepperConfig(scheme, tau=1e-3), g, 30)
+
+    @pytest.mark.parametrize(
+        "n, tau, widths, counts",
+        [
+            # The data of test_nonmonotone_newton_converges: 47 iterations
+            # on step 2, where plain Newton's residual rises at times.
+            pytest.param(256, 0.5, (1e-6,), (116, 19), id="nonmonotone"),
+            # The data of test_guarded_iterations_converge at two widths:
+            # guarded iterations, of both members at once and of one alone.
+            pytest.param(64, 1.0, (1e-3, 5e-4), (137, 174, 25), id="guarded"),
+        ],
+    )
+    def test_members_with_different_newton_counts(self, n, tau, widths, counts):
+        # Beside them a small wave that needs one or two iterations a step:
+        # each member stops at its own tolerance, is never touched after,
+        # and keeps its own count.
+        g = Grid1D(-16.0, 16.0, n)
+        data = gausson_initial_data(g)
+        small = (1.0, InitialData(1e-4 * data.phi, 1e-4 * data.gamma))
+        members = [(eps, data) for eps in widths] + [small]
+        res = _assert_batch_is_single_runs(members, StepperConfig("cnfd", tau=tau), g, 20)
+        assert res.newton_by_member == counts
+
+    @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
+    def test_batch_above_one_kernel_block(self, scheme):
+        from logkge.nonlinearity import BLOCK
+
+        g = Grid1D(-16.0, 16.0, 4096)
+        assert 3 * g.N > BLOCK
+        data = gausson_initial_data(g)
+        members = [(eps, data) for eps in (0.1, 0.05, 1e-3)]
+        _assert_batch_is_single_runs(members, StepperConfig(scheme, tau=2.0**-12), g, 4)
+
+    def test_failed_member_is_named(self, g):
+        # The amplitude-5 member runs out of its one-iteration budget; the
+        # error names its row, and no other.
+        cfg = StepperConfig("cnfd", tau=0.5, newton_max_iter=1)
+        hard, easy = amplitude5_data(g), zero_data(g)
+        p = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.05, 0.05))
+        batch = InitialData(*(np.stack([getattr(d, f) for d in (easy, hard, easy)])
+                              for f in ("phi", "gamma")))
+        with pytest.raises(NonConvergenceError) as exc:
+            evolve(batch, p, cfg, g, 3)
+        assert exc.value.members == (1,)
+        assert exc.value.residual > 0.0
+
+    def test_shapes_follow_the_widths(self, g):
+        cfg = StepperConfig("cnfd", tau=0.01)
+        data = example2_data(g)
+        p = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
+        with pytest.raises(ValueError, match="grid wants"):
+            evolve(data, p, cfg, g, 3)  # 1-D data for two members
+        one = NonlinearityParams(lam=1.0, epsilon=(0.05,))
+        res = evolve(InitialData(data.phi[None], data.gamma[None]), one, cfg, g, 3)
+        single = evolve(data, P, cfg, g, 3)
+        assert res.state.curr.shape == (1, g.N)
+        assert res.state.curr[0].tobytes() == single.state.curr.tobytes()
+        assert (res.steps, res.newton_total) == (single.steps, single.newton_total)
