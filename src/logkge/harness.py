@@ -502,9 +502,8 @@ def _run_cells(plan, policy, refs, cells) -> list[tuple[CellRow, tuple[list, dic
                 for snaps, u in zip(snapshots, state.curr):
                     snaps[state.n * tau] = u
 
-        batch = InitialData(*(np.tile(x, (len(live), 1)) for x in (init.phi, init.gamma)))
         try:
-            res = evolve(batch, p, cfg, g, _count(plan.final_time, tau), observe)
+            res = evolve(init, p, cfg, g, _count(plan.final_time, tau), observe)
         except NonConvergenceError as exc:
             live = [i for k, i in enumerate(live) if k not in exc.members]
             continue

@@ -574,19 +574,25 @@ def evolve(
     initial layer.
 
     With B widths in ``p`` the run steps B members at once: phi and gamma
-    are (B, N), row m being member m's data, every state holds (B, N)
-    layers, and a Newton failure of any member ends the run with the failed
-    rows in :attr:`NonConvergenceError.members`.  Each row is bit for bit
-    the run of that member alone.
+    are (B, N), row m being member m's data, or (N,) data that every member
+    starts from.  Every state holds (B, N) layers, and a Newton failure of
+    any member ends the run with the failed rows in
+    :attr:`NonConvergenceError.members`.  Each row is bit for bit the run of
+    that member alone.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     shape = p.layer_shape(g.N)
-    if init.phi.shape != shape or init.gamma.shape != shape:
+    phi, gamma = init.phi, init.gamma
+    if len(shape) > 1 and phi.shape == gamma.shape == (g.N,):
+        phi, gamma = np.tile(phi, (shape[0], 1)), np.tile(gamma, (shape[0], 1))
+    if phi.shape != shape or gamma.shape != shape:
         raise ValueError(
-            f"initial data has shapes {init.phi.shape} and {init.gamma.shape}, "
-            f"grid wants {shape}"
+            f"initial data has shapes {phi.shape} and {gamma.shape}, grid wants {shape}"
         )
+    # Rows one after another in memory: numpy lays some results of strided
+    # operands out column-major, and a row sum over those rounds differently.
+    init = InitialData(np.ascontiguousarray(phi), np.ascontiguousarray(gamma))
     if cfg.scheme == "siefd":
         phis = init.phi.reshape(-1, g.N)
         bound = min(siefd_tau_bound(g.h, sigma_max(phi, p.member(m))) for m, phi in enumerate(phis))

@@ -732,9 +732,25 @@ class TestMembers:
     def test_shapes_follow_the_widths(self, g):
         cfg = StepperConfig("cnfd", tau=0.01)
         data = example2_data(g)
-        p = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
+        p = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1, 0.2))
         with pytest.raises(ValueError, match="grid wants"):
-            evolve(data, p, cfg, g, 3)  # 1-D data for two members
+            evolve(InitialData(data.phi[:2].reshape(2, 1), data.gamma[:2].reshape(2, 1)),
+                   p, cfg, g, 3)
+        with pytest.raises(ValueError, match="grid wants"):  # two rows for three members
+            evolve(InitialData(np.stack([data.phi] * 2), np.stack([data.gamma] * 2)), p, cfg, g, 3)
+        # 1-D data, which every member starts from, and the same rows laid
+        # out column-major give the rows' run, energies included.
+        rows, energies, _ = _observed_run(
+            InitialData(np.stack([data.phi] * 3), np.stack([data.gamma] * 3)), p, cfg, g, 3)
+        columns = InitialData(*(np.asfortranarray(np.stack([x] * 3))
+                                for x in (data.phi, data.gamma)))
+        for init in (data, columns):
+            res, other_energies, _ = _observed_run(init, p, cfg, g, 3)
+            assert res.state.curr.tobytes() == rows.state.curr.tobytes()
+            assert [e.tolist() for e in other_energies] == [e.tolist() for e in energies]
+        for m in range(3):
+            alone = evolve(data, p.member(m), cfg, g, 3)
+            assert rows.state.curr[m].tobytes() == alone.state.curr.tobytes()
         one = NonlinearityParams(lam=1.0, epsilon=(0.05,))
         res = evolve(InitialData(data.phi[None], data.gamma[None]), one, cfg, g, 3)
         single = evolve(data, P, cfg, g, 3)
