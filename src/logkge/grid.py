@@ -7,8 +7,9 @@ periodic wrap ``u_{-1} = u_{N-1}``, ``u_N = u_0`` from a padded copy (bit for
 bit the ``np.roll`` form, without its call overhead), and sums, norms and
 inner products run over the N values.  A (B, N) array holds B grid functions
 as rows: operators act on each row, and norms and inner products return one
-value per row, each bit for bit the value of that row on its own.  :class:`GridFunction` is the
-closed-node view for output only: the N values plus the repeated endpoint.
+value per row, each bit for bit the value of that row on its own.
+:class:`GridFunction` is the closed-node view for output only: the N values
+plus the repeated endpoint.
 """
 
 from __future__ import annotations

@@ -399,6 +399,16 @@ def _solve_newton(
         res = residual(cand, dg, rows)
         return (cand, res, v_cand, norm_l2(res, g)), jac_diag
 
+    def attempt(members, trial_c, passes):
+        """Take the trial layers of the members whose norm passes; the others' positions."""
+        trial, _ = evaluate(_pick(members, n_members), trial_c)
+        t_norm = trial[3].tolist()
+        ok = [i for i, (m, x) in enumerate(zip(members, t_norm)) if passes(m, x)]
+        if ok:
+            taken.append(([members[i] for i in ok], _pick(ok, len(members)), trial[:3],
+                          [t_norm[i] for i in ok]))
+        return [i for i in range(len(members)) if i not in ok]
+
     (cand, res, v_cand, rnorm), jac_diag = evaluate(_ALL, 2.0 * uc - up, jacobian=True)
     tol = tol.tolist()
     norms = [[r] for r in rnorm.tolist()]  # each member's residual history
@@ -415,48 +425,36 @@ def _solve_newton(
         lows, highs = jd.min(axis=-1).tolist(), jd.max(axis=-1).tolist()
         ordinary = [0.0 < lo and hi < math.inf for lo, hi in zip(lows, highs)]
         taken = []  # (members, their rows of the trial, trial layers, residual norms)
-        if any(ordinary):
-            ks = [k for k, ok in enumerate(ordinary) if ok]
-            o, members = _pick(ks, len(going)), [going[k] for k in ks]
-            trial, _ = evaluate(_pick(members, n_members),
-                                c[o] + _newton_step(jd[o], r[o], coupling))
-            t_norm = trial[3].tolist()
-            keep = [i for i, x in enumerate(t_norm) if math.isfinite(x)]
-            for i in set(range(len(ks))) - set(keep):
-                ordinary[ks[i]] = False
-            if keep:
-                taken.append(([members[i] for i in keep], _pick(keep, len(ks)), trial[:3],
-                              [t_norm[i] for i in keep]))
-        if not all(ordinary):
-            ks = [k for k, ok in enumerate(ordinary) if not ok]
-            sel, members = _pick(ks, len(going)), [going[k] for k in ks]
+        ks = [k for k, ok in enumerate(ordinary) if ok]
+        guarded = [k for k, ok in enumerate(ordinary) if not ok]
+        if ks:
+            o = _pick(ks, len(going))
+            rest = attempt([going[k] for k in ks], c[o] + _newton_step(jd[o], r[o], coupling),
+                           lambda m, x: math.isfinite(x))
+            guarded = sorted(guarded + [ks[i] for i in rest])
+        if guarded:
+            sel, members = _pick(guarded, len(going)), [going[k] for k in guarded]
             jg = jd[sel]
             jg = np.where(np.isfinite(jg), np.maximum(jg, 0.1 * lin_diag), lin_diag)
             delta = _newton_step(jg, r[sel], coupling)
-            c_g, searching = c[sel], list(range(len(ks)))
+            c_g, searching = c[sel], list(range(len(guarded)))
             for k in range(13):  # alpha = 1, 1/2, ..., 2^-12; NaN never passes
                 alpha = 0.5**k
-                s = _pick(searching, len(ks))
+                s = _pick(searching, len(guarded))
                 trial_c = c_g[s] + delta[s] if k == 0 else c_g[s] + alpha * delta[s]
-                at = [members[i] for i in searching]
-                trial, _ = evaluate(_pick(at, n_members), trial_c)
-                t_norm = trial[3].tolist()
-                factor = 1.0 - 1e-4 * alpha
-                done = [i for i, m in enumerate(at) if t_norm[i] < norms[m][-1] * factor]
-                if done:
-                    taken.append(([at[i] for i in done], _pick(done, len(at)), trial[:3],
-                                  [t_norm[i] for i in done]))
-                    searching = [j for i, j in enumerate(searching) if i not in done]
-                    if not searching:
-                        break
+                rest = attempt([members[i] for i in searching], trial_c,
+                               lambda m, x, f=1.0 - 1e-4 * alpha: x < norms[m][-1] * f)
+                searching = [searching[i] for i in rest]
+                if not searching:
+                    break
             else:
                 stalled.update(members[i] for i in searching)  # no step decreases the residual
-        for members, sel, layers, t_norm in taken:
+        for members, picked, layers, t_norm in taken:
             rows = _pick(members, n_members)
             if rows is _ALL:
                 cand, res, v_cand = layers
             else:
-                cand[rows], res[rows], v_cand[rows] = (x[sel] for x in layers)
+                cand[rows], res[rows], v_cand[rows] = (x[picked] for x in layers)
             for m, x in zip(members, t_norm):
                 norms[m].append(x)
         jac_diag = None
