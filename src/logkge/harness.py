@@ -492,14 +492,16 @@ def _run_cells(plan, policy, refs, cells) -> list[tuple[CellRow, tuple[list, dic
     out = [(_row(plan, eps, h, tau, status="non-convergence"), ([], {})) for eps, _, _ in cells]
     live = list(range(len(cells)))
     while live:
-        p = NonlinearityParams(lam=plan.lam, epsilon=[cells[i][0] for i in live])
+        widths = [cells[i][0] for i in live]
+        # One member steps 1-D layers, the others a (B, N) batch: same rows.
+        p = NonlinearityParams(plan.lam, widths if len(widths) > 1 else widths[0])
         energies = []
         snapshots = [{0.0: init.phi} if 0 in snapshot_steps else {} for _ in live]
 
         def observe(state):
             energies.append(discrete_energy(state, p, cfg, g))
             if state.n in snapshot_steps:
-                for snaps, u in zip(snapshots, state.curr):
+                for snaps, u in zip(snapshots, state.curr.reshape(len(live), -1)):
                     snaps[state.n * tau] = u
 
         try:
@@ -507,7 +509,8 @@ def _run_cells(plan, policy, refs, cells) -> list[tuple[CellRow, tuple[list, dic
         except NonConvergenceError as exc:
             live = [i for k, i in enumerate(live) if k not in exc.members]
             continue
-        energies = np.array(energies)  # (steps, members)
+        energies = np.array(energies).reshape(-1, len(live))  # (steps, members)
+        final = res.state.curr.reshape(len(live), -1)
         for k, i in enumerate(live):
             eps = cells[i][0]
             series = energies[:, k]
@@ -515,7 +518,7 @@ def _run_cells(plan, policy, refs, cells) -> list[tuple[CellRow, tuple[list, dic
                        newton_avg_iters=res.member_newton_avg(k))
             truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
             if truth is not None:
-                rep = error_report(res.state.curr[k], truth, g, against=against)
+                rep = error_report(final[k], truth, g, against=against)
                 row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
             elif policy == "cnfd-fine":
                 row.status = "reference-non-convergence"

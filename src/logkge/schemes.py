@@ -341,6 +341,11 @@ def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float):
     return solve_cyclic_tridiag(jac_diag, coupling, -res)
 
 
+def _each(x) -> list:
+    """A per-member value as a list of floats: one for a 1-D layer."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x]
+
+
 def _pick(ks: list[int], n: int):
     """Rows ``ks`` of n as an index: ``_ALL`` when they are all n, else an index array."""
     return _ALL if len(ks) == n else np.array(ks, dtype=np.intp)
@@ -373,14 +378,13 @@ def _solve_newton(
 ):
     """:func:`solve_newton` given v_up = V(u^{n-1}^2); also returns V of the solution.
 
-    Works on (B, N) rows (a 1-D layer is one row).  Each iteration steps the
-    members still above their tolerance, and only those: the ordinary ones
+    Each iteration steps the members still above their tolerance, and only
+    those (a 1-D layer is one member): the ordinary ones
     together, then the guarded ones through one shared line search.  Each
     iterate costs one ``reg_log_primitive`` call; the start iterate's
     residual and Jacobian share one pass of the fused kernel.
     """
-    shape = state.curr.shape
-    up, uc, v_up = (a.reshape(-1, shape[-1]) for a in (state.prev, state.curr, v_up))
+    up, uc = state.prev, state.curr
     w = SCHEMES[cfg.scheme]
     residual, b_norm = _step_equation(up, uc, p, cfg, g)
     tol = cfg.newton_tol * (1.0 + b_norm)
@@ -402,7 +406,7 @@ def _solve_newton(
     def attempt(members, trial_c, passes):
         """Take the trial layers of the members whose norm passes; the others' positions."""
         trial, _ = evaluate(_pick(members, n_members), trial_c)
-        t_norm = trial[3].tolist()
+        t_norm = _each(trial[3])
         ok = [i for i, (m, x) in enumerate(zip(members, t_norm)) if passes(m, x)]
         if ok:
             taken.append(([members[i] for i in ok], _pick(ok, len(members)), trial[:3],
@@ -410,8 +414,8 @@ def _solve_newton(
         return [i for i in range(len(members)) if i not in ok]
 
     (cand, res, v_cand, rnorm), jac_diag = evaluate(_ALL, 2.0 * uc - up, jacobian=True)
-    tol = tol.tolist()
-    norms = [[r] for r in rnorm.tolist()]  # each member's residual history
+    tol = _each(tol)
+    norms = [[r] for r in _each(rnorm)]  # each member's residual history
     n_members, stalled = len(norms), set()
     for _ in range(cfg.newton_max_iter):
         going = [m for m, h in enumerate(norms) if not h[-1] <= tol[m] and m not in stalled]
@@ -422,7 +426,7 @@ def _solve_newton(
         jd = kernel(rows, c, v_cand[rows], True)[1] if jac_diag is None else jac_diag[rows]
         # min/max propagate NaN, so this tests positivity and finiteness
         # without an N-sized temporary on the ordinary path.
-        lows, highs = jd.min(axis=-1).tolist(), jd.max(axis=-1).tolist()
+        lows, highs = _each(jd.min(axis=-1)), _each(jd.max(axis=-1))
         ordinary = [0.0 < lo and hi < math.inf for lo, hi in zip(lows, highs)]
         taken = []  # (members, their rows of the trial, trial layers, residual norms)
         ks = [k for k, ok in enumerate(ordinary) if ok]
@@ -461,14 +465,14 @@ def _solve_newton(
     failed = [m for m, h in enumerate(norms) if not h[-1] <= tol[m]]
     if failed:
         m = failed[0]
-        on = f" on members {failed}" if len(shape) > 1 else ""
+        on = f" on members {failed}" if uc.ndim > 1 else ""
         raise NonConvergenceError(
             f"Newton stopped at residual {norms[m][-1]:.3e} after {len(norms[m]) - 1} "
             f"iterations (tolerance {tol[m]:.3e}){on}",
             residual=norms[m][-1],
             members=tuple(failed),
         )
-    return cand.reshape(shape), v_cand.reshape(shape), norms
+    return cand, v_cand, norms
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
