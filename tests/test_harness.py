@@ -359,30 +359,41 @@ _BASE_PLAN = _NO_H_PLAN + "h = 0.5\n"
 
 
 class TestBatchedCells:
-    def test_each_row_is_its_cell_run_alone(self):
-        # fig1 steps its six eps as one batch; every row must be what a
-        # one-member evolve and error_report of that eps give, bit for bit.
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            pytest.param(reproduce_plan("fig1"), id="fig1"),
+            # Two members with different Newton counts at each h.
+            pytest.param(ExperimentPlan(kind="spatial-sweep", epsilons=(0.05, 1e-6),
+                                        hs=(2.0, 1.0), taus=(0.5,), final_time=4.0,
+                                        reference="exact-gausson"), id="spatial"),
+        ],
+    )
+    def test_each_row_is_its_cell_run_alone(self, plan):
+        # The eps of one (h, tau) run as one batch; every row must be what a
+        # one-member evolve and error_report of its cell give, bit for bit.
         from logkge.analysis import error_report, gausson, gausson_initial_data
         from logkge.nonlinearity import NonlinearityParams
         from logkge.schemes import StepperConfig, discrete_energy, evolve, relative_drift
 
-        plan = reproduce_plan("fig1")
         rows = harness.run(plan).rows
-        (a, b), tau = plan.domain, plan.taus[0]
-        g = Grid1D(a, b, round((b - a) / plan.hs[0]))
-        init, cfg = gausson_initial_data(g), StepperConfig(plan.scheme, tau)
-        truth = g.sample(lambda x: gausson(x, plan.final_time))
-        assert sorted(r.epsilon for r in rows) == sorted(plan.epsilons) and len(rows) == 6
+        (a, b), T = plan.domain, plan.final_time
+        assert len(rows) == len(plan.epsilons) * len(plan.hs) * len(plan.taus)
+        averages = set()
         for row in rows:
-            p = NonlinearityParams(plan.lam, row.epsilon)
+            g = Grid1D(a, b, round((b - a) / row.h))
+            p, cfg = NonlinearityParams(plan.lam, row.epsilon), StepperConfig(plan.scheme, row.tau)
             energies = []
-            res = evolve(init, p, cfg, g, round(plan.final_time / tau),
+            res = evolve(gausson_initial_data(g), p, cfg, g, round(T / row.tau),
                          lambda st: energies.append(discrete_energy(st, p, cfg, g)))
+            truth = g.sample(lambda x: gausson(x, T))
             rep = error_report(res.state.curr, truth, g, against="exact-LogKGE")
             assert (row.norm_l2, row.norm_linf, row.norm_h1) == (rep.l2, rep.linf, rep.h1)
             assert row.energy_drift == relative_drift(energies).max()
             assert row.newton_avg_iters == res.newton_avg
             assert row.status == "ok"
+            averages.add(row.newton_avg_iters)
+        assert len(averages) > 1 or plan.kind == "epsilon-sweep"
 
     def test_table2_desk_rates_near_two(self, tmp_path):
         # The paper's second order in h, on the finest rows of the desk

@@ -716,6 +716,41 @@ class TestMembers:
         members = [(eps, data) for eps in (0.1, 0.05, 1e-3)]
         _assert_batch_is_single_runs(members, StepperConfig(scheme, tau=2.0**-12), g, 4)
 
+    def test_long_trajectory_energies(self):
+        # The fig-energy trajectory: 1000 steps, 5000 squared norms a member.
+        # A squared norm taken as x * x instead of x ** 2 would differ in
+        # the last bit at step 941.
+        g = Grid1D(-1.0, 1.0, 128)
+        members = [(eps, example2_data(g)) for eps in (0.05, 0.1)]
+        _assert_batch_is_single_runs(members, StepperConfig("cnfd", tau=0.01), g, 1000)
+
+    def test_nonfinite_ordinary_trial_is_retried_guarded(self, monkeypatch):
+        # A full step whose residual is not finite sends that member, and
+        # only it, to the guarded iteration within the same iteration.  Its
+        # clamped Jacobian is the plain one here, so the retry is the step a
+        # clean run takes; one iteration a step is the whole budget.
+        g = Grid1D(-16.0, 16.0, 64)
+        data = gausson_initial_data(g)
+        cfg = StepperConfig("cnfd", tau=0.01, newton_max_iter=1)
+        p = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
+        clean = [evolve(data, p.member(m), cfg, g, 3) for m in (0, 1)]
+        real, blown = schemes._newton_step, []
+
+        def blowing(jac_diag, res, coupling):
+            delta = real(jac_diag, res, coupling)
+            if not blown:  # the first full step, of member 0 only
+                blown.append(delta.shape)
+                delta[0] *= 1e300
+            return delta
+
+        monkeypatch.setattr(schemes, "_newton_step", blowing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = evolve(data, p, cfg, g, 3)
+        assert blown == [(2, g.N)]
+        for m in (0, 1):
+            assert res.state.curr[m].tobytes() == clean[m].state.curr.tobytes()
+        assert res.newton_by_member == tuple(c.newton_total for c in clean)
+
     def test_failed_member_is_named(self, g):
         # The amplitude-5 member runs out of its one-iteration budget; the
         # error names its row, and no other.
