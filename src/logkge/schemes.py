@@ -48,7 +48,6 @@ Batching saves per-call overhead, which dominates small grids.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -379,10 +378,10 @@ def _solve_newton(
     """:func:`solve_newton` given v_up = V(u^{n-1}^2); also returns V of the solution.
 
     Each iteration steps the members still above their tolerance, and only
-    those (a 1-D layer is one member): the ordinary ones
-    together, then the guarded ones through one shared line search.  Each
-    iterate costs one ``reg_log_primitive`` call; the start iterate's
-    residual and Jacobian share one pass of the fused kernel.
+    those (a 1-D layer is one member): the ordinary ones together, then the
+    guarded ones through one shared line search.  Each iterate costs one
+    ``reg_log_primitive`` call; the start iterate's residual and Jacobian
+    share one pass of the fused kernel.
     """
     up, uc = state.prev, state.curr
     w = SCHEMES[cfg.scheme]
@@ -614,5 +613,5 @@ def evolve(
             steps = 1 + len(by_member) * (state.n - 1)
             return EvolveResult(state, steps, sum(by_member), stopped, by_member)
         state = step(state, p, cfg, g)
-        iters = state.newton_iters
-        by_member = tuple(map(operator.add, by_member, iters if state.curr.ndim > 1 else (iters,)))
+        iters = state.newton_iters if state.curr.ndim > 1 else (state.newton_iters,)
+        by_member = tuple(a + b for a, b in zip(by_member, iters))
