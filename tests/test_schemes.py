@@ -684,6 +684,25 @@ class TestMembers:
         members = [(eps, data) for eps in (0.05, 0.0125, 1e-3)]
         _assert_batch_is_single_runs(members, StepperConfig(scheme, tau=1e-3), g, 30)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scheme=hst.sampled_from(sorted(SCHEMES)),
+        log10_eps=hst.lists(hst.floats(-8.0, -1.0), min_size=1, max_size=4),
+        amps=hst.lists(hst.floats(-1.0, 1.0), min_size=2, max_size=2),
+        modes=hst.lists(hst.integers(1, 4), min_size=2, max_size=2),
+    )
+    def test_batch_is_single_runs_for_random_data(self, scheme, log10_eps, amps, modes):
+        # Members with their own widths and data (the m-th a scaled copy)
+        # on the grid and time step of the conservation property.
+        g = Grid1D(-1.0, 1.0, 64)
+        x = np.pi * g.nodes
+        members = [
+            (10.0**e, InitialData((1.0 + m) * amps[0] * np.cos(modes[0] * x),
+                                  (1.0 - m / 4) * amps[1] * np.sin(modes[1] * x)))
+            for m, e in enumerate(log10_eps)
+        ]
+        _assert_batch_is_single_runs(members, StepperConfig(scheme, tau=0.01), g, 10)
+
     @pytest.mark.parametrize(
         "n, tau, widths, counts",
         [
