@@ -154,7 +154,7 @@ class WaveState:
     n: int
     t: float
     newton_iters: int | tuple[int, ...] = 0
-    potentials: tuple[float, np.ndarray, np.ndarray] | None = field(
+    potentials: tuple[float | tuple[float, ...], np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
