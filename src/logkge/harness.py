@@ -582,7 +582,8 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
 def run(plan: ExperimentPlan) -> SweepResult:
     """Execute a plan; output order is canonical.
 
-    Cells that share (h, tau) run as one batch whose members are their eps.
+    Cells that share (h, tau) run in batches whose members are their eps,
+    as many to a batch as fit in :data:`BLOCK` values a layer (at least one).
     The plan is validated first, so a bad plan raises :class:`PlanError`
     before any reference is computed.  Solver failures inside a cell mark
     that row's status and never abort the sweep.  Two runs of the same plan
@@ -601,8 +602,13 @@ def run(plan: ExperimentPlan) -> SweepResult:
     for i, (_, h, tau) in enumerate(cells):
         groups.setdefault((h, tau), []).append(i)
     done = {}
-    for members in groups.values():
-        done.update(zip(members, _run_cells(plan, policy, refs, [cells[i] for i in members])))
+    for (h, _), members in groups.items():
+        # At most BLOCK values (64 KiB) a batch layer: each temporary of a
+        # layer above glibc's 128 KiB mmap threshold is mapped and faulted anew.
+        size = max(1, BLOCK // _grid_for(plan, h).N)
+        for lo in range(0, len(members), size):
+            batch = members[lo : lo + size]
+            done.update(zip(batch, _run_cells(plan, policy, refs, [cells[i] for i in batch])))
     rows, records = map(list, zip(*(done[i] for i in range(len(cells)))))
     _attach_rates(plan, rows)
     rows.sort(key=CellRow.sort_key)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "NonlinearityParams",
@@ -127,11 +126,15 @@ def reg_log(rho, p: NonlinearityParams):
 def reg_log_primitive(rho, p: NonlinearityParams):
     """Integral of ln(eps^2 + s) over s in [0, rho].
 
-    Closed form ``rho*ln(eps^2+rho) + eps^2*ln(1+rho/eps^2) - rho``.  The
-    middle term is evaluated as ``eps^2*log1p(rho/eps^2)``, which is accurate
-    for rho << eps^2; if the ratio overflows (only for eps below ~1e-154 at
-    rho ~ 1) it falls back to the exact rearrangement
-    ``eps^2*(ln(rho) - ln(eps^2))`` of ln of the huge ratio.
+    Closed form ``rho*ln(eps^2+rho) + eps^2*ln(1+rho/eps^2) - rho``, the
+    first term with numpy's vector ``log`` (+0.0 at rho = 0, since eps^2 > 0
+    keeps the log finite).  The middle term is evaluated as
+    ``eps^2*log1p(rho/eps^2)``, which is accurate for rho << eps^2; if the
+    ratio overflows (only for eps below ~1e-154 at rho ~ 1) it falls back to
+    the exact rearrangement ``eps^2*(ln(rho) - ln(eps^2))`` of ln of the huge
+    ratio.  Each term is within a few ulps of its exact value, so V is within
+    a few ulps of the sum of the three terms' magnitudes (V itself crosses 0).
+    rho = inf or NaN gives NaN.
     """
     rho = _check_rho(rho)
     eps2 = p.eps2
@@ -147,7 +150,7 @@ def reg_log_primitive(rho, p: NonlinearityParams):
             eps2 * np.log1p(np.where(finite, ratio, 0.0)),
             eps2 * (np.log(safe_rho) - np.log(eps2)),
         )
-    out = xlogy(rho, eps2 + rho) + mid - rho
+    out = rho * np.log(eps2 + rho) + mid - rho
     return out if out.ndim else float(out)
 
 
@@ -192,18 +195,21 @@ def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative: bool):
     rho1 = z1 * z1
     rho2 = z2 * z2
     gap = rho1 - rho2
-    scale = rho1 + rho2 + p.eps2
-    rho_mid = 0.5 * (rho1 + rho2)
+    abs_gap = np.abs(gap)
+    rho_sum = rho1 + rho2
+    z_sum = z1 + z2
+    scale = rho_sum + p.eps2
+    rho_mid = 0.5 * rho_sum
     denom_mid = p.eps2 + rho_mid
     f_mid = np.log(denom_mid)
-    near = np.abs(gap) <= COINCIDENCE_REL_TOL * scale
+    near = abs_gap <= COINCIDENCE_REL_TOL * scale
     divided = (v1 - v2) / np.where(near, 1.0, gap)
-    dg = np.where(near, f_mid, divided) * 0.5 * (z1 + z2)
+    dg = np.where(near, f_mid, divided) * 0.5 * z_sum
     if not derivative:
         return dg, None
     # The derivative band contains the gradient band, so outside it
     # ``divided`` is the plain quotient by the gap.
-    near = np.abs(gap) <= DERIVATIVE_REL_TOL * scale
+    near = abs_gap <= DERIVATIVE_REL_TOL * scale
     safe_gap = np.where(near, 1.0, gap)
     dd = np.where(near, f_mid, divided)
     # d(dd)/drho1 is (f(rho1) - dd)/gap away from coincidence.
@@ -212,7 +218,7 @@ def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative: bool):
         0.5 / denom_mid - gap / (12.0 * denom_mid * denom_mid),
         (np.log(p.eps2 + rho1) - dd) / safe_gap,
     )
-    return dg, 2.0 * z1 * ddd_drho1 * 0.5 * (z1 + z2) + 0.5 * dd
+    return dg, 2.0 * z1 * ddd_drho1 * 0.5 * z_sum + 0.5 * dd
 
 
 def _fused_from_values(z1, z2, p: NonlinearityParams, derivative: bool):
@@ -260,9 +266,13 @@ def unreg_log(rho):
 
 
 def unreg_log_primitive(rho):
-    """rho*ln(rho) - rho, extended continuously by 0 at rho = 0."""
+    """rho*ln(rho) - rho, extended continuously by 0 at rho = 0.
+
+    The log is taken of 1 where rho = 0, so that 0 * ln(0) never forms;
+    rho = inf or NaN gives NaN.
+    """
     rho = _check_rho(rho)
-    out = xlogy(rho, rho) - rho
+    out = rho * np.log(np.where(rho > 0.0, rho, 1.0)) - rho
     return out if out.ndim else float(out)
 
 

@@ -395,6 +395,29 @@ class TestBatchedCells:
             averages.add(row.newton_avg_iters)
         assert len(averages) > 1 or plan.kind == "epsilon-sweep"
 
+    @pytest.mark.parametrize(
+        "plan, sizes",
+        [
+            pytest.param(reproduce_plan("fig1"), [6], id="fig1"),  # 6 x 1024 values
+            pytest.param(reproduce_plan("table3-epsilon"), [1] * 5, id="table3-epsilon"),  # N = 10240
+            # N = 1024 and 2048 fit all three members, N = 4096 two of them
+            pytest.param(ExperimentPlan(kind="spatial-sweep", epsilons=(0.05, 0.025, 0.0125),
+                                        hs=(2.0**-5, 2.0**-6, 2.0**-7), taus=(0.01,),
+                                        reference="exact-gausson"), [3, 3, 2, 1], id="spatial"),
+        ],
+    )
+    def test_batches_hold_at_most_block_values(self, monkeypatch, plan, sizes):
+        batches = []
+
+        def record(plan, policy, refs, cells):
+            batches.append(len(cells))
+            return [(harness._row(plan, e, h, tau, status="non-convergence"), ([], {}))
+                    for e, h, tau in cells]
+
+        monkeypatch.setattr(harness, "_run_cells", record)
+        harness.run(plan)
+        assert batches == sizes
+
     def test_table2_desk_rates_near_two(self, tmp_path):
         # The paper's second order in h, on the finest rows of the desk
         # table2 (references computed into an empty cache).

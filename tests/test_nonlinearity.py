@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +121,98 @@ class TestRegLogPrimitive:
     def test_underflowing_epsilon_rejected(self):
         with pytest.raises(ValueError):
             NonlinearityParams(lam=1.0, epsilon=1e-200)
+
+
+def _primitive_terms_oracle(rho, eps2):
+    """V's three terms rho*ln(eps^2+rho), eps^2*ln(1+rho/eps^2), -rho at 50 digits.
+
+    ``eps2`` None gives the unregularized pair rho*ln(rho), -rho.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r = mp.mpf(rho)
+        if eps2 is None:
+            return [r * mp.log(r) if rho > 0.0 else mp.mpf(0), -r]
+        e2 = mp.mpf(eps2)
+        return [r * mp.log(e2 + r), e2 * mp.log1p(r / e2), -r]
+
+
+def _assert_near_oracle(got, terms):
+    # V crosses 0, so its error is measured against the size of its terms.
+    import mpmath as mp
+
+    with mp.workdps(50):
+        exact = mp.fsum(terms)
+        size = float(mp.fsum(abs(t) for t in terms))
+        assert abs(float(mp.mpf(float(got)) - exact)) <= 4.0 * np.spacing(size)
+
+
+rho_values = st.floats(min_value=0.0, max_value=1e3)
+
+
+class TestPrimitiveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(rhos=st.lists(rho_values, min_size=1, max_size=20), eps=st.floats(1e-8, 1.0))
+    @example(rhos=[0.0, 5e-324, 2.2e-308, 1e-20, 1e-16, 1.0, 1e3], eps=1e-8)
+    @example(rhos=[0.0, 5e-324, 1e-300, 0.25, 1.0, 1e3], eps=1.0)
+    def test_reg_log_primitive_within_ulps(self, rhos, eps):
+        # the array path (numpy's vector log) and the scalar path
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        values = reg_log_primitive(np.array(rhos), p)
+        for rho, v in zip(rhos, values):
+            terms = _primitive_terms_oracle(rho, p.eps2)
+            _assert_near_oracle(v, terms)
+            _assert_near_oracle(reg_log_primitive(rho, p), terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rhos=st.lists(rho_values, min_size=1, max_size=20))
+    @example(rhos=[0.0, 5e-324, 2.2e-308, 1e-20, 1.0, math.e, 1e3])
+    def test_unreg_log_primitive_within_ulps(self, rhos):
+        values = unreg_log_primitive(np.array(rhos))
+        for rho, v in zip(rhos, values):
+            terms = _primitive_terms_oracle(rho, None)
+            _assert_near_oracle(v, terms)
+            _assert_near_oracle(unreg_log_primitive(rho), terms)
+
+    def test_overflow_fallback_within_ulps(self):
+        # rho/eps^2 overflows for every rho here, so the middle term is the
+        # rearranged eps^2*(ln(rho) - ln(eps^2))
+        p = NonlinearityParams(lam=1.0, epsilon=1e-160)
+        rhos = np.array([1e-2, 1.0, 1e3])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(rhos / p.eps2).any()
+        for rho, v in zip(rhos, reg_log_primitive(rhos, p)):
+            _assert_near_oracle(v, _primitive_terms_oracle(rho, p.eps2))
+
+    @pytest.mark.parametrize("eps", [1e-8, 0.1, 1.0, 2.0])
+    def test_zero_is_positive_zero(self, eps):
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        for v in (reg_log_primitive(0.0, p), reg_log_primitive(np.zeros(3), p)[1]):
+            assert v == 0.0 and not np.signbit(v)
+        for v in (unreg_log_primitive(0.0), unreg_log_primitive(np.zeros(3))[1]):
+            assert v == 0.0 and not np.signbit(v)
+
+    def test_inf_and_nan_give_nan(self):
+        # inf - inf: numpy warns and gives NaN, as the scipy xlogy form did
+        rho = np.array([math.inf, math.nan, 1.0])
+        with pytest.warns(RuntimeWarning):
+            v, v_unreg = reg_log_primitive(rho, P01), unreg_log_primitive(rho)
+        assert np.isnan(v[:2]).all() and np.isnan(v_unreg[:2]).all()
+        assert np.isfinite(v[2]) and v_unreg[2] == -1.0
+        assert math.isnan(reg_log_primitive(math.nan, P01))
+        assert math.isnan(unreg_log_primitive(math.nan))
+
+
+def test_import_leaves_scipy_special_out():
+    # V and its unregularized twin use numpy's log; scipy.special, about
+    # 50 ms and 7 MiB to import, is loaded by no module of the package.
+    code = (
+        "import sys, logkge, logkge.cache, logkge.harness\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestDiscreteGradient:
