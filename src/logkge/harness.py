@@ -299,7 +299,9 @@ def _eval_expr(expr: str, x: np.ndarray) -> np.ndarray:
     Only numbers, ``x``, ``+ - * / **``, unary minus and the names of
     :data:`_EXPR_NAMES` (functions only as one-argument calls) are accepted;
     anything else is a :class:`PlanError`.  Numbers are read as floats, so a
-    constant power overflows instead of building a huge integer.
+    constant power overflows instead of building a huge integer.  A value
+    that is not finite at some node, such as ``1/x`` or ``sqrt(x)`` on a
+    grid through x <= 0, is a :class:`PlanError` naming the first such node.
     """
     names = dict(_EXPR_NAMES, x=x)
 
@@ -319,12 +321,19 @@ def _eval_expr(expr: str, x: np.ndarray) -> np.ndarray:
         raise PlanError([f"expression {expr!r}: {ast.unparse(node)!r} is not allowed"])
 
     try:
-        vals = np.asarray(ev(ast.parse(expr, mode="eval").body), dtype=float)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(ev(ast.parse(expr, mode="eval").body), dtype=float) * np.ones_like(x)
     except PlanError:
         raise
     except Exception as exc:
         raise PlanError([f"cannot evaluate expression {expr!r}: {exc}"]) from exc
-    return vals * np.ones_like(x)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        j = bad[0]
+        raise PlanError(
+            [f"expression {expr!r} is {vals[j]} at node {j} (x = {float(x[j])!r})"]
+        )
+    return vals
 
 
 def default_domain(problem: str) -> tuple[float, float]:

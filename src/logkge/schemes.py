@@ -12,11 +12,12 @@ its implicit system is nodewise scalar.  The residual, the Newton coupling
 -w/h^2 and the gradient term of :func:`discrete_energy` all follow from w.
 ``DG`` is the two-point discrete gradient of the regularized log potential,
 which gives each scheme an exactly conserved discrete energy.  Each step is
-solved by one guarded Newton loop with the analytic Jacobian (cyclic
-tridiagonal for cnfd, diagonal for siefd): :func:`evolve` -> :func:`step`
--> :func:`solve_newton`.  :func:`evolve` keeps no records: its one hook
-``observe(state)`` sees every state from the Taylor start on and may end the
-run, and callers keep their own energies, snapshots or blow-up tests.
+one Newton solve with the analytic Jacobian (cyclic tridiagonal for cnfd,
+diagonal for siefd) whose every iteration is one line search, its first
+trial the full step: :func:`evolve` -> :func:`step` -> :func:`solve_newton`.
+:func:`evolve` keeps no records: its one hook ``observe(state)`` sees every
+state from the Taylor start on and may end the run, and callers keep their
+own energies, snapshots or blow-up tests.
 
 Each piece of work in a step is done once, and a term of weight 0 not at
 all: cnfd forms no 0 * u^n and no energy cross product, siefd no 0 * u^{n-1}
@@ -346,11 +347,6 @@ def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float):
     return solve_cyclic_tridiag(jac_diag, coupling, -res)
 
 
-def _each(x) -> list:
-    """A per-member value as a list of floats: one for a 1-D layer."""
-    return x.tolist() if isinstance(x, np.ndarray) else [x]
-
-
 def _pick(ks: list[int], n: int):
     """Rows ``ks`` of n as an index: ``_ALL`` when they are all n, else an index array."""
     return _ALL if len(ks) == n else np.array(ks, dtype=np.intp)
@@ -361,25 +357,25 @@ def solve_newton(
 ) -> tuple[np.ndarray, list]:
     """Solve the implicit step equation; returns (next layer, residual history).
 
-    Guarded Newton from the linear extrapolation 2u^n - u^{n-1}, stopping at
-    ||R|| <= newton_tol * (1 + ||b||) with b the candidate-independent part
-    of the equation; the history holds the start and every iteration.  After
-    the first iteration it also stops at the rounding floor of R,
+    Newton from the linear extrapolation 2u^n - u^{n-1}, stopping at
+    ||R|| <= newton_tol * (1 + ||b||), b being the candidate-independent
+    part of the equation; the history holds the start and every iteration.
+    After the first iteration it also stops at the rounding floor of R,
     2^-53 * lin_diag * (2||u^n|| + ||u^{n-1}||), lin_diag being the linear
     part of the Jacobian diagonal.  Where u^{n+1} passes near 0, ||b|| is
     small beside the terms R is formed from, and R stagnates there above a
-    tight tolerance.  Elsewhere the floor lies far below
-    newton_tol * (1 + ||b||): at most 0.055 of it at the default tolerance
-    over the desk tables and figures.  An
-    iteration whose Jacobian diagonal is positive and finite and whose full
-    step gives a finite residual takes that step with no decrease test.
-    Any other iteration clamps the diagonal to max(d, 0.1*lin_diag)
-    (lin_diag where d is not finite) and halves the step until the residual
-    drops by the Armijo factor 1 - 1e-4*alpha.  Raises
-    :class:`NonConvergenceError` after ``newton_max_iter`` iterations of
-    either kind, or when a guarded step falls below alpha = 2^-12.  Each
-    member of (B, N) layers runs this test on its own, and the history is
-    one list per member.
+    tight tolerance.  Elsewhere the floor is at most 0.055 of
+    newton_tol * (1 + ||b||) at the default tolerance over the desk tables
+    and figures.  Each iteration is one line search.  Where the Jacobian
+    diagonal d is positive and finite, its first trial is the full step on
+    d, taken if its residual is finite.  Otherwise, or if that residual is
+    not, the search goes on along the step on the clamped diagonal
+    max(d, 0.1*lin_diag) (lin_diag where d is not finite) at alpha = 1,
+    1/2, ..., 2^-12 until the residual drops by the Armijo factor
+    1 - 1e-4*alpha.  Raises :class:`NonConvergenceError` after
+    ``newton_max_iter`` iterations, or when no alpha passes (the member
+    stalled).  Each member of (B, N) layers is its own search, and the
+    history is one list per member.
     """
     nxt, _, norms = _solve_newton(state, _layer_potentials(state, p)[0], p, cfg, g)
     return nxt, (norms if state.curr.ndim > 1 else norms[0])
@@ -390,13 +386,13 @@ def _solve_newton(
 ):
     """:func:`solve_newton` given v_up = V(u^{n-1}^2); also returns V of the solution.
 
-    Each iteration steps the members still above their tolerance, and only
-    those (a 1-D layer is one member): the ordinary ones together, then the
-    guarded ones through one shared line search.  Each iterate costs one
-    ``reg_log_primitive`` call; the start iterate's residual and Jacobian
-    share one pass of the fused kernel.
+    Layers are worked on as (B, N), a 1-D layer as one row.  A trial of the
+    line search evaluates every member still searching at once, each at its
+    own step.  Each trial costs one ``reg_log_primitive`` call; the start
+    iterate's residual and Jacobian share one pass of the fused kernel.
     """
-    up, uc = state.prev, state.curr
+    shape = state.curr.shape
+    up, uc, v_up = (x.reshape(-1, shape[-1]) for x in (state.prev, state.curr, v_up))
     w = SCHEMES[cfg.scheme]
     residual, start, b_norm = _step_equation(up, uc, p, cfg, g)
     coupling = -w / g.h**2
@@ -408,88 +404,82 @@ def _solve_newton(
         return dg, (lin_diag + p.lam * dg_dz1 if jacobian else None)
 
     def evaluate(rows, cand, jacobian=False):
-        """(cand, residual, V(cand^2), ||residual||) and the Jacobian diagonal."""
+        """(cand, residual, V(cand^2)), the residual norms and the Jacobian diagonal."""
         v_cand = reg_log_primitive(cand * cand, p.take(rows))
         dg, jac_diag = kernel(rows, cand, v_cand, jacobian)
         res = residual(cand, dg, rows)
-        return (cand, res, v_cand, norm_l2(res, g)), jac_diag
+        return (cand, res, v_cand), norm_l2(res, g).tolist(), jac_diag
 
-    def attempt(members, trial_c, passes):
-        """Take the trial layers of the members whose norm passes; the others' positions."""
-        trial, _ = evaluate(_pick(members, n_members), trial_c)
-        t_norm = _each(trial[3])
-        ok = [i for i, (m, x) in enumerate(zip(members, t_norm)) if passes(m, x)]
-        if ok:
-            taken.append(([members[i] for i in ok], _pick(ok, len(members)), trial[:3],
-                          [t_norm[i] for i in ok]))
-        return [i for i in range(len(members)) if i not in ok]
-
-    (cand, res, v_cand, rnorm), jac_diag = evaluate(_ALL, start, jacobian=True)
-    tol = _each(cfg.newton_tol * (1.0 + b_norm))
-    norms = [[r] for r in _each(rnorm)]  # each member's residual history
-    n_members, stalled = len(norms), set()
+    (cand, res, v_cand), rnorm, jac_diag = evaluate(_ALL, start, jacobian=True)
+    tol = [cfg.newton_tol * (1.0 + b) for b in b_norm.tolist()]
+    norms = [[r] for r in rnorm]  # each member's residual history
+    going = list(range(len(norms)))
     for it in range(cfg.newton_max_iter + 1):  # the last pass only tests
-        going = [m for m, h in enumerate(norms) if not h[-1] <= tol[m] and m not in stalled]
+        # A member still going has taken every iteration; one that stalled has not.
+        going = [m for m in going if len(norms[m]) > it and not norms[m][-1] <= tol[m]]
         if going and it == 1:
             # R sums terms of about lin_diag * |u| over u^{n+1} ~ 2u^n - u^{n-1},
             # 2u^n and u^{n-1}; it stagnates near one unit roundoff of their size.
-            floor = _each(2.0**-53 * lin_diag * (2.0 * norm_l2(uc, g) + norm_l2(up, g)))
-            tol = [max(t, f) for t, f in zip(tol, floor)]
+            floor = 2.0**-53 * lin_diag * (2.0 * norm_l2(uc, g) + norm_l2(up, g))
+            tol = [max(t, f) for t, f in zip(tol, floor.tolist())]
             going = [m for m in going if not norms[m][-1] <= tol[m]]
         if not going or it == cfg.newton_max_iter:
             break
-        rows = _pick(going, n_members)
+        rows = _pick(going, len(norms))
         c, r = cand[rows], res[rows]
         jd = kernel(rows, c, v_cand[rows], True)[1] if jac_diag is None else jac_diag[rows]
-        # min/max propagate NaN, so this tests positivity and finiteness
-        # without an N-sized temporary on the ordinary path.
-        lows, highs = _each(jd.min(axis=-1)), _each(jd.max(axis=-1))
-        ordinary = [0.0 < lo and hi < math.inf for lo, hi in zip(lows, highs)]
-        taken = []  # (members, their rows of the trial, trial layers, residual norms)
-        ks = [k for k, ok in enumerate(ordinary) if ok]
-        guarded = [k for k, ok in enumerate(ordinary) if not ok]
-        if ks:
-            o = _pick(ks, len(going))
-            rest = attempt([going[k] for k in ks], c[o] + _newton_step(jd[o], r[o], coupling),
-                           lambda m, x: math.isfinite(x))
-            guarded = sorted(guarded + [ks[i] for i in rest])
-        if guarded:
-            sel, members = _pick(guarded, len(going)), [going[k] for k in guarded]
-            jg = jd[sel]
-            jg = np.where(np.isfinite(jg), np.maximum(jg, 0.1 * lin_diag), lin_diag)
-            delta = _newton_step(jg, r[sel], coupling)
-            c_g, searching = c[sel], list(range(len(guarded)))
-            for k in range(13):  # alpha = 1, 1/2, ..., 2^-12; NaN never passes
-                alpha = 0.5**k
-                s = _pick(searching, len(guarded))
-                trial_c = c_g[s] + delta[s] if k == 0 else c_g[s] + alpha * delta[s]
-                rest = attempt([members[i] for i in searching], trial_c,
-                               lambda m, x, f=1.0 - 1e-4 * alpha: x < norms[m][-1] * f)
-                searching = [searching[i] for i in rest]
-                if not searching:
-                    break
-            else:
-                stalled.update(members[i] for i in searching)  # no step decreases the residual
-        for members, picked, layers, t_norm in taken:
-            rows = _pick(members, n_members)
-            if rows is _ALL:
+        # Row j of c, r, jd and delta is member search[j], whose next trial tries[j]
+        # is -1, the full step on a positive, finite jd (min/max propagate NaN),
+        # or k >= 0, alpha = 2^-k along the step on the clamped diagonal.
+        search, delta, jac_diag = going, None, None
+        tries = [-1 if 0.0 < lo and hi < math.inf else 0
+                 for lo, hi in zip(jd.min(axis=-1).tolist(), jd.max(axis=-1).tolist())]
+        while search:
+            if 0 in tries:  # members starting on the clamped diagonal
+                z = _pick([j for j, k in enumerate(tries) if k == 0], len(tries))
+                jd[z] = np.where(np.isfinite(jd[z]), np.maximum(jd[z], 0.1 * lin_diag), lin_diag)
+            if min(tries) <= 0:  # steps to form: full ones, and clamped ones to start on
+                new = _pick([j for j, k in enumerate(tries) if k <= 0], len(tries))
+                if new is _ALL:
+                    delta = _newton_step(jd, r, coupling)
+                else:  # the other members' clamped steps are in delta
+                    delta[new] = _newton_step(jd[new], r[new], coupling)
+            alpha = [0.5 ** max(k, 0) for k in tries]
+            trial = c + (delta if min(alpha) == 1.0 else np.array(alpha)[:, None] * delta)
+            if max(tries) < 0:
+                delta = None  # a full step is tried once: free it before the trial
+            layers, t_norm, _ = evaluate(_pick(search, len(norms)), trial)
+            ok = [math.isfinite(x) if k < 0 else x < norms[m][-1] * (1.0 - 1e-4 * a)
+                  for m, k, a, x in zip(search, tries, alpha, t_norm)]
+            won = [j for j, o in enumerate(ok) if o]
+            for j in won:
+                norms[search[j]].append(t_norm[j])
+            at = _pick([search[j] for j in won], len(norms))
+            if at is _ALL:
                 cand, res, v_cand = layers
-            else:
-                cand[rows], res[rows], v_cand[rows] = (x[picked] for x in layers)
-            for m, x in zip(members, t_norm):
-                norms[m].append(x)
-        jac_diag = None
+            elif won:
+                picked = _pick(won, len(ok))
+                cand[at], res[at], v_cand[at] = (x[picked] for x in layers)
+            # No step down to alpha = 2^-12 passed: the member leaves the search stalled.
+            keep = [j for j, o in enumerate(ok) if not o and tries[j] < 12]
+            search, tries = [search[j] for j in keep], [tries[j] + 1 for j in keep]
+            if search and len(keep) < len(ok):
+                kept = _pick(keep, len(ok))
+                c, r, jd = c[kept], r[kept], jd[kept]
+                delta = None if delta is None else delta[kept]
     failed = [m for m, h in enumerate(norms) if not h[-1] <= tol[m]]
     if failed:
-        m = failed[0]
-        on = f" on members {failed}" if uc.ndim > 1 else ""
+        h, t = norms[failed[0]], tol[failed[0]]
+        where = f" on members {failed}" if len(shape) > 1 else ""
+        if len(h) <= cfg.newton_max_iter:  # it stalled before its budget was spent
+            where += ": no guarded step down to alpha = 2^-12 decreased the residual"
         raise NonConvergenceError(
-            f"Newton stopped at residual {norms[m][-1]:.3e} after {len(norms[m]) - 1} "
-            f"iterations (tolerance {tol[m]:.3e}){on}",
-            residual=norms[m][-1],
+            f"Newton stopped at residual {h[-1]:.3e} after {len(h) - 1} iterations "
+            f"(tolerance {t:.3e}){where}",
+            residual=h[-1],
             members=tuple(failed),
         )
-    return cand, v_cand, norms
+    return cand.reshape(shape), v_cand.reshape(shape), norms
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:

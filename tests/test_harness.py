@@ -62,6 +62,26 @@ class TestExpressions:
         with pytest.raises(PlanError):
             _eval_expr(expr, X)
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("sqrt(x)", "expression 'sqrt(x)' is nan at node 0 (x = -1.0)"),
+            ("1/x", "expression '1/x' is inf at node 32 (x = 0.0)"),
+        ],
+        ids=["sqrt", "reciprocal"],
+    )
+    def test_nonfinite_initial_data_is_rejected(self, expr, message):
+        # Nodes x <= 0 lie on the grid of [-1, 1]: the run stops before any
+        # step with the expression and its first bad node, and no warning.
+        plan = ExperimentPlan(
+            kind="energy-drift", problem="custom", phi_expr=expr, gamma_expr="0",
+            domain=(-1.0, 1.0), epsilons=(0.05,), taus=(0.01,), hs=(2 / 64,),
+            snapshot_times=(0.0,),
+        )
+        with pytest.raises(PlanError) as exc:
+            harness.run(plan)
+        assert exc.value.errors == [message]
+
     def test_custom_plan_file(self, tmp_path):
         path = tmp_path / "custom.plan"
         path.write_text(

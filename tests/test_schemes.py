@@ -776,6 +776,60 @@ class TestMembers:
             assert res.state.curr[m].tobytes() == clean[m].state.curr.tobytes()
         assert res.newton_by_member == tuple(c.newton_total for c in clean)
 
+    def test_members_search_at_their_own_steps_in_one_trial(self, monkeypatch):
+        # In the first solve member 0 starts on the clamped diagonal: its
+        # Jacobian diagonal is not positive at the start iterate (the data of
+        # test_guarded_iterations_converge).  Member 1, a small wave, takes
+        # a full step, which is blown here, so it starts on the clamped
+        # diagonal one trial later.  That trial holds member 0 at alpha = 1/2
+        # and member 1 at alpha = 1.  Each row must still be its run alone.
+        g = Grid1D(-16.0, 16.0, 64)
+        data = gausson_initial_data(g)
+        members = [(1e-3, data), (1.0, InitialData(1e-4 * data.phi, 1e-4 * data.gamma))]
+        real_step, real_v = schemes._newton_step, schemes.reg_log_primitive
+        blown, evaluated = [], []
+
+        def blowing(jac_diag, res, coupling):
+            delta = real_step(jac_diag, res, coupling)
+            if not blown:  # both members' first steps, member 1's full step last
+                blown.append(delta.shape)
+                delta[-1] *= 1e300
+            return delta
+
+        def counted(rho, p):
+            evaluated.append(rho.shape)
+            return real_v(rho, p)
+
+        monkeypatch.setattr(schemes, "_newton_step", blowing)
+        monkeypatch.setattr(schemes, "reg_log_primitive", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_batch_is_single_runs(members, StepperConfig("cnfd", tau=1.0), g, 3)
+        assert blown == [(2, g.N)]
+        # V of phi and of u^1, then the start iterate and the first two trials
+        assert evaluated[:5] == [(2, g.N)] * 5
+
+    @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
+    def test_member_without_a_decreasing_step_stalls(self, scheme):
+        # Row 0 starts from data holding a NaN, so no trial of its first
+        # solve lowers its residual: it stalls there before any iteration
+        # counts, while row 1 solves on.
+        g = Grid1D(-16.0, 16.0, 64)
+        data = gausson_initial_data(g)
+        phi = np.stack([data.phi, data.phi])
+        phi[0, 5] = np.nan
+        p = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
+        seen = []
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as exc:
+            evolve(InitialData(phi, np.stack([data.gamma] * 2)), p, StepperConfig(scheme, tau=0.01),
+                   g, 3, lambda st: seen.append(st.n))
+        assert seen == [1]
+        assert exc.value.members == (0,)
+        assert math.isnan(exc.value.residual)
+        assert str(exc.value) == (
+            "Newton stopped at residual nan after 0 iterations (tolerance nan) on members [0]: "
+            "no guarded step down to alpha = 2^-12 decreased the residual"
+        )
+
     def test_failed_member_is_named(self, g):
         # The amplitude-5 member runs out of its one-iteration budget; the
         # error names its row, and no other.
