@@ -5,9 +5,11 @@ the nodes ``x_j = a + j*h``, ``j = 0..N-1``; the node ``x_N = b`` is
 identified with ``x_0`` (``u_N = u_0``) and not stored.  Operators apply the
 periodic wrap ``u_{-1} = u_{N-1}``, ``u_N = u_0`` from a padded copy (bit for
 bit the ``np.roll`` form, without its call overhead), and sums, norms and
-inner products run over the N values.  A (B, N) array holds B grid functions
-as rows: operators act on each row, and norms and inner products return one
-value per row, each bit for bit the value of that row on its own.
+inner products run over the N values.  A squared norm is the sum of squares
+``inner(u, u, g)``, never the square of a rounded norm.  A (B, N) array holds
+B grid functions as rows: operators act on each row, and norms and inner
+products return one value per row, each bit for bit the value of that row
+on its own.
 :class:`GridFunction` is the closed-node view for output only: the N values
 plus the repeated endpoint.
 """
@@ -28,7 +30,6 @@ __all__ = [
     "inner",
     "seminorm_h1",
     "norm_h1",
-    "square",
     "quad",
     "quad_l1",
 ]
@@ -131,17 +132,8 @@ def seminorm_h1(u: np.ndarray, g: Grid1D):
 
 
 def norm_h1(u: np.ndarray, g: Grid1D):
-    return _per_row(np.sqrt(square(norm_l2(u, g)) + square(seminorm_h1(u, g))))
-
-
-def square(x):
-    """x ** 2 of a norm, or of each row's norm, in Python's float power.
-
-    Python's ``float ** 2`` (libm ``pow``) and numpy's array square (x * x)
-    can differ in the last bit, so row values are squared one at a time as
-    floats: bit for bit what a single grid function gets.
-    """
-    return x**2 if np.ndim(x) == 0 else np.array([r**2 for r in x.tolist()])
+    du = periodic_forward_diff(u, g.h)
+    return _per_row(np.sqrt(inner(u, u, g) + inner(du, du, g)))
 
 
 def quad(u: np.ndarray, g: Grid1D) -> float:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import ast
 import math
 import operator
-import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import starmap
@@ -77,7 +76,6 @@ __all__ = [
     "plan_to_config",
     "reproduce_plan",
     "run_reproduce",
-    "default_cache_dir",
 ]
 
 
@@ -116,16 +114,6 @@ CSV_HEADER = (
     "scheme,problem,epsilon,lambda,h,tau,T,norm_l2,norm_linf,norm_h1,"
     "rate_l2,rate_linf,rate_h1,energy_drift,newton_avg_iters,status"
 )
-
-CACHE_DIR_ENV = "LOGKGE_CACHE_DIR"
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "logkge"
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -642,9 +630,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path, lines: list[str]) -> None:
+def _write_csv(path, header: str, blocks) -> None:
+    """Write the header line, then each block of lines as it is made."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        f.write(header + "\n")
+        f.writelines(blocks)
+
+
+def _format_rows(table: np.ndarray):
+    """The rows of a 2-D float table to 17 digits, one string per BLOCK rows.
+
+    Only one block's Python floats and text exist at once.
+    """
+    row = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+    for lo in range(0, len(table), BLOCK):
+        yield "".join(starmap(row.format, table[lo : lo + BLOCK].tolist()))
 
 
 # The CellRow attribute behind each CSV column.
@@ -654,38 +655,30 @@ _CSV_FIELDS = tuple("lam" if col == "lambda" else col for col in CSV_HEADER.spli
 def emit_csv(result: SweepResult, path) -> None:
     """Write the documented CSV schema; deterministic for identical runs."""
     rows = sorted(result.rows, key=CellRow.sort_key)
-    _write_lines(
-        path, [CSV_HEADER] + [",".join(_fmt(getattr(r, f)) for f in _CSV_FIELDS) for r in rows]
-    )
+    lines = (",".join(_fmt(getattr(r, f)) for f in _CSV_FIELDS) + "\n" for r in rows)
+    _write_csv(path, CSV_HEADER, lines)
 
 
 def emit_drift_series(result: SweepResult, path) -> None:
     """Energy series of an energy-drift run: t, energy, relative drift."""
     e = result.aux["energies"]
-    lines = ["t,energy,rel_drift"]
-    for ti, ei, di in zip(result.aux["times"], e, relative_drift(e)):
-        lines.append(f"{ti:.17g},{ei:.17g},{di:.17g}")
-    _write_lines(path, lines)
+    table = np.column_stack([result.aux["times"], e, relative_drift(e)])
+    _write_csv(path, "t,energy,rel_drift", _format_rows(table))
 
 
 def emit_waveforms(result: SweepResult, path) -> None:
     """Snapshots of u at the requested times, one column per time.
 
     One row per closed node x_0 = a, ..., x_N = b; the last row repeats the
-    periodic endpoint u_N = u_0.  Rows are formatted :data:`BLOCK` at a
-    time, so only one block's Python floats exist at once.
+    periodic endpoint u_N = u_0.  Rows are written :data:`BLOCK` at a time.
     """
     snaps = result.aux["snapshots"]
     g = result.aux["grid"]
     times = sorted(snaps)
-    cols = [GridFunction.from_core(snaps[t]).values for t in times]
-    lines = [",".join(["x", *(f"u_t{t:g}" for t in times)])]
-    if cols:  # no snapshot, no rows
-        table = np.column_stack([g.a + g.h * np.arange(g.N + 1), *cols])
-        row = ",".join(["{:.17g}"] * table.shape[1])
-        for lo in range(0, len(table), BLOCK):
-            lines.extend(starmap(row.format, table[lo : lo + BLOCK].tolist()))
-    _write_lines(path, lines)
+    cols = (GridFunction.from_core(snaps[t]).values for t in times)
+    table = np.column_stack([g.a + g.h * np.arange(g.N + 1), *cols])
+    rows = _format_rows(table) if times else ()  # no snapshot, no rows
+    _write_csv(path, ",".join(["x", *(f"u_t{t:g}" for t in times)]), rows)
 
 
 # --- plan files -----------------------------------------------------------

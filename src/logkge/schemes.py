@@ -63,7 +63,6 @@ from .grid import (
     norm_l2,
     periodic_forward_diff,
     periodic_second_diff,
-    square,
 )
 from .nonlinearity import (
     NonlinearityParams,
@@ -509,19 +508,22 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     where V is the primitive of the regularized log.  The gradient term is
     the average of the two squared forward-difference norms for cnfd, and
     the sign-indefinite cross product h*sum (D+ u)(D+ v) for siefd (no
-    positivity is claimed for the latter).  V of the two layers comes from
-    the state when it carries them at p's eps, and is computed otherwise.
+    positivity is claimed for the latter).  Each ||x||^2 is the sum of
+    squares h*sum x_j^2 (``inner(x, x, g)``), which a (B, N) row gets bit
+    for bit as a single layer does.  V of the two layers comes from the
+    state when it carries them at p's eps, and is computed otherwise.
     A float for 1-D layers, one energy per member for (B, N) layers.
     """
     if state.curr.shape != p.layer_shape(g.N):
         raise ValueError("state does not match the grid")
     w = SCHEMES[cfg.scheme]
     v, u, h = state.prev, state.curr, g.h
-    kinetic = square(norm_l2((u - v) / cfg.tau, g))
+    ut = (u - v) / cfg.tau
+    kinetic = inner(ut, ut, g)
     du, dv = periodic_forward_diff(u, h), periodic_forward_diff(v, h)
-    grad = _weighted_sum(((w, lambda: square(norm_l2(du, g)) + square(norm_l2(dv, g))),
+    grad = _weighted_sum(((w, lambda: inner(du, du, g) + inner(dv, dv, g)),
                           (1.0 - 2.0 * w, lambda: inner(du, dv, g))))
-    mass = 0.5 * (square(norm_l2(u, g)) + square(norm_l2(v, g)))
+    mass = 0.5 * (inner(u, u, g) + inner(v, v, g))
     v_prev, v_curr = _layer_potentials(state, p)
     pot = v_curr + v_prev
     energy = kinetic + grad + mass + p.lam * 0.5 * h * pot.sum(axis=-1)

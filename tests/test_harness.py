@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from logkge.harness import (
     plan_to_config,
     reproduce_plan,
 )
+from logkge.schemes import relative_drift
 
 X = np.linspace(-2.0, 2.0, 33)
 
@@ -211,6 +213,40 @@ class TestWaveforms:
         for j in range(g.N + 1):
             want.append(f"{xs[j]:.17g}," + ",".join(f"{col[j]:.17g}" for col in cols))
         assert (tmp_path / "w.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_rows_are_streamed(self, tmp_path):
+        # Rows go to the file a block at a time: formatting all 8 BLOCK + 1
+        # rows before writing would hold several times the file's bytes.
+        g = Grid1D(-16.0, 16.0, 8 * BLOCK)
+        rng = np.random.default_rng(5)
+        snaps = {t: rng.standard_normal(g.N) for t in (0.0, 0.1)}
+        result = SweepResult(ExperimentPlan(), aux={"snapshots": snaps, "grid": g})
+        tracemalloc.start()
+        try:
+            emit_waveforms(result, tmp_path / "w.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (tmp_path / "w.csv").stat().st_size
+
+
+class TestDriftSeries:
+    def test_bytes_match_the_per_row_formatter(self, tmp_path):
+        # More than BLOCK rows span two format blocks; -0.0, the smallest
+        # subnormal and +-1e300 sit on both sides of the block seam.
+        n = BLOCK + 6
+        times = np.arange(n) * 0.001
+        energies = 1.0 + np.random.default_rng(4).standard_normal(n)
+        specials = (-0.0, 5e-324, 1e300, -1e300)
+        energies[BLOCK - 4 : BLOCK + 4] = specials + specials[::-1]
+        times[BLOCK - 2 : BLOCK + 2] = specials
+        result = SweepResult(ExperimentPlan(), aux={"times": times, "energies": energies})
+        emit_drift_series(result, tmp_path / "d.csv")
+
+        want = ["t,energy,rel_drift"]
+        for t, e, d in zip(times, energies, relative_drift(energies)):
+            want.append(f"{t:.17g},{e:.17g},{d:.17g}")
+        assert (tmp_path / "d.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestEnergyDriftFailure:

@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +213,9 @@ def test_import_leaves_scipy_special_out():
         "import sys, logkge, logkge.cache, logkge.harness\n"
         "print('scipy.special' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(nonlinearity.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "False"
 
 

@@ -743,8 +743,8 @@ class TestMembers:
 
     def test_long_trajectory_energies(self):
         # The fig-energy trajectory: 1000 steps, 5000 squared norms a member.
-        # A squared norm taken as x * x instead of x ** 2 would differ in
-        # the last bit at step 941.
+        # Each is a row sum of squares, bit for bit the sum of a single
+        # layer, so no energy of the batch may differ in the last bit.
         g = Grid1D(-1.0, 1.0, 128)
         members = [(eps, example2_data(g)) for eps in (0.05, 0.1)]
         _assert_batch_is_single_runs(members, StepperConfig("cnfd", tau=0.01), g, 1000)
