@@ -2,14 +2,14 @@
 
 A grid function is a float64 array of the N independent values ``u_j`` at
 the nodes ``x_j = a + j*h``, ``j = 0..N-1``; the node ``x_N = b`` is
-identified with ``x_0`` (``u_N = u_0``) and not stored.  Operators apply the
-periodic wrap ``u_{-1} = u_{N-1}``, ``u_N = u_0`` from a padded copy (bit for
-bit the ``np.roll`` form, without its call overhead), and sums, norms and
-inner products run over the N values.  A squared norm is the sum of squares
-``inner(u, u, g)``, never the square of a rounded norm.  A (B, N) array holds
-B grid functions as rows: operators act on each row, and norms and inner
-products return one value per row, each bit for bit the value of that row
-on its own.
+identified with ``x_0`` (``u_N = u_0``) and not stored.  Operators add the
+shifted slices and the periodic wrap ``u_{-1} = u_{N-1}``, ``u_N = u_0`` in
+place into ``out`` (bit for bit the ``np.roll`` form, with no padded copy);
+sums, norms and inner products run over the N values.  A squared norm is the
+sum of squares ``inner(u, u, g)``, never the square of a rounded norm.  A
+(B, N) array holds B grid functions as rows: operators act on each row, and
+norms and inner products return one value per row, each bit for bit the
+value of that row on its own.
 :class:`GridFunction` is the closed-node view for output only: the N values
 plus the repeated endpoint.
 """
@@ -93,15 +93,22 @@ class GridFunction:
         return f"GridFunction(N={self.values.size - 1})"
 
 
-def periodic_second_diff(v: np.ndarray, h: float) -> np.ndarray:
-    """(v_{j+1} - 2v_j + v_{j-1})/h^2 on the independent values v_0..v_{N-1}."""
-    w = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
-    return (w[..., 2:] - 2.0 * v + w[..., :-2]) / h**2
+def periodic_second_diff(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(v_{j+1} - 2v_j + v_{j-1})/h^2 on v_0..v_{N-1}, summed as (-2v_j + v_{j+1}) + v_{j-1}."""
+    n = v.shape[-1]
+    out = np.multiply(v, -2.0, out=out)
+    np.add(o := out[..., :-1], v[..., 1:], out=o)
+    np.add(o := out[..., :: n - 1], v[..., :: 1 - n], out=o)  # v_0 to node N-1, v_{N-1} to node 0
+    np.add(o := out[..., 1:], v[..., :-1], out=o)
+    return np.divide(out, h**2, out=out)
 
 
-def periodic_forward_diff(v: np.ndarray, h: float) -> np.ndarray:
-    """(v_{j+1} - v_j)/h on the independent values v_0..v_{N-1}."""
-    return (np.concatenate((v, v[..., :1]), axis=-1)[..., 1:] - v) / h
+def periodic_forward_diff(v: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(v_{j+1} - v_j)/h on v_0..v_{N-1}, summed as -v_j + v_{j+1}."""
+    out = np.negative(v, out=out)
+    np.add(o := out[..., :-1], v[..., 1:], out=o)
+    np.add(o := out[..., -1:], v[..., :1], out=o)
+    return np.divide(out, h, out=out)
 
 
 def _per_row(x):
@@ -117,13 +124,13 @@ def norm_linf(u: np.ndarray, g: Grid1D):
     return _per_row(np.abs(u).max(axis=-1))
 
 
-def inner(u: np.ndarray, v: np.ndarray, g: Grid1D):
-    """Discrete L2 inner product h * sum_{j<N} u_j v_j.
+def inner(u: np.ndarray, v: np.ndarray, g: Grid1D, out: np.ndarray | None = None):
+    """Discrete L2 inner product h * sum_{j<N} u_j v_j, the products formed in ``out``.
 
     A pairwise sum, like the norms: unlike ``np.dot`` its rounding does not
     depend on how many BLAS threads split the sum.
     """
-    return _per_row(g.h * (u * v).sum(axis=-1))
+    return _per_row(g.h * np.add.reduce(np.multiply(u, v, out=out), axis=-1))
 
 
 def seminorm_h1(u: np.ndarray, g: Grid1D):

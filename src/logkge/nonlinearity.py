@@ -48,9 +48,9 @@ COINCIDENCE_REL_TOL = 1e-8
 # midpoint-limit derivative and the exact one agree to O(gap^2) ~ 1e-8.
 DERIVATIVE_REL_TOL = 1e-4
 
-# Values per block of :func:`fused_discrete_gradient`, 64 KiB per array: its
-# temporaries stay in L2 cache and are reused by the allocator, where 512 KiB
-# ones (N = 65536) grow and trim the heap, ~2000 minor page faults a call.
+# Values per block of :func:`fused_discrete_gradient` and :func:`reg_log_primitive`,
+# 64 KiB per array, so temporaries stay in L2 cache.  Whole-layer ones (512 KiB at
+# N = 65536) made glibc trim and regrow the heap top on every call.
 BLOCK = 8192
 
 
@@ -134,10 +134,21 @@ def reg_log_primitive(rho, p: NonlinearityParams):
     the exact rearrangement ``eps^2*(ln(rho) - ln(eps^2))`` of ln of the huge
     ratio.  Each term is within a few ulps of its exact value, so V is within
     a few ulps of the sum of the three terms' magnitudes (V itself crosses 0).
-    rho = inf or NaN gives NaN.
+    rho = inf or NaN gives NaN.  Above :data:`BLOCK` values it runs block by
+    block, as :func:`fused_discrete_gradient` does.
     """
     rho = _check_rho(rho)
-    eps2 = p.eps2
+    if rho.size <= BLOCK:
+        out = _primitive(rho, p.eps2)
+        return out if out.ndim else float(out)
+    out, rows = np.empty(rho.shape), rho.reshape(-1, rho.shape[-1])
+    for s, q in _blocks(rows.shape, p):
+        out.reshape(rows.shape)[s] = _primitive(rows[s], q.eps2)
+    return out
+
+
+def _primitive(rho, eps2):
+    """:func:`reg_log_primitive` of checked rho in one pass."""
     with np.errstate(over="ignore"):
         ratio = rho / eps2
     finite = np.isfinite(ratio)
@@ -150,11 +161,19 @@ def reg_log_primitive(rho, p: NonlinearityParams):
             eps2 * np.log1p(np.where(finite, ratio, 0.0)),
             eps2 * (np.log(safe_rho) - np.log(eps2)),
         )
-    out = rho * np.log(eps2 + rho) + mid - rho
-    return out if out.ndim else float(out)
+    return rho * np.log(eps2 + rho) + mid - rho
 
 
-def fused_discrete_gradient(z1, z2, v1, v2, p: NonlinearityParams, derivative: bool = False):
+def _blocks(shape, p: NonlinearityParams):
+    """(index, params) of each block of BLOCK values of each row m of a (B, N) shape."""
+    for m in range(shape[0]):
+        q = p.member(m) if isinstance(p.epsilon, tuple) else p
+        for lo in range(0, shape[1], BLOCK):
+            yield (m, slice(lo, lo + BLOCK)), q
+
+
+def fused_discrete_gradient(z1, z2, v1, v2, p: NonlinearityParams, derivative=False, out=None,
+                            scratch=None):
     """Discrete gradient and, with ``derivative``, its z1-derivative in one pass.
 
     ``v1`` and ``v2`` are ``reg_log_primitive(z1*z1, p)`` and
@@ -171,54 +190,74 @@ def fused_discrete_gradient(z1, z2, v1, v2, p: NonlinearityParams, derivative: b
     accurate across the switch.  The four inputs are float arrays of one shape.
 
     Above :data:`BLOCK` values it runs row by row (one row for a 1-D input)
-    and block by block within a row, into two preallocated outputs; every
-    operation is elementwise, so that is bitwise one pass.
+    and block by block within a row; every operation is elementwise, so that
+    is bitwise one pass.  ``out``, a pair of arrays of the inputs' shape,
+    receives the results (the second only with ``derivative``).  Calls given
+    one dict as ``scratch`` keep their temporaries in it and allocate none;
+    without ``out`` their results are then arrays of ``scratch``.
     """
+    scratch = {} if scratch is None else scratch
     if z1.size <= BLOCK:
-        return _fused_block(z1, z2, v1, v2, p, derivative)
-    shape, n = z1.shape, z1.shape[-1]
-    z1, z2, v1, v2 = (a.reshape(-1, n) for a in (z1, z2, v1, v2))
-    dg = np.empty(z1.shape)
-    dg_dz1 = np.empty(z1.shape) if derivative else None
-    for m in range(len(z1)):
-        q = p.member(m) if isinstance(p.epsilon, tuple) else p
-        for lo in range(0, n, BLOCK):
-            s = (m, slice(lo, lo + BLOCK))
-            dg[s], block_dz1 = _fused_block(z1[s], z2[s], v1[s], v2[s], q, derivative)
-            if derivative:
-                dg_dz1[s] = block_dz1
-    return dg.reshape(shape), (dg_dz1.reshape(shape) if derivative else None)
+        return _fused_block(z1, z2, v1, v2, p, derivative, out or (None, None), scratch)
+    dg, dg_dz1 = out or (np.empty(z1.shape), np.empty(z1.shape))
+    rows = [a.reshape(-1, z1.shape[-1]) for a in (z1, z2, v1, v2, dg, dg_dz1)]
+    for s, q in _blocks(rows[0].shape, p):
+        _fused_block(*(a[s] for a in rows[:4]), q, derivative, (rows[4][s], rows[5][s]), scratch)
+    return dg, (dg_dz1 if derivative else None)
 
 
-def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative: bool):
-    """:func:`fused_discrete_gradient` in one pass over whole arrays."""
-    rho1 = z1 * z1
-    rho2 = z2 * z2
-    gap = rho1 - rho2
-    abs_gap = np.abs(gap)
-    rho_sum = rho1 + rho2
-    z_sum = z1 + z2
-    scale = rho_sum + p.eps2
-    rho_mid = 0.5 * rho_sum
-    denom_mid = p.eps2 + rho_mid
-    f_mid = np.log(denom_mid)
-    near = abs_gap <= COINCIDENCE_REL_TOL * scale
-    divided = (v1 - v2) / np.where(near, 1.0, gap)
-    dg = np.where(near, f_mid, divided) * 0.5 * z_sum
+def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative, out=(None, None), scratch=None):
+    """:func:`fused_discrete_gradient` in one pass over whole arrays, into ``out`` if given.
+
+    Each expression is formed with ``out=`` in the order of the plain
+    formula, so it is bit for bit the same; temporaries are in ``scratch``.
+    """
+    temps = _temporaries(z1.shape, {} if scratch is None else scratch)
+    rho1, rho2, gap, abs_gap, rho_sum, z_sum, scale, f_mid, divided, dg, dz = temps
+    dg, dz = dg if out[0] is None else out[0], dz if out[1] is None else out[1]
+    np.multiply(z1, z1, rho1)
+    np.multiply(z2, z2, rho2)
+    np.subtract(rho1, rho2, gap)
+    np.abs(gap, abs_gap)
+    np.add(rho1, rho2, rho_sum)
+    np.add(z1, z2, z_sum)
+    np.add(rho_sum, p.eps2, scale)
+    denom_mid = np.add(np.multiply(rho_sum, 0.5, rho2), p.eps2, rho2)  # eps2 + rho_mid
+    np.log(denom_mid, f_mid)
+    near = np.less_equal(abs_gap, np.multiply(scale, COINCIDENCE_REL_TOL, rho_sum),
+                         np.empty(z1.shape, bool))
+    np.copyto(rho_sum, gap)
+    np.copyto(rho_sum, 1.0, where=near)
+    np.divide(np.subtract(v1, v2, divided), rho_sum, divided)
+    np.copyto(dg, divided)
+    np.copyto(dg, f_mid, where=near)
+    np.multiply(np.multiply(dg, 0.5, dg), z_sum, dg)
     if not derivative:
         return dg, None
     # The derivative band contains the gradient band, so outside it
     # ``divided`` is the plain quotient by the gap.
-    near = abs_gap <= DERIVATIVE_REL_TOL * scale
-    safe_gap = np.where(near, 1.0, gap)
-    dd = np.where(near, f_mid, divided)
-    # d(dd)/drho1 is (f(rho1) - dd)/gap away from coincidence.
-    ddd_drho1 = np.where(
-        near,
-        0.5 / denom_mid - gap / (12.0 * denom_mid * denom_mid),
-        (np.log(p.eps2 + rho1) - dd) / safe_gap,
-    )
-    return dg, 2.0 * z1 * ddd_drho1 * 0.5 * z_sum + 0.5 * dd
+    np.less_equal(abs_gap, np.multiply(scale, DERIVATIVE_REL_TOL, scale), near)
+    dd = divided
+    np.copyto(dd, f_mid, where=near)
+    # d(dd)/drho1 is (f(rho1) - dd)/gap away from coincidence, and near it
+    # f'(rho_mid)/2 + gap f''(rho_mid)/12 = 0.5/denom_mid - gap/(12 denom_mid^2).
+    lim = np.divide(0.5, denom_mid, abs_gap)
+    lim -= np.divide(gap, np.multiply(np.multiply(denom_mid, 12.0, scale), denom_mid, scale), scale)
+    ddd_drho1 = np.log(np.add(rho1, p.eps2, rho1), rho1)
+    ddd_drho1 -= dd
+    np.copyto(gap, 1.0, where=near)
+    ddd_drho1 /= gap
+    np.copyto(ddd_drho1, lim, where=near)
+    np.multiply(np.multiply(np.multiply(z1, 2.0, dz), ddd_drho1, dz), 0.5, dz)
+    np.multiply(dz, z_sum, dz)
+    return dg, np.add(dz, np.multiply(dd, 0.5, dd), dz)
+
+
+def _temporaries(shape, scratch: dict) -> list:
+    """The 11 temporaries of :func:`_fused_block` at ``shape``, made at first use in ``scratch``."""
+    if shape not in scratch:
+        scratch[shape] = [np.empty(shape) for _ in range(11)]
+    return scratch[shape]
 
 
 def _fused_from_values(z1, z2, p: NonlinearityParams, derivative: bool):

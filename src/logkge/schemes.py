@@ -35,6 +35,14 @@ diagonal together at the start iterate.  The cnfd Jacobian is solved by
 :func:`solve_cyclic_tridiag`, which solves the Sherman-Morrison corner
 vector only on the rows where it is representable.
 
+Work layers.  A run owns its N-sized scratch arrays: ``WaveState.work``,
+made with the first state and handed from each state to the next.  The
+step writes every temporary into them with ``out=``, in the order of the
+plain expressions, so each layer is bit for bit what those give; only V of
+each iterate and the trial iterates are new arrays.  So a step's memory
+does not grow and shrink, and the allocator does not trim and regrow its
+heap on every step.  Runs in other threads have layers of their own.
+
 Members.  With B widths eps in :class:`~logkge.nonlinearity.NonlinearityParams`
 a layer is a (B, N) array whose row m is member m, and one call steps all B
 members on a shared grid and time step; a 1-D layer with a single width is
@@ -50,8 +58,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -60,7 +70,6 @@ from .analysis import siefd_tau_bound, sigma_max
 from .grid import (
     Grid1D,
     inner,
-    norm_l2,
     periodic_forward_diff,
     periodic_second_diff,
 )
@@ -137,6 +146,11 @@ class InitialData:
     gamma: np.ndarray
 
 
+def _work(shape) -> dict:
+    """A run's scratch: arrays of ``shape`` by name, made at first use; "kernel" is the kernel's."""
+    return defaultdict(partial(np.empty, shape))
+
+
 @dataclass(frozen=True)
 class WaveState:
     """Two consecutive layers (u^{n-1}, u^n) of a trajectory, t = n*tau.
@@ -147,6 +161,9 @@ class WaveState:
     them; for a state without them (read from the cache, or built by hand)
     they are computed where needed.  ``newton_iters`` counts the iterations
     of the step that made the state, one int per member for (B, N) layers.
+    ``work`` holds the scratch layers of the state's run, in which
+    :func:`step` and :func:`discrete_energy` form their temporaries; each
+    step hands it on to the state it makes, and other states start their own.
     """
 
     prev: np.ndarray
@@ -157,10 +174,13 @@ class WaveState:
     potentials: tuple[float | tuple[float, ...], np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    work: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.prev.shape != self.curr.shape:
             raise ValueError("both layers must live on the same grid")
+        if self.work is None:
+            object.__setattr__(self, "work", _work(np.atleast_2d(self.curr).shape))
 
 
 def first_step(
@@ -187,8 +207,8 @@ def assemble_residual(
     cand: np.ndarray, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
 ) -> np.ndarray:
     """Left-hand side of the scheme equation at a trial layer u^{n+1}."""
-    residual, _, _ = _step_equation(state.prev, state.curr, p, cfg, g)
-    return residual(cand, discrete_gradient(cand, state.prev, p))
+    residual, _, _ = _step_equation(state.prev, state.curr, p, cfg, g, _work(np.shape(cand)))
+    return residual(cand, discrete_gradient(cand, state.prev, p), np.empty(np.shape(cand)))
 
 
 def _weighted_sum(terms):
@@ -204,33 +224,54 @@ def _weighted_sum(terms):
 _ALL = slice(None)
 
 
-def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
-    """(residual(cand, dg, rows), start, ||b||) of one step, built once from the known layers.
+def _row_norms(x: np.ndarray, g: Grid1D, sq: np.ndarray) -> list[float]:
+    """``norm_l2`` of each row of (B, N) x as a float (math.sqrt rounds as np.sqrt)."""
+    h = g.h
+    return [math.sqrt(h * s) for s in np.add.reduce(np.multiply(x, x, sq), -1).tolist()]
+
+
+def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D, work: dict):
+    """(residual(cand, dg, out, rows), start, b) of one step, built once from the known layers.
 
     ``residual`` is :func:`assemble_residual` given dg = DG(cand, u^{n-1}),
-    for the members at ``rows`` of (B, N) layers (all by default).
-    b = (2u^n - u^{n-1})/tau^2 - u^{n-1}/2 + lap(known) is the
+    written into ``out``, for the members at ``rows`` of (B, N) layers (all
+    by default).  b = (2u^n - u^{n-1})/tau^2 - u^{n-1}/2 + lap(known) is the
     candidate-independent part of the equation, with
     known = w u^{n-1} + (1-2w) u^n, and start = 2u^n - u^{n-1} the linear
-    extrapolation that b divides by tau^2.  2u^n is formed once.
+    extrapolation that b divides by tau^2.  2u^n is formed once.  Each
+    array is a ``work`` layer written with ``out=`` in the order of the
+    plain expressions, so it is bit for bit what they give.
     """
     w = SCHEMES[cfg.scheme]
     tau2 = cfg.tau**2
-    known = _weighted_sum(((w, lambda: up), (1.0 - 2.0 * w, lambda: uc)))
-    lap_known = periodic_second_diff(known, g.h)
-    two_uc = 2.0 * uc
-    start = two_uc - up
-    b = start / tau2 - 0.5 * up + lap_known
+    known = uc if w == 0.0 else np.multiply(up, w, out=work["known"])
+    if w not in (0.0, 0.5):  # the weight 1 - 2w of u^n is 0 at w = 1/2
+        known += (1.0 - 2.0 * w) * uc
+    lap_known = periodic_second_diff(known, g.h, work["lap_known"])
+    two_uc = np.multiply(uc, 2.0, out=work["two_uc"])
+    start = np.subtract(two_uc, up, out=work["start"])
+    b = np.divide(start, tau2, out=work["res"])  # measured before the first residual replaces it
+    b -= np.multiply(up, 0.5, out=work["tmp"])
+    b += lap_known
 
-    def residual(cand, dg, rows=_ALL):
-        u_p = up[rows]
-        lap = lap_known[rows] if w == 0.0 else periodic_second_diff(w * cand + known[rows], g.h)
-        return (cand - two_uc[rows] + u_p) / tau2 - lap + 0.5 * (cand + u_p) + p.lam * dg
+    def residual(cand, dg, out, rows=_ALL):
+        u_p, tmp = up[rows], work["tmp"][: len(cand)]
+        r = np.subtract(cand, two_uc[rows], out=out)
+        r += u_p
+        r /= tau2
+        if w == 0.0:
+            r -= lap_known[rows]
+        else:
+            lap_of = np.add(np.multiply(cand, w, out=tmp), known[rows], out=tmp)
+            r -= periodic_second_diff(lap_of, g.h, work["lap"][: len(cand)])
+        r += np.multiply(np.add(cand, u_p, out=tmp), 0.5, out=tmp)
+        r += np.multiply(dg, p.lam, out=tmp)
+        return r
 
-    return residual, start, norm_l2(b, g)
+    return residual, start, b
 
 
-def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
+def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray, work=None) -> np.ndarray:
     """Solve the periodic tridiagonal system with constant off-diagonal.
 
     The matrix A has ``diag`` on the diagonal and ``off`` on the two
@@ -262,24 +303,28 @@ def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.nd
     ``diag`` and ``rhs`` may also be (B, N): B systems sharing ``off``,
     each solved on its own as above.  Every array handed to ``dgtsv`` is
     the solver's own and is overwritten in place, so LAPACK's wrapper copies
-    none of them.
+    none of them.  Given a run's ``work`` (see :class:`WaveState`), x and
+    those arrays are its layers.
     """
     n = diag.shape[-1]
     if n < 3:
         raise ValueError("cyclic tridiagonal solve needs at least 3 unknowns")
-    x = np.array(rhs, dtype=float)
+    work = _work(np.shape(rhs)) if work is None else work
+    x = work["x"][: len(rhs)]
+    x[...] = rhs  # nothing to copy when rhs is this layer already
     for dm, xm in zip(diag.reshape(-1, n), x.reshape(-1, n)):
-        y = _solve_cyclic_row(dm, off, xm)
+        y = _solve_cyclic_row(dm, off, xm, work)
         if y is not xm and y.base is not x:  # dgtsv solved in a copy
             xm[...] = y
     return x
 
 
-def _solve_cyclic_row(diag: np.ndarray, off: float, b: np.ndarray) -> np.ndarray:
+def _solve_cyclic_row(diag: np.ndarray, off: float, b: np.ndarray, work: dict) -> np.ndarray:
     """:func:`solve_cyclic_tridiag` of one system; overwrites the right-hand side b."""
     n = diag.size
     gamma = -diag[0]
-    d = diag.copy()
+    d, dl, du = (work[k].reshape(-1)[:size] for k, size in (("d", n), ("dl", n - 1), ("du", n - 1)))
+    d[...] = diag
     d[0] -= gamma
     d[-1] -= off * off / gamma
     m = _q_window(diag, off, gamma)
@@ -289,11 +334,13 @@ def _solve_cyclic_row(diag: np.ndarray, off: float, b: np.ndarray) -> np.ndarray
     band_q = np.full(d_q.size - 1, off)
     if m is not None:
         band_q[m - 1] = 0.0
-    y = _gtsv(np.full(n - 1, off), d, b)
+    dl.fill(off)
+    du.fill(off)
+    y = _gtsv(dl, d, du, b)
     u = np.zeros(d_q.size)
     u[0] = gamma
     u[-1] = off
-    q = _gtsv(band_q, d_q, u)
+    q = _gtsv(band_q, d_q, band_q.copy(), u)
     vy = y[0] + off / gamma * y[-1]
     vq = q[0] + off / gamma * q[-1]
     c = vy / (1.0 + vq)
@@ -326,24 +373,25 @@ def _q_window(diag: np.ndarray, off: float, gamma: float) -> int | None:
     return math.ceil(m) if 2.0 * m + 2.0 < diag.size else None
 
 
-def _gtsv(band: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with diagonal d and both off-diagonals ``band``.
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with diagonals dl, d, du.
 
-    Overwrites ``band``, ``d`` and ``b``; the solution is returned in ``b``.
+    Overwrites all four; the solution is returned in ``b``.
     """
     # The flags are overwrite_dl, _d, _du and _b, given by position: f2py
     # parses keywords at about half the cost of a small solve.
-    _, _, _, x, info = lapack.dgtsv(band, d, band.copy(), b, 1, 1, 1, 1)
+    _, _, _, x, info = lapack.dgtsv(dl, d, du, b, 1, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
 
 
-def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float):
-    """Newton update: solve J delta = -res, J = diag(jac_diag) + periodic ``coupling``."""
+def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float, work=None):
+    """Solve J delta = -res, J = diag(jac_diag) + periodic ``coupling``, in ``work`` if given."""
+    rhs = np.negative(res, out=None if work is None else work["x"][: len(res)])
     if coupling == 0.0:
-        return -res / jac_diag
-    return solve_cyclic_tridiag(jac_diag, coupling, -res)
+        return np.divide(rhs, jac_diag, out=rhs)
+    return solve_cyclic_tridiag(jac_diag, coupling, rhs, work)
 
 
 def _pick(ks: list[int], n: int):
@@ -380,37 +428,39 @@ def solve_newton(
     return nxt, (norms if state.curr.ndim > 1 else norms[0])
 
 
-def _solve_newton(
-    state: WaveState, v_up: np.ndarray, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-):
+def _solve_newton(state: WaveState, v_up, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
     """:func:`solve_newton` given v_up = V(u^{n-1}^2); also returns V of the solution.
 
-    Layers are worked on as (B, N), a 1-D layer as one row.  A trial of the
-    line search evaluates every member still searching at once, each at its
-    own step.  Each trial costs one ``reg_log_primitive`` call; the start
-    iterate's residual and Jacobian share one pass of the fused kernel.
+    Layers are worked on as (B, N), a 1-D layer as one row, and temporaries
+    in ``state.work``.  A trial of the line search evaluates every member
+    still searching at once, each at its own step.  Each trial costs one
+    ``reg_log_primitive`` call; the start iterate's residual and Jacobian
+    share one pass of the fused kernel.
     """
-    shape = state.curr.shape
+    shape, work = state.curr.shape, state.work
     up, uc, v_up = (x.reshape(-1, shape[-1]) for x in (state.prev, state.curr, v_up))
     w = SCHEMES[cfg.scheme]
-    residual, start, b_norm = _step_equation(up, uc, p, cfg, g)
+    residual, start, b = _step_equation(up, uc, p, cfg, g, work)
+    tol = [cfg.newton_tol * (1.0 + x) for x in _row_norms(b, g, work["tmp"])]
     coupling = -w / g.h**2
     lin_diag = 1.0 / cfg.tau**2 + 0.5 + 2.0 * w / g.h**2
+    res_out = [work["res"], work["trial_res"]]  # the accepted residual's layer, the trials'
 
     def kernel(rows, cand, v_cand, jacobian):
-        q = p.take(rows)
-        dg, dg_dz1 = fused_discrete_gradient(cand, up[rows], v_cand, v_up[rows], q, jacobian)
-        return dg, (lin_diag + p.lam * dg_dz1 if jacobian else None)
+        out, q = (work["dg"][: len(cand)], work["jac"][: len(cand)]), p.take(rows)
+        dg, dz = fused_discrete_gradient(cand, up[rows], v_cand, v_up[rows], q, jacobian, out,
+                                         work.setdefault("kernel", {}))
+        return dg, (np.add(np.multiply(dz, p.lam, dz), lin_diag, dz) if jacobian else None)
 
-    def evaluate(rows, cand, jacobian=False):
+    def evaluate(rows, cand, res, jacobian=False):
         """(cand, residual, V(cand^2)), the residual norms and the Jacobian diagonal."""
-        v_cand = reg_log_primitive(cand * cand, p.take(rows))
+        tmp = work["tmp"][: len(cand)]
+        v_cand = reg_log_primitive(np.multiply(cand, cand, out=tmp), p.take(rows))
         dg, jac_diag = kernel(rows, cand, v_cand, jacobian)
-        res = residual(cand, dg, rows)
-        return (cand, res, v_cand), norm_l2(res, g).tolist(), jac_diag
+        res = residual(cand, dg, res, rows)
+        return (cand, res, v_cand), _row_norms(res, g, tmp), jac_diag
 
-    (cand, res, v_cand), rnorm, jac_diag = evaluate(_ALL, start, jacobian=True)
-    tol = [cfg.newton_tol * (1.0 + b) for b in b_norm.tolist()]
+    (cand, res, v_cand), rnorm, jac_diag = evaluate(_ALL, start, res_out[0], jacobian=True)
     norms = [[r] for r in rnorm]  # each member's residual history
     going = list(range(len(norms)))
     for it in range(cfg.newton_max_iter + 1):  # the last pass only tests
@@ -419,8 +469,8 @@ def _solve_newton(
         if going and it == 1:
             # R sums terms of about lin_diag * |u| over u^{n+1} ~ 2u^n - u^{n-1},
             # 2u^n and u^{n-1}; it stagnates near one unit roundoff of their size.
-            floor = 2.0**-53 * lin_diag * (2.0 * norm_l2(uc, g) + norm_l2(up, g))
-            tol = [max(t, f) for t, f in zip(tol, floor.tolist())]
+            floor = zip(_row_norms(uc, g, work["tmp"]), _row_norms(up, g, work["tmp"]))
+            tol = [max(t, 2.0**-53 * lin_diag * (2.0 * c + b)) for t, (c, b) in zip(tol, floor)]
             going = [m for m in going if not norms[m][-1] <= tol[m]]
         if not going or it == cfg.newton_max_iter:
             break
@@ -440,14 +490,12 @@ def _solve_newton(
             if min(tries) <= 0:  # steps to form: full ones, and clamped ones to start on
                 new = _pick([j for j, k in enumerate(tries) if k <= 0], len(tries))
                 if new is _ALL:
-                    delta = _newton_step(jd, r, coupling)
+                    delta = _newton_step(jd, r, coupling, work)
                 else:  # the other members' clamped steps are in delta
                     delta[new] = _newton_step(jd[new], r[new], coupling)
             alpha = [0.5 ** max(k, 0) for k in tries]
             trial = c + (delta if min(alpha) == 1.0 else np.array(alpha)[:, None] * delta)
-            if max(tries) < 0:
-                delta = None  # a full step is tried once: free it before the trial
-            layers, t_norm, _ = evaluate(_pick(search, len(norms)), trial)
+            layers, t_norm, _ = evaluate(_pick(search, len(norms)), trial, res_out[1][: len(trial)])
             ok = [math.isfinite(x) if k < 0 else x < norms[m][-1] * (1.0 - 1e-4 * a)
                   for m, k, a, x in zip(search, tries, alpha, t_norm)]
             won = [j for j, o in enumerate(ok) if o]
@@ -456,6 +504,7 @@ def _solve_newton(
             at = _pick([search[j] for j in won], len(norms))
             if at is _ALL:
                 cand, res, v_cand = layers
+                res_out.reverse()
             elif won:
                 picked = _pick(won, len(ok))
                 cand[at], res[at], v_cand[at] = (x[picked] for x in layers)
@@ -478,7 +527,8 @@ def _solve_newton(
             residual=h[-1],
             members=tuple(failed),
         )
-    return cand.reshape(shape), v_cand.reshape(shape), norms
+    nxt = cand.copy() if cand is start else cand  # the start iterate is a work layer
+    return nxt.reshape(shape), v_cand.reshape(shape), norms
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
@@ -493,6 +543,7 @@ def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D)
         t=state.t + cfg.tau,
         newton_iters=iters if nxt.ndim > 1 else iters[0],
         potentials=(p.epsilon, v_curr, v_nxt),
+        work=state.work,
     )
 
 
@@ -511,21 +562,24 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     positivity is claimed for the latter).  Each ||x||^2 is the sum of
     squares h*sum x_j^2 (``inner(x, x, g)``), which a (B, N) row gets bit
     for bit as a single layer does.  V of the two layers comes from the
-    state when it carries them at p's eps, and is computed otherwise.
+    state when it carries them at p's eps, and is computed otherwise.  The
+    temporaries are the state's ``work`` layers.
     A float for 1-D layers, one energy per member for (B, N) layers.
     """
     if state.curr.shape != p.layer_shape(g.N):
         raise ValueError("state does not match the grid")
     w = SCHEMES[cfg.scheme]
     v, u, h = state.prev, state.curr, g.h
-    ut = (u - v) / cfg.tau
-    kinetic = inner(ut, ut, g)
-    du, dv = periodic_forward_diff(u, h), periodic_forward_diff(v, h)
-    grad = _weighted_sum(((w, lambda: inner(du, du, g) + inner(dv, dv, g)),
-                          (1.0 - 2.0 * w, lambda: inner(du, dv, g))))
-    mass = 0.5 * (inner(u, u, g) + inner(v, v, g))
+    # Between steps no layer of the step's work is in use, so the energy borrows four.
+    ut, du, dv, prod = (state.work[k].reshape(u.shape) for k in ("res", "trial_res", "dg", "tmp"))
+    ut = np.divide(np.subtract(u, v, out=ut), cfg.tau, out=ut)
+    kinetic = inner(ut, ut, g, prod)
+    du, dv = periodic_forward_diff(u, h, du), periodic_forward_diff(v, h, dv)
+    grad = _weighted_sum(((w, lambda: inner(du, du, g, prod) + inner(dv, dv, g, prod)),
+                          (1.0 - 2.0 * w, lambda: inner(du, dv, g, prod))))
+    mass = 0.5 * (inner(u, u, g, prod) + inner(v, v, g, prod))
     v_prev, v_curr = _layer_potentials(state, p)
-    pot = v_curr + v_prev
+    pot = np.add(v_curr, v_prev, out=ut)
     energy = kinetic + grad + mass + p.lam * 0.5 * h * pot.sum(axis=-1)
     return energy if energy.ndim else float(energy)
 
@@ -621,6 +675,7 @@ def evolve(
         stopped = observe is not None and bool(observe(state))
         if stopped or state.n >= n_steps:
             steps = 1 + len(by_member) * (state.n - 1)
+            state = replace(state, work=None)  # the run's work layers end with it
             return EvolveResult(state, steps, sum(by_member), stopped, by_member)
         state = step(state, p, cfg, g)
         iters = state.newton_iters if state.curr.ndim > 1 else (state.newton_iters,)

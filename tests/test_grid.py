@@ -100,14 +100,24 @@ class TestOperators:
 
     @pytest.mark.parametrize("n", [4, 5, 256, 4097])
     def test_stencils_are_the_roll_forms_bitwise(self, n):
+        # Built in place, into a new array or a given one, on one layer and
+        # on (3, n) rows; -0.0, a subnormal and +-inf (and the NaN of
+        # inf - inf) included, the wrap nodes too.
         rng = np.random.default_rng(n)
-        v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        v[:2] = (-0.0, 5e-324)
         h = 0.3
-        second = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2
-        forward = (np.roll(v, -1) - v) / h
-        assert periodic_second_diff(v, h).tobytes() == second.tobytes()
-        assert periodic_forward_diff(v, h).tobytes() == forward.tobytes()
+        for shape in ((n,), (3, n)):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            v[..., [0, 1, 2, -1]] = (-0.0, 5e-324, np.inf, -np.inf)
+            v.reshape(-1, n)[-1, 3] = np.inf  # infinite neighbours in the last row
+            with np.errstate(invalid="ignore"):
+                second = (np.roll(v, -1, -1) - 2.0 * v + np.roll(v, 1, -1)) / h**2
+                forward = (np.roll(v, -1, -1) - v) / h
+                for out in (None, np.full(shape, 7.0)):
+                    got = periodic_second_diff(v, h, out)
+                    assert got.tobytes() == second.tobytes() and (out is None or got is out)
+                for out in (None, np.full(shape, 7.0)):
+                    got = periodic_forward_diff(v, h, out)
+                    assert got.tobytes() == forward.tobytes() and (out is None or got is out)
 
 
 class TestNormsAndQuadrature:

@@ -474,6 +474,17 @@ class TestBatchedCells:
         harness.run(plan)
         assert batches == sizes
 
+    def test_table1_desk_rates_near_two(self, tmp_path):
+        # The paper's second order in tau, on the finest rows of the desk
+        # table1 (references computed into an empty cache).
+        rows = harness.run_reproduce("table1", cache_dir=str(tmp_path)).rows
+        finest = min(r.tau for r in rows)
+        fine = [r for r in rows if r.tau == finest]
+        assert len(fine) == 2
+        for r in fine:
+            for rate in (r.rate_l2, r.rate_linf, r.rate_h1):
+                assert abs(rate - 2.0) < 0.1
+
     def test_table2_desk_rates_near_two(self, tmp_path):
         # The paper's second order in h, on the finest rows of the desk
         # table2 (references computed into an empty cache).

@@ -464,6 +464,7 @@ class TestBlockedKernel:
         assert np.any(gap <= COINCIDENCE_REL_TOL) and np.any(gap > DERIVATIVE_REL_TOL)
         assert np.any((gap > COINCIDENCE_REL_TOL) & (gap <= DERIVATIVE_REL_TOL))
         v1, v2 = reg_log_primitive(z1 * z1, p), reg_log_primitive(z2 * z2, p)
+        assert _bits(v1) == _bits(nonlinearity._primitive(z1 * z1, p.eps2))  # V's blocks too
         dg, dz1 = fused_discrete_gradient(z1, z2, v1, v2, p, derivative)
         want_dg, want_dz1 = nonlinearity._fused_block(z1, z2, v1, v2, p, derivative)
         assert _bits(dg) == _bits(want_dg)
@@ -473,6 +474,22 @@ class TestBlockedKernel:
         else:
             assert dz1 is None
             assert _bits(discrete_gradient(z1, z2, p)) == _bits(want_dg)
+        # Into given outputs, twice with one scratch, and as rows of a batch
+        # whose other member has its own width: the same bits.
+        scratch, out = {}, (np.empty(n), np.empty(n))
+        for _ in range(2):
+            got = fused_discrete_gradient(z1, z2, v1, v2, p, derivative, out, scratch)
+            assert got[0] is out[0] and _bits(got[0]) == _bits(want_dg)
+            assert _bits(got[1]) == _bits(want_dz1) if derivative else got[1] is None
+        pair = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
+        rows = [np.stack([z, z[::-1]]) for z in (z1, z2)]
+        vs = [reg_log_primitive(r * r, pair) for r in rows]
+        assert _bits(vs[0][0]) == _bits(v1)
+        assert _bits(vs[0][1]) == _bits(reg_log_primitive(rows[0][1] * rows[0][1], pair.member(1)))
+        got = fused_discrete_gradient(*rows, *vs, pair, derivative)
+        assert _bits(got[0][0]) == _bits(want_dg)
+        assert _bits(got[0][1]) == _bits(
+            fused_discrete_gradient(z1[::-1], z2[::-1], vs[0][1], vs[1][1], pair.member(1))[0])
 
     def test_scalar_and_zero_d_inputs(self):
         z1 = np.linspace(-2.0, 2.0, BLOCK + 5)

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -295,9 +297,9 @@ class TestLaplacianCount:
         state = first_step(data(g), P, cfg, g)
         calls, real = [], schemes.periodic_second_diff
 
-        def counting(v, h):
+        def counting(v, h, *out):
             calls.append(h)
-            return real(v, h)
+            return real(v, h, *out)
 
         monkeypatch.setattr(schemes, "periodic_second_diff", counting)
         for _ in range(100):
@@ -761,8 +763,8 @@ class TestMembers:
         clean = [evolve(data, p.member(m), cfg, g, 3) for m in (0, 1)]
         real, blown = schemes._newton_step, []
 
-        def blowing(jac_diag, res, coupling):
-            delta = real(jac_diag, res, coupling)
+        def blowing(jac_diag, res, coupling, *work):
+            delta = real(jac_diag, res, coupling, *work)
             if not blown:  # the first full step, of member 0 only
                 blown.append(delta.shape)
                 delta[0] *= 1e300
@@ -789,8 +791,8 @@ class TestMembers:
         real_step, real_v = schemes._newton_step, schemes.reg_log_primitive
         blown, evaluated = [], []
 
-        def blowing(jac_diag, res, coupling):
-            delta = real_step(jac_diag, res, coupling)
+        def blowing(jac_diag, res, coupling, *work):
+            delta = real_step(jac_diag, res, coupling, *work)
             if not blown:  # both members' first steps, member 1's full step last
                 blown.append(delta.shape)
                 delta[-1] *= 1e300
@@ -871,3 +873,72 @@ class TestMembers:
         assert res.state.curr.shape == (1, g.N)
         assert res.state.curr[0].tobytes() == single.state.curr.tobytes()
         assert (res.steps, res.newton_total) == (single.steps, single.newton_total)
+
+
+class TestWorkLayers:
+    @pytest.mark.parametrize("scheme, tau", [("cnfd", 1e-3), ("siefd", 2.0**-12)],
+                             ids=["cnfd", "siefd"])
+    def test_a_step_allocates_only_its_new_layers(self, scheme, tau):
+        # Every temporary of a step is a layer of the run's work, made in the
+        # first Newton step.  Above a later step's starting memory only the
+        # start iterate's V and the trial iterate with its V are new, plus
+        # V's block temporaries: 4.05 layers here, against 14.0 (cnfd) and
+        # 12.3 (siefd) when each step allocated its temporaries.  At 4 BLOCK
+        # values the fused kernel and V take their blocked path.
+        from logkge.nonlinearity import BLOCK
+
+        g = Grid1D(-16.0, 16.0, 4 * BLOCK)
+        layer = g.N * 8
+        peaks, start = [], []
+
+        def observe(state):
+            if state.n > 2:  # the work layers exist from the first Newton step on
+                peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            evolve(gausson_initial_data(g), P, StepperConfig(scheme, tau), g, 6, observe)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks) < 4.5 * layer
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["with-a-batch", "same-shapes"])
+    def test_concurrent_runs_equal_their_serial_runs(self, batch):
+        # Each run owns its work layers, so two runs stepping at once in two
+        # threads (one of them a two-member batch, or two runs of one shape)
+        # give their serial layers.
+        g = Grid1D(-16.0, 16.0, 256)
+        cfg = StepperConfig("cnfd", tau=0.01)
+        data = gausson_initial_data(g)
+        other = (InitialData(np.stack([data.phi, 0.5 * data.phi]), np.stack([data.gamma] * 2))
+                 if batch else InitialData(0.5 * data.phi, data.gamma))
+        runs = [(NonlinearityParams(lam=1.0, epsilon=0.05), data),
+                (NonlinearityParams(lam=1.0, epsilon=(0.1, 1e-3) if batch else 1e-3), other)]
+
+        def trajectory(p, init, layers, ready=None):
+            if ready is not None:
+                ready.wait()
+            evolve(init, p, cfg, g, 40, lambda st: layers.append(st.curr.tobytes()))
+
+        serial = [[], []]
+        for (p, init), layers in zip(runs, serial):
+            trajectory(p, init, layers)
+        concurrent = [[], []]
+        ready = threading.Barrier(2, timeout=30)
+        threads = [threading.Thread(target=trajectory, args=(p, init, layers, ready))
+                   for (p, init), layers in zip(runs, concurrent)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(x) for x in serial] == [40, 40]
+        assert concurrent == serial
