@@ -17,12 +17,15 @@ cell's Newton solve failed: no norms, rates, drift or iterations);
 rates); or, for a stability probe, ``unstable`` (the sup norm grew past 10x
 its start, or Newton failed).
 
-Two tables hold what would otherwise be spread over many branches.
+Three tables hold what would otherwise be spread over many branches.
 :data:`SWEEP_KINDS` gives each plan kind its swept axis and the meaning of
 ``reference = auto``; the cells, the validation of the grid lists, the
 reference grids and the rate grouping all follow from the axis.
 :data:`_PLAN_FIELDS` maps every plan-file key to its :class:`ExperimentPlan`
 field, and drives both :func:`plan_from_config` and :func:`plan_to_config`.
+:data:`_BUILTIN_PLANS` holds each built-in plan's desk-scale fields and the
+fields ``paper_scale`` replaces; :data:`_TARGET_PLANS` sends each reproduce
+target to its plans.
 """
 
 from __future__ import annotations
@@ -816,87 +819,66 @@ def plan_to_config(plan: ExperimentPlan) -> str:
 # --- reproduce targets ----------------------------------------------------
 
 
+# The paper's three references, which table1 and table2 share at paper
+# scale: one per eps, N = 32768 for 51 200 steps.
+_PAPER_EPS, _PAPER_H, _PAPER_TAU = (0.05, 0.0125, 0.1 * 2.0**-15), 2.0**-10, 0.01 * 2.0**-9
+# table3's eps: the diagonal's five levels, and the column of its epsilon leg.
+_T3_EPS = tuple(1e-3 * 4.0**-j for j in range(5))
+
+# Every built-in plan: (its desk-scale ExperimentPlan fields, the fields that
+# paper_scale replaces).  Fields left out keep the ExperimentPlan defaults:
+# the cnfd scheme and, except for the energy figure, the Gausson of Example 1
+# on [-16, 16] up to T = 1.
+_BUILTIN_PLANS = {
+    "table1": (dict(kind="temporal-sweep", epsilons=(0.05, 0.0125), hs=(2.0**-7,),
+                    taus=tuple(0.1 * 2.0**-j for j in range(6)), reference="cnfd-fine",
+                    tau_ref=0.1 * 2.0**-8),
+               dict(epsilons=_PAPER_EPS, hs=(_PAPER_H,), tau_ref=_PAPER_TAU)),
+    "table2": (dict(kind="spatial-sweep", epsilons=(0.05, 0.0125), taus=(0.0025,),
+                    hs=tuple(0.5 * 2.0**-j for j in range(5)), reference="cnfd-fine"),
+               dict(epsilons=_PAPER_EPS, taus=(_PAPER_TAU,), h_ref=_PAPER_H, tau_ref=_PAPER_TAU,
+                    hs=tuple(0.5 * 2.0**-j for j in range(6)))),
+    "table3-diagonal": (dict(kind="diagonal-sweep", epsilons=_T3_EPS,
+                             hs=tuple(0.1 * 2.0**-j for j in range(5)),
+                             taus=tuple(0.1 * 2.0**-j for j in range(5)),
+                             reference="exact-gausson"), {}),
+    "table3-epsilon": (dict(kind="epsilon-sweep", epsilons=_T3_EPS, hs=(0.1 * 2.0**-5,),
+                            taus=(0.1 * 2.0**-5,), reference="exact-gausson"), {}),
+    "fig1": (dict(kind="epsilon-sweep", final_time=0.5, hs=(2.0**-5,), taus=(0.005,),
+                  epsilons=tuple(0.1 * 2.0**-i for i in range(1, 7)), reference="exact-gausson"),
+             dict(hs=(2.0**-7,), taus=(0.001,))),
+    "fig-energy": (dict(kind="energy-drift", problem="example2-cos-sin", domain=(-1.0, 1.0),
+                        final_time=10.0, epsilons=(0.05,), taus=(0.01,), hs=(2.0**-6,),
+                        snapshot_times=(0.0, 1.0, 5.0)), {}),
+}
+
+# The built-in plans of each reproduce target, in the order of its rows.
+_TARGET_PLANS = {
+    "table1": ("table1",),
+    "table2": ("table2",),
+    "table3": ("table3-diagonal", "table3-epsilon"),
+    "fig1": ("fig1",),
+    "fig-energy": ("fig-energy",),
+}
+REPRODUCE_TARGETS = tuple(_TARGET_PLANS)
+
+
 def reproduce_plan(
     target: str,
     paper_scale: bool = False,
     out: str | None = None,
     cache_dir: str | None = None,
 ) -> ExperimentPlan:
-    """Built-in plans behind the reproduce targets.
+    """The built-in plan named ``target``, with its paper fields if ``paper_scale``.
 
-    Desk-scale defaults finish in seconds to a couple of minutes and keep
-    the refinement-ratio structure of the published tables; ``paper_scale``
-    restores the original resolutions (minutes to hours).  Fields left out
-    keep the :class:`ExperimentPlan` defaults: the cnfd scheme and, except for
-    the energy figure, the Gausson of Example 1 on [-16, 16] up to T = 1.
+    Desk-scale plans finish in seconds to a couple of minutes and keep the
+    refinement-ratio structure of the published tables; the paper fields
+    restore the original resolutions (minutes to hours).
     """
-    common = dict(out=out, cache_dir=cache_dir)
-    if target == "table1":
-        return ExperimentPlan(
-            kind="temporal-sweep",
-            epsilons=(0.05, 0.0125, 0.1 * 2.0**-15) if paper_scale else (0.05, 0.0125),
-            taus=tuple(0.1 * 2.0**-j for j in range(6)),
-            hs=(2.0**-10,) if paper_scale else (2.0**-7,),
-            reference="cnfd-fine",
-            tau_ref=0.01 * 2.0**-9 if paper_scale else 0.1 * 2.0**-8,
-            **common,
-        )
-    if target == "table2":
-        return ExperimentPlan(
-            kind="spatial-sweep",
-            epsilons=(0.05, 0.0125, 0.1 * 2.0**-15) if paper_scale else (0.05, 0.0125),
-            taus=(0.01 * 2.0**-9,) if paper_scale else (0.0025,),
-            hs=tuple(0.5 * 2.0**-j for j in range(6 if paper_scale else 5)),
-            reference="cnfd-fine",
-            h_ref=2.0**-10 if paper_scale else None,
-            tau_ref=0.01 * 2.0**-9 if paper_scale else None,
-            **common,
-        )
-    if target == "table3-diagonal":
-        levels = range(5)
-        return ExperimentPlan(
-            kind="diagonal-sweep",
-            epsilons=tuple(1e-3 * 4.0**-j for j in levels),
-            hs=tuple(0.1 * 2.0**-j for j in levels),
-            taus=tuple(0.1 * 2.0**-j for j in levels),
-            reference="exact-gausson",
-            **common,
-        )
-    if target == "table3-epsilon":
-        return ExperimentPlan(
-            kind="epsilon-sweep",
-            epsilons=tuple(1e-3 * 4.0**-j for j in range(5)),
-            hs=(0.1 * 2.0**-5,),
-            taus=(0.1 * 2.0**-5,),
-            reference="exact-gausson",
-            **common,
-        )
-    if target == "fig1":
-        return ExperimentPlan(
-            kind="epsilon-sweep",
-            final_time=0.5,
-            epsilons=tuple(0.1 * 2.0**-i for i in range(1, 7)),
-            hs=(2.0**-7,) if paper_scale else (2.0**-5,),
-            taus=(0.001,) if paper_scale else (0.005,),
-            reference="exact-gausson",
-            **common,
-        )
-    if target == "fig-energy":
-        return ExperimentPlan(
-            kind="energy-drift",
-            problem="example2-cos-sin",
-            domain=(-1.0, 1.0),
-            final_time=10.0,
-            epsilons=(0.05,),
-            taus=(0.01,),
-            hs=(2.0**-6,),
-            snapshot_times=(0.0, 1.0, 5.0),
-            **common,
-        )
-    raise PlanError([f"unknown reproduce target {target!r}"])
-
-
-REPRODUCE_TARGETS = ("table1", "table2", "table3", "fig1", "fig-energy")
+    if target not in _BUILTIN_PLANS:
+        raise PlanError([f"unknown reproduce target {target!r}"])
+    desk, paper = _BUILTIN_PLANS[target]
+    return ExperimentPlan(**(desk | paper if paper_scale else desk), out=out, cache_dir=cache_dir)
 
 
 def run_reproduce(
@@ -905,25 +887,24 @@ def run_reproduce(
     out: str | None = None,
     cache_dir: str | None = None,
 ) -> SweepResult:
-    """Run a reproduce target; table3 merges its diagonal and epsilon legs.
+    """Run the built-in plans of a reproduce target and join their rows in order.
 
-    When ``out`` is set, writes the sweep CSV there; the energy target also
-    writes ``<out stem>_drift.csv`` and ``<out stem>_waveforms.csv``.
+    table3 runs its diagonal and epsilon legs; every other target is one
+    plan.  When ``out`` is set, writes the sweep CSV there; a target whose
+    plan takes snapshots (the energy figure) also writes
+    ``<out stem>_drift.csv`` and ``<out stem>_waveforms.csv``.
     """
-    if target not in REPRODUCE_TARGETS:
+    if target not in _TARGET_PLANS:
         raise PlanError(
             [f"unknown reproduce target {target!r}, expected one of {REPRODUCE_TARGETS}"]
         )
-    kw = dict(paper_scale=paper_scale, out=out, cache_dir=cache_dir)
-    if target == "table3":
-        diag = run(reproduce_plan("table3-diagonal", **kw))
-        col = run(reproduce_plan("table3-epsilon", **kw))
-        result = SweepResult(diag.plan, diag.rows + col.rows)
-    else:
-        result = run(reproduce_plan(target, **kw))
+    plans = [reproduce_plan(name, paper_scale, out, cache_dir) for name in _TARGET_PLANS[target]]
+    result, *rest = map(run, plans)
+    for more in rest:
+        result.rows += more.rows
     if out is not None:
         emit_csv(result, out)
-        if target == "fig-energy":
+        if SWEEP_KINDS[result.plan.kind].snapshots:
             stem = Path(out)
             emit_drift_series(result, stem.with_name(stem.stem + "_drift.csv"))
             emit_waveforms(result, stem.with_name(stem.stem + "_waveforms.csv"))

@@ -211,15 +211,6 @@ def assemble_residual(
     return residual(cand, discrete_gradient(cand, state.prev, p), np.empty(np.shape(cand)))
 
 
-def _weighted_sum(terms):
-    """Sum of c * x() over the (weight c, term x) pairs.
-
-    x() runs only where c != 0, and is not multiplied where c == 1.
-    """
-    parts = [x() if c == 1.0 else c * x() for c, x in terms if c]
-    return sum(parts[1:], parts[0])
-
-
 # Every member: the rows argument of the step equation, the kernel and p.take.
 _ALL = slice(None)
 
@@ -575,8 +566,11 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     ut = np.divide(np.subtract(u, v, out=ut), cfg.tau, out=ut)
     kinetic = inner(ut, ut, g, prod)
     du, dv = periodic_forward_diff(u, h, du), periodic_forward_diff(v, h, dv)
-    grad = _weighted_sum(((w, lambda: inner(du, du, g, prod) + inner(dv, dv, g, prod)),
-                          (1.0 - 2.0 * w, lambda: inner(du, dv, g, prod))))
+    terms = ((w, lambda: inner(du, du, g, prod) + inner(dv, dv, g, prod)),
+             (1.0 - 2.0 * w, lambda: inner(du, dv, g, prod)))
+    # A term is formed only where its weight c is nonzero, and not multiplied where c is 1.
+    parts = [x() if c == 1.0 else c * x() for c, x in terms if c]
+    grad = sum(parts[1:], parts[0])
     mass = 0.5 * (inner(u, u, g, prod) + inner(v, v, g, prod))
     v_prev, v_curr = _layer_potentials(state, p)
     pot = np.add(v_curr, v_prev, out=ut)

@@ -604,3 +604,101 @@ class TestHostilePlans:
         with pytest.raises(PlanError):
             harness.run(plan)
         assert calls == []
+
+
+def _plan_grids(plan):
+    """(N, steps) of the plan's cells, as a set, and of its cnfd-fine references, sorted.
+
+    Derived through the harness's own grid rules, one reference per
+    (eps, h_ref, tau_ref).
+    """
+    def size(h, tau):
+        return harness._grid_for(plan, h).N, harness._count(plan.final_time, tau)
+
+    cells = harness._cells_for(plan)
+    refs = set()
+    if harness._resolve_reference(plan) == "cnfd-fine":
+        refs = {(eps, *harness._reference_grid_rule(plan, h, tau)) for eps, h, tau in cells}
+    return {size(h, tau) for _, h, tau in cells}, sorted(size(h, tau) for _, h, tau in refs)
+
+
+_T1_STEPS = [10 * 2**j for j in range(6)]  # tau = 0.1 ... 0.1 * 2^-5 up to T = 1
+_PLAN_GRIDS = {  # (target, paper_scale): (cells, references)
+    ("table1", False): ({(4096, n) for n in _T1_STEPS}, [(4096, 2560)] * 2),
+    ("table1", True): ({(32768, n) for n in _T1_STEPS}, [(32768, 51200)] * 3),
+    ("table2", False): ({(64 * 2**j, 400) for j in range(5)}, [(8192, 400)] * 2),
+    ("table2", True): ({(64 * 2**j, 51200) for j in range(6)}, [(32768, 51200)] * 3),
+    ("fig1", False): ({(1024, 100)}, []),
+    ("fig1", True): ({(4096, 500)}, []),
+    **{
+        (target, paper_scale): grids
+        for target, grids in (
+            ("table3-diagonal", ({(320 * 2**j, 10 * 2**j) for j in range(5)}, [])),
+            ("table3-epsilon", ({(10240, 320)}, [])),
+            ("fig-energy", ({(128, 1000)}, [])),
+        )
+        for paper_scale in (False, True)
+    },
+}
+
+
+class TestReproduce:
+    @pytest.mark.parametrize(
+        "target, paper_scale",
+        list(_PLAN_GRIDS),
+        ids=[f"{t}-{'paper' if s else 'desk'}" for t, s in _PLAN_GRIDS],
+    )
+    def test_plan_grids(self, target, paper_scale):
+        plan = reproduce_plan(target, paper_scale=paper_scale)
+        assert plan.validate() == []
+        assert _plan_grids(plan) == _PLAN_GRIDS[(target, paper_scale)]
+
+    def test_paper_tables_share_their_references(self):
+        def reference_keys(target):
+            plan = reproduce_plan(target, paper_scale=True)
+            return {(eps, *harness._reference_grid_rule(plan, h, tau))
+                    for eps, h, tau in harness._cells_for(plan)}
+
+        assert len(reference_keys("table1")) == 3
+        assert reference_keys("table1") == reference_keys("table2")
+
+    @pytest.mark.parametrize("target", ["table3-diagonal", "table3-epsilon", "fig-energy"])
+    def test_scale_free_plans(self, target):
+        assert reproduce_plan(target, paper_scale=True) == reproduce_plan(target)
+
+    def test_energy_target_writes_drift_and_waveforms(self, tmp_path):
+        out = tmp_path / "figs" / "energy.csv"
+        harness.run_reproduce("fig-energy", out=str(out))
+        names = ["energy.csv", "energy_drift.csv", "energy_waveforms.csv"]
+        assert sorted(p.name for p in out.parent.iterdir()) == names
+
+    def test_sweep_target_writes_only_its_csv(self, tmp_path):
+        out = tmp_path / "figs" / "fig1.csv"
+        harness.run_reproduce("fig1", out=str(out))
+        assert [p.name for p in out.parent.iterdir()] == ["fig1.csv"]
+
+    def test_table3_joins_its_legs_in_order(self, monkeypatch):
+        plans = []
+
+        def record(plan):
+            plans.append(plan)
+            return SweepResult(plan, [harness._row(plan, e, h, t) for e, h, t in
+                                      harness._cells_for(plan)])
+
+        monkeypatch.setattr(harness, "run", record)
+        rows = harness.run_reproduce("table3").rows
+        legs = [reproduce_plan("table3-diagonal"), reproduce_plan("table3-epsilon")]
+        assert plans == legs
+        assert rows == [harness._row(p, e, h, t) for p in legs for e, h, t in harness._cells_for(p)]
+        assert len(rows) == 10
+
+    @pytest.mark.parametrize("target", ["table4", "table3", "TABLE1", ""])
+    def test_unknown_plan(self, target):
+        with pytest.raises(PlanError):
+            reproduce_plan(target)
+
+    @pytest.mark.parametrize("target", ["table4", "table3-epsilon", "fig1 ", ""])
+    def test_unknown_target(self, monkeypatch, target):
+        monkeypatch.setattr(harness, "run", lambda plan: pytest.fail("ran a plan"))
+        with pytest.raises(PlanError):
+            harness.run_reproduce(target)
