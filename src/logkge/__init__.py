@@ -17,6 +17,7 @@ from .nonlinearity import NonlinearityParams
 from .schemes import (
     InitialData,
     NonConvergenceError,
+    Run,
     StabilityWarning,
     StepperConfig,
     WaveState,
@@ -35,6 +36,7 @@ __all__ = [
     "InitialData",
     "NonConvergenceError",
     "NonlinearityParams",
+    "Run",
     "StabilityWarning",
     "StepperConfig",
     "WaveState",

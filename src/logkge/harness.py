@@ -58,7 +58,6 @@ from .schemes import (
     NonConvergenceError,
     StabilityWarning,
     StepperConfig,
-    discrete_energy,
     evolve,
     relative_drift,
 )
@@ -498,11 +497,11 @@ def _run_cells(plan, policy, refs, cells) -> list[tuple[CellRow, tuple[list, dic
         energies = []
         snapshots = [{0.0: init.phi} if 0 in snapshot_steps else {} for _ in live]
 
-        def observe(state):
-            energies.append(discrete_energy(state, p, cfg, g))
-            if state.n in snapshot_steps:
-                for snaps, u in zip(snapshots, state.curr.reshape(len(live), -1)):
-                    snaps[state.n * tau] = u
+        def observe(run):
+            energies.append(run.energy())
+            if run.state.n in snapshot_steps:
+                for snaps, u in zip(snapshots, run.state.curr.reshape(len(live), -1)):
+                    snaps[run.state.n * tau] = u
 
         try:
             res = evolve(init, p, cfg, g, _count(plan.final_time, tau), observe)
@@ -561,8 +560,8 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
     bound = siefd_tau_bound(g.h, sigma_max(init.phi, p))
     u0_inf = max(norm_linf(init.phi, g), 1e-300)
 
-    def growing(state):  # sup norm past 10x its start, or not finite
-        return not norm_linf(state.curr, g) / u0_inf <= 10.0
+    def growing(run):  # sup norm past 10x its start, or not finite
+        return not norm_linf(run.state.curr, g) / u0_inf <= 10.0
 
     rows = []
     for fac in plan.probe_factors:

@@ -14,10 +14,10 @@ its implicit system is nodewise scalar.  The residual, the Newton coupling
 which gives each scheme an exactly conserved discrete energy.  Each step is
 one Newton solve with the analytic Jacobian (cyclic tridiagonal for cnfd,
 diagonal for siefd) whose every iteration is one line search, its first
-trial the full step: :func:`evolve` -> :func:`step` -> :func:`solve_newton`.
-:func:`evolve` keeps no records: its one hook ``observe(state)`` sees every
-state from the Taylor start on and may end the run, and callers keep their
-own energies, snapshots or blow-up tests.
+trial the full step: :func:`evolve` -> :meth:`Run.advance` -> :func:`solve_newton`.
+:func:`evolve` keeps no records: its one hook ``observe(run)`` sees the
+:class:`Run` at every state from the Taylor start on and may end it, and
+callers keep their own energies, snapshots or blow-up tests.
 
 Each piece of work in a step is done once, and a term of weight 0 not at
 all: cnfd forms no 0 * u^n and no energy cross product, siefd no 0 * u^{n-1}
@@ -25,18 +25,16 @@ and no gradient norms.  known = w u^{n-1} + (1-2w) u^n and its Laplacian
 are formed once per step, so a trial layer costs one Laplacian, of
 w u^{n+1} + known, and none when w = 0.  Halving commutes with rounding,
 so at w = 1/2 that Laplacian is 1/2 lap(u^{n+1} + u^{n-1}) bit for bit.
-A :class:`WaveState` made by :func:`first_step` or :func:`step`
-carries the potential V(u^2) of its two layers (V = ``reg_log_primitive``):
+A :class:`Run` carries V(u^2) of its two layers (V = ``reg_log_primitive``):
 V(u^{n-1}^2) is fixed for the whole solve, every Newton iterate evaluates V
-once and the solution hands its V to the next state, so a one-iteration
-step costs two evaluations of V, and :func:`discrete_energy` reuses the
-carried pair.  One fused kernel gives the discrete gradient and its Jacobian
-diagonal together at the start iterate.  The cnfd Jacobian is solved by
+once and the solution's V is carried on, so a one-iteration step costs two
+evaluations of V, and the run's energy reuses the carried pair.  One fused
+kernel gives the discrete gradient and its Jacobian diagonal together at
+the start iterate.  The cnfd Jacobian is solved by
 :func:`solve_cyclic_tridiag`, which solves the Sherman-Morrison corner
 vector only on the rows where it is representable.
 
-Work layers.  A run owns its N-sized scratch arrays: ``WaveState.work``,
-made with the first state and handed from each state to the next.  The
+Work layers.  A run owns its N-sized scratch arrays, ``Run.work``.  The
 step writes every temporary into them with ``out=``, in the order of the
 plain expressions, so each layer is bit for bit what those give; only V of
 each iterate and the trial iterates are new arrays.  So a step's memory
@@ -60,7 +58,7 @@ import math
 import warnings
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -86,6 +84,7 @@ __all__ = [
     "StepperConfig",
     "InitialData",
     "WaveState",
+    "Run",
     "NonConvergenceError",
     "StabilityWarning",
     "first_step",
@@ -155,15 +154,8 @@ def _work(shape) -> dict:
 class WaveState:
     """Two consecutive layers (u^{n-1}, u^n) of a trajectory, t = n*tau.
 
-    :func:`first_step` and :func:`step` also fill ``potentials``: the eps
-    they used and V(u^{n-1}^2), V(u^n^2) at that eps, V being
-    ``reg_log_primitive``.  The next step and :func:`discrete_energy` reuse
-    them; for a state without them (read from the cache, or built by hand)
-    they are computed where needed.  ``newton_iters`` counts the iterations
-    of the step that made the state, one int per member for (B, N) layers.
-    ``work`` holds the scratch layers of the state's run, in which
-    :func:`step` and :func:`discrete_energy` form their temporaries; each
-    step hands it on to the state it makes, and other states start their own.
+    ``newton_iters`` counts the iterations of the step that made the state,
+    one int per member for (B, N) layers.
     """
 
     prev: np.ndarray
@@ -171,16 +163,39 @@ class WaveState:
     n: int
     t: float
     newton_iters: int | tuple[int, ...] = 0
-    potentials: tuple[float | tuple[float, ...], np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-    work: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.prev.shape != self.curr.shape:
             raise ValueError("both layers must live on the same grid")
-        if self.work is None:
-            object.__setattr__(self, "work", _work(np.atleast_2d(self.curr).shape))
+
+
+class Run:
+    """A trajectory being stepped: its ``state``, ``p``, ``cfg``, ``g`` and carried data.
+
+    ``v`` is V(u^{n-1}^2), V(u^n^2) of the state, V being ``reg_log_primitive``:
+    computed from the state the run starts on, then carried by :meth:`advance`.
+    ``work`` holds the scratch layers of the step and :meth:`energy`.  A run
+    advances in place: an observer that keeps what it sees keeps ``run.state``.
+    """
+
+    def __init__(self, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
+        self.state, self.p, self.cfg, self.g = state, p, cfg, g
+        self.v = tuple(reg_log_primitive(x * x, p) for x in (state.prev, state.curr))
+        self.work = _work(np.atleast_2d(state.curr).shape)
+
+    def advance(self) -> WaveState:
+        """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``."""
+        state = self.state
+        nxt, v_nxt, norms = _solve_newton(self)
+        iters = tuple(len(h) - 1 for h in norms)
+        self.v = (self.v[1], v_nxt)
+        self.state = WaveState(state.curr, nxt, state.n + 1, state.t + self.cfg.tau,
+                               iters if nxt.ndim > 1 else iters[0])
+        return self.state
+
+    def energy(self):
+        """:func:`discrete_energy` of the run's state, from the carried V."""
+        return discrete_energy(self.state, self.p, self.cfg, self.g, self)
 
 
 def first_step(
@@ -190,17 +205,7 @@ def first_step(
     phi, gamma = init.phi, init.gamma
     accel = periodic_second_diff(phi, g.h) - phi - p.lam * phi * reg_log(phi * phi, p)
     u1 = phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
-    pots = (p.epsilon, reg_log_primitive(phi * phi, p), reg_log_primitive(u1 * u1, p))
-    return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau, potentials=pots)
-
-
-def _layer_potentials(state: WaveState, p: NonlinearityParams):
-    """(V(u^{n-1}^2), V(u^n^2)): the state's own pair if computed at p's eps."""
-    pots = state.potentials
-    if pots is not None and pots[0] == p.epsilon:
-        return pots[1], pots[2]
-    prev, curr = state.prev, state.curr
-    return reg_log_primitive(prev * prev, p), reg_log_primitive(curr * curr, p)
+    return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau)
 
 
 def assemble_residual(
@@ -294,7 +299,7 @@ def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray, work=Non
     ``diag`` and ``rhs`` may also be (B, N): B systems sharing ``off``,
     each solved on its own as above.  Every array handed to ``dgtsv`` is
     the solver's own and is overwritten in place, so LAPACK's wrapper copies
-    none of them.  Given a run's ``work`` (see :class:`WaveState`), x and
+    none of them.  Given a run's ``work`` (see :class:`Run`), x and
     those arrays are its layers.
     """
     n = diag.shape[-1]
@@ -415,21 +420,22 @@ def solve_newton(
     stalled).  Each member of (B, N) layers is its own search, and the
     history is one list per member.
     """
-    nxt, _, norms = _solve_newton(state, _layer_potentials(state, p)[0], p, cfg, g)
+    nxt, _, norms = _solve_newton(Run(state, p, cfg, g))
     return nxt, (norms if state.curr.ndim > 1 else norms[0])
 
 
-def _solve_newton(state: WaveState, v_up, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
-    """:func:`solve_newton` given v_up = V(u^{n-1}^2); also returns V of the solution.
+def _solve_newton(run: Run):
+    """:func:`solve_newton` of the run's state; also returns V of the solution.
 
     Layers are worked on as (B, N), a 1-D layer as one row, and temporaries
-    in ``state.work``.  A trial of the line search evaluates every member
+    in ``run.work``.  A trial of the line search evaluates every member
     still searching at once, each at its own step.  Each trial costs one
     ``reg_log_primitive`` call; the start iterate's residual and Jacobian
     share one pass of the fused kernel.
     """
-    shape, work = state.curr.shape, state.work
-    up, uc, v_up = (x.reshape(-1, shape[-1]) for x in (state.prev, state.curr, v_up))
+    state, p, cfg, g, work = run.state, run.p, run.cfg, run.g, run.work
+    shape = state.curr.shape
+    up, uc, v_prev = (x.reshape(-1, shape[-1]) for x in (state.prev, state.curr, run.v[0]))
     w = SCHEMES[cfg.scheme]
     residual, start, b = _step_equation(up, uc, p, cfg, g, work)
     tol = [cfg.newton_tol * (1.0 + x) for x in _row_norms(b, g, work["tmp"])]
@@ -439,7 +445,7 @@ def _solve_newton(state: WaveState, v_up, p: NonlinearityParams, cfg: StepperCon
 
     def kernel(rows, cand, v_cand, jacobian):
         out, q = (work["dg"][: len(cand)], work["jac"][: len(cand)]), p.take(rows)
-        dg, dz = fused_discrete_gradient(cand, up[rows], v_cand, v_up[rows], q, jacobian, out,
+        dg, dz = fused_discrete_gradient(cand, up[rows], v_cand, v_prev[rows], q, jacobian, out,
                                          work.setdefault("kernel", {}))
         return dg, (np.add(np.multiply(dz, p.lam, dz), lin_diag, dz) if jacobian else None)
 
@@ -523,22 +529,12 @@ def _solve_newton(state: WaveState, v_up, p: NonlinearityParams, cfg: StepperCon
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
-    """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``."""
-    v_prev, v_curr = _layer_potentials(state, p)
-    nxt, v_nxt, norms = _solve_newton(state, v_prev, p, cfg, g)
-    iters = tuple(len(h) - 1 for h in norms)
-    return WaveState(
-        prev=state.curr,
-        curr=nxt,
-        n=state.n + 1,
-        t=state.t + cfg.tau,
-        newton_iters=iters if nxt.ndim > 1 else iters[0],
-        potentials=(p.epsilon, v_curr, v_nxt),
-        work=state.work,
-    )
+    """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``: a one-step run."""
+    return Run(state, p, cfg, g).advance()
 
 
-def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
+def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D,
+                    run: Run | None = None):
     """Exactly conserved two-layer energy of the selected scheme.
 
     With (v, u) = (state.prev, state.curr) playing (u^n, u^{n+1}) and w the
@@ -552,17 +548,18 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     the sign-indefinite cross product h*sum (D+ u)(D+ v) for siefd (no
     positivity is claimed for the latter).  Each ||x||^2 is the sum of
     squares h*sum x_j^2 (``inner(x, x, g)``), which a (B, N) row gets bit
-    for bit as a single layer does.  V of the two layers comes from the
-    state when it carries them at p's eps, and is computed otherwise.  The
-    temporaries are the state's ``work`` layers.
+    for bit as a single layer does.  Given the ``run`` whose state this is,
+    V of the two layers is its carried pair and the temporaries are its
+    ``work`` layers; without one, V is computed here.
     A float for 1-D layers, one energy per member for (B, N) layers.
     """
     if state.curr.shape != p.layer_shape(g.N):
         raise ValueError("state does not match the grid")
+    run = Run(state, p, cfg, g) if run is None else run
     w = SCHEMES[cfg.scheme]
     v, u, h = state.prev, state.curr, g.h
     # Between steps no layer of the step's work is in use, so the energy borrows four.
-    ut, du, dv, prod = (state.work[k].reshape(u.shape) for k in ("res", "trial_res", "dg", "tmp"))
+    ut, du, dv, prod = (run.work[k].reshape(u.shape) for k in ("res", "trial_res", "dg", "tmp"))
     ut = np.divide(np.subtract(u, v, out=ut), cfg.tau, out=ut)
     kinetic = inner(ut, ut, g, prod)
     du, dv = periodic_forward_diff(u, h, du), periodic_forward_diff(v, h, dv)
@@ -572,7 +569,7 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     parts = [x() if c == 1.0 else c * x() for c, x in terms if c]
     grad = sum(parts[1:], parts[0])
     mass = 0.5 * (inner(u, u, g, prod) + inner(v, v, g, prod))
-    v_prev, v_curr = _layer_potentials(state, p)
+    v_prev, v_curr = run.v
     pot = np.add(v_curr, v_prev, out=ut)
     energy = kinetic + grad + mass + p.lam * 0.5 * h * pot.sum(axis=-1)
     return energy if energy.ndim else float(energy)
@@ -620,15 +617,17 @@ def evolve(
     cfg: StepperConfig,
     g: Grid1D,
     n_steps: int,
-    observe: Callable[[WaveState], object] | None = None,
+    observe: Callable[[Run], object] | None = None,
 ) -> EvolveResult:
     """Run a trajectory for n_steps time steps from the Taylor first step.
 
-    Each later step is one :func:`step` (one guarded Newton solve, whose
-    :class:`NonConvergenceError` propagates).  ``observe(state)`` is called
-    with the Taylor state (n = 1, ``prev`` = phi) and after every later
-    step; a true return ends the run there and sets ``stopped``.  Energies,
-    snapshots and blow-up tests are the observer's business.  For siefd,
+    The trajectory is one :class:`Run` from :func:`first_step`; each later
+    step is one :meth:`Run.advance` (one guarded Newton solve, whose
+    :class:`NonConvergenceError` propagates).  ``observe(run)`` is called
+    with the run at the Taylor state (n = 1, ``prev`` = phi) and after every
+    later step, and reads ``run.state`` and ``run.energy()``; a true return
+    ends the run there and sets ``stopped``.  Energies, snapshots and
+    blow-up tests are the observer's business.  For siefd,
     warns once if tau exceeds the stability bound predicted from the
     initial layer.
 
@@ -663,14 +662,13 @@ def evolve(
                 stacklevel=2,
             )
 
-    state = first_step(init, p, cfg, g)
+    run = Run(first_step(init, p, cfg, g), p, cfg, g)
     by_member = (0,) * len(p.widths)
     while True:
-        stopped = observe is not None and bool(observe(state))
-        if stopped or state.n >= n_steps:
-            steps = 1 + len(by_member) * (state.n - 1)
-            state = replace(state, work=None)  # the run's work layers end with it
-            return EvolveResult(state, steps, sum(by_member), stopped, by_member)
-        state = step(state, p, cfg, g)
+        stopped = observe is not None and bool(observe(run))
+        if stopped or run.state.n >= n_steps:
+            steps = 1 + len(by_member) * (run.state.n - 1)
+            return EvolveResult(run.state, steps, sum(by_member), stopped, by_member)
+        state = run.advance()
         iters = state.newton_iters if state.curr.ndim > 1 else (state.newton_iters,)
         by_member = tuple(a + b for a, b in zip(by_member, iters))

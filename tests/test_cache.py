@@ -9,6 +9,7 @@ from logkge import cache
 from logkge.analysis import gausson_initial_data
 from logkge.grid import Grid1D
 from logkge.nonlinearity import NonlinearityParams
+from logkge.schemes import StepperConfig, evolve, step
 
 G = Grid1D(-16.0, 16.0, 64)
 P = NonlinearityParams(lam=1.0, epsilon=0.05)
@@ -55,6 +56,27 @@ def test_miss_then_hit(tmp_path, evolve_calls):
     second = _reference(tmp_path)
     assert len(evolve_calls) == 1
     _assert_same(first, second)
+
+
+def test_stepping_on_from_a_loaded_state_continues_the_run(tmp_path, evolve_calls):
+    # A state read back from the cache holds only its two layers: V and the
+    # work layers are made anew.  Stepping on from it must give the run
+    # that never stopped, in layers and Newton counts, bit for bit.
+    _reference(tmp_path)
+    state = _reference(tmp_path)
+    assert len(evolve_calls) == 1  # the second state was read back
+    cfg, more = StepperConfig("cnfd", TAU), 3
+    iters = []
+    for _ in range(more):
+        state = step(state, P, cfg, G)
+        iters.append(state.newton_iters)
+    seen = []
+    whole = evolve(gausson_initial_data(G), P, cfg, G, STEPS + more,
+                   lambda run: seen.append(run.state.newton_iters))
+    assert state.prev.tobytes() == whole.state.prev.tobytes()
+    assert state.curr.tobytes() == whole.state.curr.tobytes()
+    assert (state.n, state.t) == (whole.state.n, whole.state.t)
+    assert iters == seen[STEPS:]
 
 
 def test_no_cache_dir_recomputes_and_writes_nothing(tmp_path, monkeypatch, evolve_calls):

@@ -1,5 +1,9 @@
+import csv
+import importlib.util
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,27 @@ from logkge.harness import (
 from logkge.schemes import relative_drift
 
 X = np.linspace(-2.0, 2.0, 33)
+TESTS = Path(__file__).resolve().parent
+GATE = TESTS.parent / "bench" / "gate.py"
+
+
+@pytest.fixture(scope="module")
+def desk(tmp_path_factory):
+    """``desk(target)``: (result, written CSVs) of the desk ``run_reproduce(target)``.
+
+    Each target runs once a module, into an empty cache of its own.
+    """
+    made = {}
+
+    def run(target):
+        if target not in made:
+            where = tmp_path_factory.mktemp(target)
+            out = where / f"{target}.csv"
+            result = harness.run_reproduce(target, out=str(out), cache_dir=str(where / "cache"))
+            made[target] = result, sorted(where.glob("*.csv"))
+        return made[target]
+
+    return run
 
 
 class TestExpressions:
@@ -441,7 +466,7 @@ class TestBatchedCells:
             p, cfg = NonlinearityParams(plan.lam, row.epsilon), StepperConfig(plan.scheme, row.tau)
             energies = []
             res = evolve(gausson_initial_data(g), p, cfg, g, round(T / row.tau),
-                         lambda st: energies.append(discrete_energy(st, p, cfg, g)))
+                         lambda run: energies.append(discrete_energy(run.state, p, cfg, g)))
             truth = g.sample(lambda x: gausson(x, T))
             rep = error_report(res.state.curr, truth, g, against="exact-LogKGE")
             assert (row.norm_l2, row.norm_linf, row.norm_h1) == (rep.l2, rep.linf, rep.h1)
@@ -474,10 +499,10 @@ class TestBatchedCells:
         harness.run(plan)
         assert batches == sizes
 
-    def test_table1_desk_rates_near_two(self, tmp_path):
+    def test_table1_desk_rates_near_two(self, desk):
         # The paper's second order in tau, on the finest rows of the desk
         # table1 (references computed into an empty cache).
-        rows = harness.run_reproduce("table1", cache_dir=str(tmp_path)).rows
+        rows = desk("table1")[0].rows
         finest = min(r.tau for r in rows)
         fine = [r for r in rows if r.tau == finest]
         assert len(fine) == 2
@@ -485,10 +510,10 @@ class TestBatchedCells:
             for rate in (r.rate_l2, r.rate_linf, r.rate_h1):
                 assert abs(rate - 2.0) < 0.1
 
-    def test_table2_desk_rates_near_two(self, tmp_path):
+    def test_table2_desk_rates_near_two(self, desk):
         # The paper's second order in h, on the finest rows of the desk
         # table2 (references computed into an empty cache).
-        rows = harness.run_reproduce("table2", cache_dir=str(tmp_path)).rows
+        rows = desk("table2")[0].rows
         finest = min(r.h for r in rows)
         fine = [r for r in rows if r.h == finest]
         assert len(fine) == 2
@@ -702,3 +727,70 @@ class TestReproduce:
         monkeypatch.setattr(harness, "run", lambda plan: pytest.fail("ran a plan"))
         with pytest.raises(PlanError):
             harness.run_reproduce(target)
+
+
+@pytest.fixture(scope="module")
+def gate():
+    """``bench/gate.py``, loaded by path as the benchmark loads it."""
+    spec = importlib.util.spec_from_file_location("bench_gate", GATE)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no bench/__pycache__
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def _x86_v4_log() -> bool:
+    """Whether numpy's float64 ``log`` runs its AVX-512 (``X86_V4``) kernel."""
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info(func_name="^log$", signature="float64").get("log", {})
+    return any(loop["current"] == "X86_V4" for loop in info.values())
+
+
+def _bound(gate, col: str, golden: str) -> float | None:
+    """How far a value of column ``col`` may lie from ``golden``; None: same text."""
+    if col.startswith("norm_"):
+        return gate.NORM_ATOL
+    if col.startswith("rate_"):
+        return gate.RATE_ATOL
+    if col == "energy":
+        return gate.ENERGY_RTOL * (1.0 + abs(float(golden)))
+    if col in ("energy_drift", "rel_drift"):  # relative to 1 + |E_0|, so ENERGY_RTOL
+        return gate.ENERGY_RTOL
+    if col.startswith("u_"):
+        return gate.WAVE_ATOL
+    return None
+
+
+class TestOutputContract:
+    """The desk outputs of every reproduce target against ``tests/golden``.
+
+    Byte for byte where numpy's ``log`` is its ``X86_V4`` kernel, on which
+    the goldens were written; elsewhere each number within the tolerances of
+    ``bench/gate.py``, which admit the moves of numpy's AVX2 ``log``.  Keys,
+    statuses, Newton averages, times and nodes are compared as text.  A
+    golden changes only with a stated reason and its largest move a column.
+    """
+
+    @pytest.mark.parametrize("target", harness.REPRODUCE_TARGETS)
+    def test_desk_outputs_match_the_goldens(self, desk, gate, target):
+        _, written = desk(target)
+        goldens = sorted((TESTS / "golden").glob(f"{target}*.csv"))
+        assert [p.name for p in written] == [p.name for p in goldens]
+        for got, want in zip(written, goldens):
+            with open(got, newline="") as a, open(want, newline="") as b:
+                rows, golden = list(csv.DictReader(a)), list(csv.DictReader(b))
+            assert len(rows) == len(golden) and rows[0].keys() == golden[0].keys(), got.name
+            for i, (row, ref) in enumerate(zip(rows, golden)):
+                for col, text in ref.items():
+                    bound = _bound(gate, col, text) if text else None
+                    where = f"{got.name} row {i + 1} {col}: {row[col]} vs golden {text}"
+                    if bound is None:
+                        assert row[col] == text, where
+                    else:
+                        assert abs(float(row[col]) - float(text)) <= bound, where
+            if _x86_v4_log():
+                assert got.read_bytes() == want.read_bytes(), got.name

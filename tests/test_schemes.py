@@ -63,8 +63,8 @@ def evolve_with_drift(init, p, cfg, g, n_steps):
     """(EvolveResult, largest relative energy drift) of one trajectory."""
     energies = []
 
-    def observe(st):
-        energies.append(discrete_energy(st, p, cfg, g))
+    def observe(run):
+        energies.append(run.energy())
 
     res = evolve(init, p, cfg, g, n_steps, observe)
     return res, max(relative_drift(energies))
@@ -512,14 +512,13 @@ _SIEFD_ENERGIES = """
 from logkge.analysis import gausson_initial_data
 from logkge.grid import Grid1D
 from logkge.nonlinearity import NonlinearityParams
-from logkge.schemes import StepperConfig, discrete_energy, evolve
+from logkge.schemes import StepperConfig, evolve
 
 g = Grid1D(-16.0, 16.0, 65536)
 p = NonlinearityParams(lam=1.0, epsilon=0.05)
 cfg = StepperConfig("siefd", tau=2.0**-12)
 energies = []
-evolve(gausson_initial_data(g), p, cfg, g, 10,
-       lambda st: energies.append(discrete_energy(st, p, cfg, g)))
+evolve(gausson_initial_data(g), p, cfg, g, 10, lambda run: energies.append(run.energy()))
 print(" ".join(map(repr, energies)))
 """
 
@@ -553,25 +552,30 @@ class TestCarriedPotentials:
         ],
     )
     def test_energy_equals_fresh_state(self, scheme, eps, tau, n, steps):
-        # V of both layers is carried from step to step; the energy must be
-        # what a state holding only the two layers gives, bit for bit.
+        # A run carries V of both layers from step to step; its energy must
+        # be what a state holding only the two layers gives, bit for bit.
+        # The state itself carries nothing: at another eps it gives the
+        # energy of a fresh state.
         g = Grid1D(-16.0, 16.0, n)
         p = NonlinearityParams(lam=1.0, epsilon=eps)
         other = NonlinearityParams(lam=1.0, epsilon=2.0 * eps)
         cfg = StepperConfig(scheme, tau=tau)
-        st = first_step(gausson_initial_data(g), p, cfg, g)
         lin = 1.0 / tau**2 + 0.5 + (1.0 / g.h**2 if scheme == "cnfd" else 0.0)
-        guarded = False
-        for k in range(steps + 1):
+        seen, guarded = [], []
+
+        def observe(run):
+            st = run.state
             fresh = WaveState(st.prev, st.curr, st.n, st.t)
-            for q in (p, other):
-                assert discrete_energy(st, q, cfg, g) == discrete_energy(fresh, q, cfg, g)
-            if k < steps:
-                start = 2.0 * st.curr - st.prev
-                jac = lin + p.lam * discrete_gradient_dz1(start, st.prev, p)
-                guarded |= not 0.0 < jac.min()
-                st = step(st, p, cfg, g)
-        assert guarded == (eps == 1e-3)
+            assert run.energy() == discrete_energy(fresh, p, cfg, g)
+            assert discrete_energy(st, other, cfg, g) == discrete_energy(fresh, other, cfg, g)
+            start = 2.0 * st.curr - st.prev
+            jac = lin + p.lam * discrete_gradient_dz1(start, st.prev, p)
+            guarded.append(not 0.0 < jac.min())
+            seen.append(st.n)
+
+        evolve(gausson_initial_data(g), p, cfg, g, steps + 1, observe)
+        assert seen == list(range(1, steps + 2))
+        assert any(guarded[:-1]) == (eps == 1e-3)  # the last state takes no step
 
 
 class TestEvolve:
@@ -581,13 +585,13 @@ class TestEvolve:
         cfg = StepperConfig("cnfd", tau=0.01)
         init = example2_data(g)
         seen = []
-        res = evolve(init, P, cfg, g, 20, lambda st: seen.append((st.n, st.prev)))
+        res = evolve(init, P, cfg, g, 20, lambda run: seen.append((run.state.n, run.state.prev)))
         assert [n for n, _ in seen] == list(range(1, 21))
         assert seen[0][1] is init.phi
         assert res.steps == 20 and not res.stopped
-        res = evolve(init, P, cfg, g, 20, lambda st: st.n == 7)
+        res = evolve(init, P, cfg, g, 20, lambda run: run.state.n == 7)
         assert res.steps == 7 and res.state.n == 7 and res.stopped
-        assert evolve(init, P, cfg, g, 20, lambda st: st.n == 20).stopped
+        assert evolve(init, P, cfg, g, 20, lambda run: run.state.n == 20).stopped
 
     def test_energy_series_and_newton_average(self, g):
         # one Newton iteration per step at this tau; the Taylor start takes none
@@ -595,7 +599,7 @@ class TestEvolve:
         energies = []
         res = evolve(
             example2_data(g), P, cfg, g, 20,
-            lambda st: energies.append(discrete_energy(st, P, cfg, g)),
+            lambda run: energies.append(run.energy()),
         )
         assert len(energies) == 20
         assert relative_drift(energies)[0] == 0.0
@@ -642,7 +646,8 @@ class TestEvolve:
         u0_inf = norm_linf(init.phi, g)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
-            res = evolve(init, P, cfg, g, 500, lambda st: norm_linf(st.curr, g) > 10.0 * u0_inf)
+            res = evolve(init, P, cfg, g, 500,
+                         lambda run: norm_linf(run.state.curr, g) > 10.0 * u0_inf)
         assert res.stopped
         assert res.steps < 500
 
@@ -651,9 +656,9 @@ def _observed_run(init, p, cfg, g, n_steps):
     """(EvolveResult, energies, Newton counts) of every observed state."""
     energies, iters = [], []
 
-    def observe(st):
-        energies.append(discrete_energy(st, p, cfg, g))
-        iters.append(st.newton_iters)
+    def observe(run):
+        energies.append(run.energy())
+        iters.append(run.state.newton_iters)
 
     return evolve(init, p, cfg, g, n_steps, observe), energies, iters
 
@@ -823,7 +828,7 @@ class TestMembers:
         seen = []
         with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as exc:
             evolve(InitialData(phi, np.stack([data.gamma] * 2)), p, StepperConfig(scheme, tau=0.01),
-                   g, 3, lambda st: seen.append(st.n))
+                   g, 3, lambda run: seen.append(run.state.n))
         assert seen == [1]
         assert exc.value.members == (0,)
         assert math.isnan(exc.value.residual)
@@ -891,8 +896,8 @@ class TestWorkLayers:
         layer = g.N * 8
         peaks, start = [], []
 
-        def observe(state):
-            if state.n > 2:  # the work layers exist from the first Newton step on
+        def observe(run):
+            if run.state.n > 2:  # the work layers exist from the first Newton step on
                 peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
             tracemalloc.reset_peak()
             start.append(tracemalloc.get_traced_memory()[0])
@@ -921,7 +926,7 @@ class TestWorkLayers:
         def trajectory(p, init, layers, ready=None):
             if ready is not None:
                 ready.wait()
-            evolve(init, p, cfg, g, 40, lambda st: layers.append(st.curr.tobytes()))
+            evolve(init, p, cfg, g, 40, lambda run: layers.append(run.state.curr.tobytes()))
 
         serial = [[], []]
         for (p, init), layers in zip(runs, serial):
