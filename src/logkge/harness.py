@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -161,9 +162,9 @@ class ExperimentPlan:
             ("tau_ref", self.tau_ref, _within([self.tau_ref], 0.0), positive),
             ("h_ref", self.h_ref, _within([self.h_ref], 0.0), positive),
             ("newton_tol", self.newton_tol, 0.0 < self.newton_tol <= 1e-6, "in (0, 1e-6]"),
-            ("newton_max_iter", self.newton_max_iter, self.newton_max_iter >= 1, ">= 1"),
+            ("newton_max_iter", self.newton_max_iter, _whole(self.newton_max_iter), "an int >= 1"),
             ("probe factors", self.probe_factors, _within(self.probe_factors, 0.0), positive),
-            ("probe steps", self.probe_steps, self.probe_steps >= 1, ">= 1"),
+            ("probe steps", self.probe_steps, _whole(self.probe_steps), "an int >= 1"),
             ("snapshot_times", self.snapshot_times,
              all(0.0 <= t < inf for t in self.snapshot_times), "finite and >= 0"),
         )
@@ -217,6 +218,11 @@ class ExperimentPlan:
 def _within(values, low: float) -> bool:
     """Every value that is set lies in (low, inf); NaN never does."""
     return all(low < v < math.inf for v in values if v is not None)
+
+
+def _whole(value) -> bool:
+    """A count of steps or iterations: an integer >= 1 (2.5 is not one)."""
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass

@@ -102,12 +102,6 @@ class NonlinearityParams:
         """The parameters of member m alone, with a single width."""
         return NonlinearityParams(self.lam, self.widths[m])
 
-    def take(self, rows) -> NonlinearityParams:
-        """The members at ``rows`` (an index array or ``slice(None)``) as one batch."""
-        if isinstance(rows, slice) or not isinstance(self.epsilon, tuple):
-            return self
-        return NonlinearityParams(self.lam, tuple(self.epsilon[m] for m in rows))
-
 
 def _check_rho(rho):
     rho = np.asarray(rho, dtype=float)

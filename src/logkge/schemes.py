@@ -46,15 +46,16 @@ a layer is a (B, N) array whose row m is member m, and one call steps all B
 members on a shared grid and time step; a 1-D layer with a single width is
 one member.  Every operation acts on rows alone and every norm is a row-wise
 pairwise sum, so each row is bit for bit the trajectory of that member run
-alone: the Newton loop iterates only the members still above their own
-tolerance (a converged member is never touched again), each member's cnfd
-Jacobian is its own cyclic solve, and energies come back one per member.
+alone: Newton evaluates all rows at once but steps only the members above
+their own tolerance (a converged member's row is never changed), each
+member's cnfd Jacobian is its own cyclic solve, and energies are per member.
 Batching saves per-call overhead, which dominates small grids.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections import defaultdict
 from collections.abc import Callable
@@ -133,8 +134,8 @@ class StepperConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not 0.0 < self.newton_tol <= 1e-6:
             raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
+        if not (isinstance(self.newton_max_iter, numbers.Integral) and self.newton_max_iter >= 1):
+            raise ValueError(f"newton_max_iter must be an int >= 1, got {self.newton_max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -216,10 +217,6 @@ def assemble_residual(
     return residual(cand, discrete_gradient(cand, state.prev, p), np.empty(np.shape(cand)))
 
 
-# Every member: the rows argument of the step equation, the kernel and p.take.
-_ALL = slice(None)
-
-
 def _row_norms(x: np.ndarray, g: Grid1D, sq: np.ndarray) -> list[float]:
     """``norm_l2`` of each row of (B, N) x as a float (math.sqrt rounds as np.sqrt)."""
     h = g.h
@@ -227,11 +224,11 @@ def _row_norms(x: np.ndarray, g: Grid1D, sq: np.ndarray) -> list[float]:
 
 
 def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D, work: dict):
-    """(residual(cand, dg, out, rows), start, b) of one step, built once from the known layers.
+    """(residual(cand, dg, out), start, b) of one step, built once from the known layers.
 
     ``residual`` is :func:`assemble_residual` given dg = DG(cand, u^{n-1}),
-    written into ``out``, for the members at ``rows`` of (B, N) layers (all
-    by default).  b = (2u^n - u^{n-1})/tau^2 - u^{n-1}/2 + lap(known) is the
+    written into ``out``, for every row of the layers at once.
+    b = (2u^n - u^{n-1})/tau^2 - u^{n-1}/2 + lap(known) is the
     candidate-independent part of the equation, with
     known = w u^{n-1} + (1-2w) u^n, and start = 2u^n - u^{n-1} the linear
     extrapolation that b divides by tau^2.  2u^n is formed once.  Each
@@ -250,17 +247,17 @@ def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D,
     b -= np.multiply(up, 0.5, out=work["tmp"])
     b += lap_known
 
-    def residual(cand, dg, out, rows=_ALL):
-        u_p, tmp = up[rows], work["tmp"][: len(cand)]
-        r = np.subtract(cand, two_uc[rows], out=out)
-        r += u_p
+    def residual(cand, dg, out):
+        tmp = work["tmp"]
+        r = np.subtract(cand, two_uc, out=out)
+        r += up
         r /= tau2
         if w == 0.0:
-            r -= lap_known[rows]
+            r -= lap_known
         else:
-            lap_of = np.add(np.multiply(cand, w, out=tmp), known[rows], out=tmp)
-            r -= periodic_second_diff(lap_of, g.h, work["lap"][: len(cand)])
-        r += np.multiply(np.add(cand, u_p, out=tmp), 0.5, out=tmp)
+            lap_of = np.add(np.multiply(cand, w, out=tmp), known, out=tmp)
+            r -= periodic_second_diff(lap_of, g.h, work["lap"])
+        r += np.multiply(np.add(cand, up, out=tmp), 0.5, out=tmp)
         r += np.multiply(dg, p.lam, out=tmp)
         return r
 
@@ -299,14 +296,14 @@ def solve_cyclic_tridiag(diag: np.ndarray, off: float, rhs: np.ndarray, work=Non
     ``diag`` and ``rhs`` may also be (B, N): B systems sharing ``off``,
     each solved on its own as above.  Every array handed to ``dgtsv`` is
     the solver's own and is overwritten in place, so LAPACK's wrapper copies
-    none of them.  Given a run's ``work`` (see :class:`Run`), x and
-    those arrays are its layers.
+    none of them.  Given a run's ``work`` (see :class:`Run`), whose layers
+    have the shape of ``rhs``, x and those arrays are its layers.
     """
     n = diag.shape[-1]
     if n < 3:
         raise ValueError("cyclic tridiagonal solve needs at least 3 unknowns")
     work = _work(np.shape(rhs)) if work is None else work
-    x = work["x"][: len(rhs)]
+    x = work["x"]
     x[...] = rhs  # nothing to copy when rhs is this layer already
     for dm, xm in zip(diag.reshape(-1, n), x.reshape(-1, n)):
         y = _solve_cyclic_row(dm, off, xm, work)
@@ -382,17 +379,12 @@ def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.nd
     return x
 
 
-def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float, work=None):
-    """Solve J delta = -res, J = diag(jac_diag) + periodic ``coupling``, in ``work`` if given."""
-    rhs = np.negative(res, out=None if work is None else work["x"][: len(res)])
+def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float, work: dict):
+    """Solve J delta = -res, J = diag(jac_diag) + periodic ``coupling``, every row, in work["x"]."""
+    rhs = np.negative(res, out=work["x"])
     if coupling == 0.0:
         return np.divide(rhs, jac_diag, out=rhs)
     return solve_cyclic_tridiag(jac_diag, coupling, rhs, work)
-
-
-def _pick(ks: list[int], n: int):
-    """Rows ``ks`` of n as an index: ``_ALL`` when they are all n, else an index array."""
-    return _ALL if len(ks) == n else np.array(ks, dtype=np.intp)
 
 
 def solve_newton(
@@ -417,8 +409,8 @@ def solve_newton(
     1/2, ..., 2^-12 until the residual drops by the Armijo factor
     1 - 1e-4*alpha.  Raises :class:`NonConvergenceError` after
     ``newton_max_iter`` iterations, or when no alpha passes (the member
-    stalled).  Each member of (B, N) layers is its own search, and the
-    history is one list per member.
+    stalled).  Each member of (B, N) layers is its own search over whole
+    layers, and the history is one list per member.
     """
     nxt, _, norms = _solve_newton(Run(state, p, cfg, g))
     return nxt, (norms if state.curr.ndim > 1 else norms[0])
@@ -428,8 +420,10 @@ def _solve_newton(run: Run):
     """:func:`solve_newton` of the run's state; also returns V of the solution.
 
     Layers are worked on as (B, N), a 1-D layer as one row, and temporaries
-    in ``run.work``.  A trial of the line search evaluates every member
-    still searching at once, each at its own step.  Each trial costs one
+    in ``run.work``.  Every evaluation covers all B rows: a trial of the line
+    search holds each member still searching at its own step and every
+    other member at its current iterate, copied, and only the rows of the
+    members whose trial passed are taken.  Each trial costs one
     ``reg_log_primitive`` call; the start iterate's residual and Jacobian
     share one pass of the fused kernel.
     """
@@ -443,23 +437,21 @@ def _solve_newton(run: Run):
     lin_diag = 1.0 / cfg.tau**2 + 0.5 + 2.0 * w / g.h**2
     res_out = [work["res"], work["trial_res"]]  # the accepted residual's layer, the trials'
 
-    def kernel(rows, cand, v_cand, jacobian):
-        out, q = (work["dg"][: len(cand)], work["jac"][: len(cand)]), p.take(rows)
-        dg, dz = fused_discrete_gradient(cand, up[rows], v_cand, v_prev[rows], q, jacobian, out,
-                                         work.setdefault("kernel", {}))
+    def kernel(cand, v_cand, jacobian):
+        dg, dz = fused_discrete_gradient(cand, up, v_cand, v_prev, p, jacobian,
+                                         (work["dg"], work["jac"]), work.setdefault("kernel", {}))
         return dg, (np.add(np.multiply(dz, p.lam, dz), lin_diag, dz) if jacobian else None)
 
-    def evaluate(rows, cand, res, jacobian=False):
+    def evaluate(cand, res, jacobian=False):
         """(cand, residual, V(cand^2)), the residual norms and the Jacobian diagonal."""
-        tmp = work["tmp"][: len(cand)]
-        v_cand = reg_log_primitive(np.multiply(cand, cand, out=tmp), p.take(rows))
-        dg, jac_diag = kernel(rows, cand, v_cand, jacobian)
-        res = residual(cand, dg, res, rows)
-        return (cand, res, v_cand), _row_norms(res, g, tmp), jac_diag
+        v_cand = reg_log_primitive(np.multiply(cand, cand, out=work["tmp"]), p)
+        dg, jac_diag = kernel(cand, v_cand, jacobian)
+        res = residual(cand, dg, res)
+        return (cand, res, v_cand), _row_norms(res, g, work["tmp"]), jac_diag
 
-    (cand, res, v_cand), rnorm, jac_diag = evaluate(_ALL, start, res_out[0], jacobian=True)
+    (cand, res, v_cand), rnorm, jac_diag = evaluate(start, res_out[0], jacobian=True)
     norms = [[r] for r in rnorm]  # each member's residual history
-    going = list(range(len(norms)))
+    going = members = range(len(norms))
     for it in range(cfg.newton_max_iter + 1):  # the last pass only tests
         # A member still going has taken every iteration; one that stalled has not.
         going = [m for m in going if len(norms[m]) > it and not norms[m][-1] <= tol[m]]
@@ -471,47 +463,39 @@ def _solve_newton(run: Run):
             going = [m for m in going if not norms[m][-1] <= tol[m]]
         if not going or it == cfg.newton_max_iter:
             break
-        rows = _pick(going, len(norms))
-        c, r = cand[rows], res[rows]
-        jd = kernel(rows, c, v_cand[rows], True)[1] if jac_diag is None else jac_diag[rows]
-        # Row j of c, r, jd and delta is member search[j], whose next trial tries[j]
-        # is -1, the full step on a positive, finite jd (min/max propagate NaN),
-        # or k >= 0, alpha = 2^-k along the step on the clamped diagonal.
-        search, delta, jac_diag = going, None, None
-        tries = [-1 if 0.0 < lo and hi < math.inf else 0
-                 for lo, hi in zip(jd.min(axis=-1).tolist(), jd.max(axis=-1).tolist())]
-        while search:
-            if 0 in tries:  # members starting on the clamped diagonal
-                z = _pick([j for j, k in enumerate(tries) if k == 0], len(tries))
-                jd[z] = np.where(np.isfinite(jd[z]), np.maximum(jd[z], 0.1 * lin_diag), lin_diag)
-            if min(tries) <= 0:  # steps to form: full ones, and clamped ones to start on
-                new = _pick([j for j, k in enumerate(tries) if k <= 0], len(tries))
-                if new is _ALL:
-                    delta = _newton_step(jd, r, coupling, work)
-                else:  # the other members' clamped steps are in delta
-                    delta[new] = _newton_step(jd[new], r[new], coupling)
-            alpha = [0.5 ** max(k, 0) for k in tries]
-            trial = c + (delta if min(alpha) == 1.0 else np.array(alpha)[:, None] * delta)
-            layers, t_norm, _ = evaluate(_pick(search, len(norms)), trial, res_out[1][: len(trial)])
-            ok = [math.isfinite(x) if k < 0 else x < norms[m][-1] * (1.0 - 1e-4 * a)
-                  for m, k, a, x in zip(search, tries, alpha, t_norm)]
-            won = [j for j, o in enumerate(ok) if o]
-            for j in won:
-                norms[search[j]].append(t_norm[j])
-            at = _pick([search[j] for j in won], len(norms))
-            if at is _ALL:
+        jd = kernel(cand, v_cand, True)[1] if jac_diag is None else jac_diag
+        # tries[m] is the next trial of member m searching: -1, the full step on a
+        # positive, finite jd (min/max propagate NaN), or k >= 0, alpha = 2^-k
+        # along the step on the clamped diagonal.
+        lo, hi = jd.min(axis=-1).tolist(), jd.max(axis=-1).tolist()
+        tries = {m: -1 if 0.0 < lo[m] and hi[m] < math.inf else 0 for m in going}
+        jac_diag = None
+        while tries:
+            full = len(tries) == len(norms) and max(tries.values()) < 0
+            if min(tries.values()) <= 0:  # steps to form: full ones, and clamped ones to start on
+                # Every row off its full step is clamped, idle ones too, so the solve
+                # meets no diagonal <= 0; a row clamped before keeps its bits.
+                for d in [jd[m] for m in members if tries.get(m) != -1]:
+                    d[...] = np.where(np.isfinite(d), np.maximum(d, 0.1 * lin_diag), lin_diag)
+                delta = _newton_step(jd, res, coupling, work)
+            alpha = [[0.5 ** max(tries.get(m, 0), 0)] for m in members]
+            trial = cand + (delta if full else np.multiply(delta, alpha, out=work["step"]))
+            for m in [m for m in members if m not in tries]:  # iterates, copied
+                trial[m] = cand[m]
+            layers, t_norm, _ = evaluate(trial, res_out[1])
+            won = [m for m, k in tries.items() if (math.isfinite(t_norm[m]) if k < 0 else
+                   t_norm[m] < norms[m][-1] * (1.0 - 1e-4 * 0.5**k))]
+            for m in won:
+                norms[m].append(t_norm[m])
+            if len(won) == len(norms):
                 cand, res, v_cand = layers
                 res_out.reverse()
-            elif won:
-                picked = _pick(won, len(ok))
-                cand[at], res[at], v_cand[at] = (x[picked] for x in layers)
+            else:
+                for m in won:
+                    cand[m], res[m], v_cand[m] = (x[m] for x in layers)
+                del trial, layers  # not held while the next trial is formed
             # No step down to alpha = 2^-12 passed: the member leaves the search stalled.
-            keep = [j for j, o in enumerate(ok) if not o and tries[j] < 12]
-            search, tries = [search[j] for j in keep], [tries[j] + 1 for j in keep]
-            if search and len(keep) < len(ok):
-                kept = _pick(keep, len(ok))
-                c, r, jd = c[kept], r[kept], jd[kept]
-                delta = None if delta is None else delta[kept]
+            tries = {m: k + 1 for m, k in tries.items() if m not in won and k < 12}
     failed = [m for m, h in enumerate(norms) if not h[-1] <= tol[m]]
     if failed:
         h, t = norms[failed[0]], tol[failed[0]]
@@ -529,7 +513,10 @@ def _solve_newton(run: Run):
 
 
 def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
-    """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``: a one-step run."""
+    """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``: a one-step run.
+
+    A loop on it costs 4 V evaluations a one-iteration step; repeated :meth:`Run.advance` 2.
+    """
     return Run(state, p, cfg, g).advance()
 
 

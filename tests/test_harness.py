@@ -620,6 +620,9 @@ class TestHostilePlans:
             pytest.param(dict(kind="epsilon-sweep", epsilons=(0.1, 0.05), hs=(0.3,)), id="h"),
             pytest.param(dict(kind="single-solve", problem="example2-cos-sin",
                               reference="exact-gausson"), id="no-exact-truth"),
+            pytest.param(dict(newton_max_iter=2.5), id="fractional-newton-budget"),
+            pytest.param(dict(kind="stability-probe", scheme="siefd", probe_steps=2.5),
+                         id="fractional-probe-steps"),
         ],
     )
     def test_run_rejects_before_any_reference(self, monkeypatch, fields):

@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 from logkge import schemes
 from logkge.analysis import error_report, gausson, gausson_initial_data
 from logkge.grid import Grid1D, norm_l2, norm_linf
-from logkge.nonlinearity import NonlinearityParams, discrete_gradient_dz1
+from logkge.nonlinearity import BLOCK, NonlinearityParams, discrete_gradient_dz1
 from logkge.schemes import (
     SCHEMES,
     InitialData,
@@ -80,6 +80,8 @@ class TestConfig:
             StepperConfig(scheme="cnfd", tau=0.1, newton_tol=1e-3)
         with pytest.raises(ValueError):
             StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=0)
+        with pytest.raises(ValueError, match="an int >= 1, got 2.5"):
+            StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=2.5)
 
 
 class TestFirstStep:
@@ -279,16 +281,22 @@ class TestResidualAndNewton:
         assert drift <= 1e-8
 
 
+# Steps of fixed Newton counts: iters a step, and per_step Laplacians a step.
+_STEP_COSTS = pytest.mark.parametrize(
+    "scheme, domain, n, tau, data, iters, per_step",
+    [
+        ("siefd", (-16.0, 16.0), 256, 1e-3, gausson_initial_data, 1, 1.0),
+        ("siefd", (-1.0, 1.0), 64, 0.01, example2_data, 2, 1.0),
+        ("cnfd", (-16.0, 16.0), 256, 1e-3, gausson_initial_data, 1, 3.0),
+        ("cnfd", (-1.0, 1.0), 64, 0.01, example2_data, 2, 4.0),
+    ],
+    ids=["siefd-one-iteration", "siefd-two-iterations", "cnfd-one-iteration",
+         "cnfd-two-iterations"],
+)
+
+
 class TestLaplacianCount:
-    @pytest.mark.parametrize(
-        "scheme, domain, n, tau, data, iters, per_step",
-        [
-            ("siefd", (-16.0, 16.0), 256, 1e-3, gausson_initial_data, 1, 1.0),
-            ("siefd", (-1.0, 1.0), 64, 0.01, example2_data, 2, 1.0),
-            ("cnfd", (-16.0, 16.0), 256, 1e-3, gausson_initial_data, 1, 3.0),
-        ],
-        ids=["siefd-one-iteration", "siefd-two-iterations", "cnfd-one-iteration"],
-    )
+    @_STEP_COSTS
     def test_laplacians_per_step(self, monkeypatch, scheme, domain, n, tau, data, iters, per_step):
         # the known layers' Laplacian once per step, then one per trial layer
         # (the start iterate and each Newton iterate) only when w > 0
@@ -306,6 +314,30 @@ class TestLaplacianCount:
             state = step(state, P, cfg, g)
             assert state.newton_iters == iters
         assert len(calls) / 100 == per_step
+
+
+class TestStepCost:
+    @pytest.mark.parametrize("eps", [0.05, (0.05, 0.1)], ids=["one-member", "two-members"])
+    @_STEP_COSTS
+    def test_calls_per_step(self, monkeypatch, scheme, domain, n, tau, data, iters, per_step, eps):
+        # V of both layers at the start, then one V per trial layer: the start
+        # iterate and each Newton iterate.  Members of a batch with equal
+        # counts share every call, Laplacians included, and each call covers
+        # all B * N values.
+        g = Grid1D(*domain, n)
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        calls = {"reg_log_primitive": [], "periodic_second_diff": []}
+        for name, seen in calls.items():
+            def counting(x, *args, real=getattr(schemes, name), seen=seen):
+                seen.append(np.size(x))
+                return real(x, *args)
+
+            monkeypatch.setattr(schemes, name, counting)
+        res = evolve(data(g), p, StepperConfig(scheme, tau), g, 21)
+        assert res.newton_by_member == (20 * iters,) * len(p.widths)
+        assert len(calls["reg_log_primitive"]) == 2 + 20 * (1 + iters)
+        assert len(calls["periodic_second_diff"]) == 1 + 20 * per_step  # the Taylor start's first
+        assert {s for seen in calls.values() for s in seen} == {len(p.widths) * g.N}
 
 
 def _full_length_cyclic_solve(diag, off, rhs):
@@ -881,19 +913,24 @@ class TestMembers:
 
 
 class TestWorkLayers:
-    @pytest.mark.parametrize("scheme, tau", [("cnfd", 1e-3), ("siefd", 2.0**-12)],
-                             ids=["cnfd", "siefd"])
-    def test_a_step_allocates_only_its_new_layers(self, scheme, tau):
+    @pytest.mark.parametrize(
+        "scheme, tau, eps, n, layers",
+        [("cnfd", 1e-3, 0.05, 4 * BLOCK, 4.5), ("siefd", 2.0**-12, 0.05, 4 * BLOCK, 4.5),
+         ("cnfd", 1e-3, (0.05, 0.1), BLOCK, 5.5)],
+        ids=["cnfd", "siefd", "cnfd-two-members"],
+    )
+    def test_a_step_allocates_only_its_new_layers(self, scheme, tau, eps, n, layers):
         # Every temporary of a step is a layer of the run's work, made in the
         # first Newton step.  Above a later step's starting memory only the
         # start iterate's V and the trial iterate with its V are new, plus
-        # V's block temporaries: 4.05 layers here, against 14.0 (cnfd) and
-        # 12.3 (siefd) when each step allocated its temporaries.  At 4 BLOCK
-        # values the fused kernel and V take their blocked path.
-        from logkge.nonlinearity import BLOCK
-
-        g = Grid1D(-16.0, 16.0, 4 * BLOCK)
-        layer = g.N * 8
+        # V's block temporaries: 4.05 layers for one member, against 14.0
+        # (cnfd) and 12.3 (siefd) when each step allocated its temporaries,
+        # and 5.1 (B, N) layers for two members of equal Newton counts.  At 4
+        # BLOCK values (2 for two members) the fused kernel and V take their
+        # blocked path.
+        g = Grid1D(-16.0, 16.0, n)
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        layer = len(p.widths) * g.N * 8
         peaks, start = [], []
 
         def observe(run):
@@ -904,11 +941,11 @@ class TestWorkLayers:
 
         tracemalloc.start()
         try:
-            evolve(gausson_initial_data(g), P, StepperConfig(scheme, tau), g, 6, observe)
+            evolve(gausson_initial_data(g), p, StepperConfig(scheme, tau), g, 6, observe)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 4
-        assert max(peaks) < 4.5 * layer
+        assert max(peaks) < layers * layer
 
     @pytest.mark.parametrize("batch", [True, False], ids=["with-a-batch", "same-shapes"])
     def test_concurrent_runs_equal_their_serial_runs(self, batch):
