@@ -206,17 +206,20 @@ class TestPrimitiveOracle:
         assert math.isnan(unreg_log_primitive(math.nan))
 
 
-def test_import_leaves_scipy_special_out():
-    # V and its unregularized twin use numpy's log; scipy.special, about
-    # 50 ms and 7 MiB to import, is loaded by no module of the package.
+def test_import_footprint():
+    # V and its unregularized twin use numpy's log, so scipy.special, about
+    # 0.15 s and 16 MiB to import on top of the package, is loaded by no
+    # module of it.  Nor is the scipy.linalg package, about 0.17 s and
+    # 18 MiB: the cyclic solve's dgtsv is loaded from its _flapack extension.
     code = (
         "import sys, logkge, logkge.cache, logkge.harness\n"
-        "print('scipy.special' in sys.modules)"
+        "print(*(name in sys.modules for name in\n"
+        "        ('scipy.special', 'scipy.linalg', 'scipy.linalg._flapack')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(nonlinearity.__file__).resolve().parent.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestDiscreteGradient:

@@ -434,6 +434,51 @@ class TestCyclicTridiagonal:
         assert x.tobytes() == _copying_cyclic_solve(diag, off, rhs).tobytes()
         assert rhs.tobytes() == keep.tobytes()  # the caller's rhs is left alone
 
+    @pytest.mark.parametrize(
+        "imports",
+        [
+            pytest.param("import scipy.linalg.lapack, logkge", id="scipy-first"),
+            pytest.param("import logkge, scipy.linalg.lapack", id="logkge-first"),
+        ],
+    )
+    def test_both_import_orders_share_one_dgtsv(self, imports, tmp_path):
+        # The dgtsv loaded from scipy's _flapack is the object scipy.linalg.lapack
+        # exports, whichever is imported first, and it solves a windowed
+        # system bit for bit as the copying solver does.
+        rng = np.random.default_rng(5)
+        n = 257
+        off = -0.5 * (n / 32.0) ** 2
+        diag = abs(off) * (1e4 + 1e-3 * rng.random(n))
+        rhs = rng.standard_normal(n)
+        np.save(tmp_path / "system.npy", np.stack((diag, rhs)))
+        code = (
+            f"import sys\nimport numpy as np\n{imports}\n"
+            "from logkge import schemes\n"
+            "assert scipy.linalg.lapack.dgtsv is schemes._dgtsv\n"
+            "diag, rhs = np.load(sys.argv[1])\n"
+            f"np.save(sys.argv[2], schemes.solve_cyclic_tridiag(diag, {off!r}, rhs))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(schemes.__file__).resolve().parent.parent))
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "system.npy"),
+                        str(tmp_path / "x.npy")], env=env, capture_output=True, text=True,
+                       check=True)
+        x = np.load(tmp_path / "x.npy")
+        assert x.tobytes() == _copying_cyclic_solve(diag, off, rhs).tobytes()
+
+    def test_loader_has_one_path(self, tmp_path, monkeypatch):
+        # A registered _flapack is reused; without one, a directory lacking
+        # the extension is an error naming it and scipy's version, not a
+        # fallback to the scipy.linalg package.
+        import scipy
+
+        assert schemes._load_flapack(str(tmp_path)).dgtsv is schemes._dgtsv
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        with pytest.raises(ImportError, match="no _flapack extension") as err:
+            schemes._load_flapack(str(tmp_path))
+        assert str(tmp_path) in str(err.value)
+        assert scipy.__version__ in str(err.value)
+        assert "scipy.linalg._flapack" not in sys.modules
+
     def test_identity(self):
         rhs = np.arange(1.0, 9.0)
         x = solve_cyclic_tridiag(np.ones(8), 0.0, rhs)
