@@ -185,7 +185,6 @@ class ErrorReport:
     l2: float
     linf: float
     h1: float
-    against: str = "reference-RLogKGE"
 
     def __post_init__(self):
         if min(self.l2, self.linf, self.h1) < 0.0:
@@ -196,7 +195,6 @@ def error_report(
     numeric: np.ndarray,
     truth: np.ndarray,
     g: Grid1D,
-    against: str = "reference-RLogKGE",
 ) -> ErrorReport:
     """l2, sup and H1 norms of numeric - truth on the common grid."""
     diff = numeric - truth
@@ -204,7 +202,6 @@ def error_report(
         l2=norm_l2(diff, g),
         linf=norm_linf(diff, g),
         h1=norm_h1(diff, g),
-        against=against,
     )
 
 

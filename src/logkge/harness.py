@@ -31,6 +31,7 @@ target to its plans.
 from __future__ import annotations
 
 import ast
+import contextlib
 import math
 import numbers
 import operator
@@ -52,7 +53,7 @@ from .analysis import (
 )
 from .cache import reference_state
 from .grid import Grid1D, GridFunction, norm_linf
-from .nonlinearity import BLOCK, NonlinearityParams
+from .nonlinearity import BLOCK, NonlinearityParams, width_requirement
 from .schemes import (
     SCHEMES,
     InitialData,
@@ -149,14 +150,14 @@ class ExperimentPlan:
         would build (meshes divide the domain, time steps divide T where the
         kind steps to T on them, reference meshes nest the cell meshes), so
         a plan that validates never fails on its grids mid-run.  Every float
-        must be finite.
+        must be finite, and a swept plan's cells distinct.
         """
         inf, positive = math.inf, "finite and > 0"
         checks = (  # (key, value, ok, requirement)
             ("domain", self.domain, -inf < self.domain[0] < self.domain[1] < inf, "a < b, finite"),
             ("T", self.final_time, _within([self.final_time], 0.0), positive),
             ("lambda", self.lam, _within([self.lam], -inf), "finite"),
-            ("epsilon", self.epsilons, _within(self.epsilons, 0.0), positive),
+            *(("epsilon", e, False, req) for e in self.epsilons if (req := width_requirement(e))),
             ("tau", self.taus, _within(self.taus, 0.0), positive),
             ("h", self.hs, _within(self.hs, 0.0), positive),
             ("tau_ref", self.tau_ref, _within([self.tau_ref], 0.0), positive),
@@ -199,7 +200,7 @@ class ExperimentPlan:
         optional = () if kind.tau_grid else ("tau",)
         for name, seq in (("epsilon", self.epsilons), ("tau", self.taus), ("h", self.hs)):
             minimum = 2 if name in swept else 0 if name in optional else 1
-            ratios = [a / b for a, b in zip(seq, seq[1:])]
+            ratios = [a / b if b else math.inf for a, b in zip(seq, seq[1:])]  # 0 is flagged above
             # Rates need tau and h halved at each level, eps refined by a fixed ratio.
             want = ratios[0] if name == "epsilon" and ratios else 2.0
             if len(seq) < minimum:
@@ -210,6 +211,9 @@ class ExperimentPlan:
                 errs.append(f"{name}: {self.kind} uses one {name} value, got {seq}")
         if kind.axis == "diagonal" and not len(self.taus) == len(self.hs) == len(self.epsilons):
             errs.append("grids: diagonal sweep needs equal-length eps/h/tau lists")
+        cells = _cells_for(self)  # a repeated cell would stop the rates at a zero step
+        if kind.axis is not None and len(set(cells)) < len(cells):
+            errs.append(f"epsilon: rates need distinct epsilons, got {self.epsilons}")
         if kind.axis == "tau" and self.h_ref is not None:
             errs.append(f"h_ref: {self.kind} keeps each cell's mesh, so h_ref is unused")
         return errs
@@ -426,27 +430,23 @@ def _reference_grid_rule(plan: ExperimentPlan, h_cell: float, tau_cell: float):
     return plan.h_ref or h_cell / 4.0, plan.tau_ref or tau_cell / 8.0
 
 
-def _truth_for_cell(plan: ExperimentPlan, policy, eps, g, tau, refs):
-    """(truth, label); truth is None with no policy or a failed reference."""
+def _truths(plan: ExperimentPlan, policy: str, cells) -> dict:
+    """Each (eps, h, tau) cell's truth on the cell's grid.
+
+    The truth is None under policy ``none`` and where the cell's cnfd-fine
+    reference failed.  Each reference runs once, for every cell it serves.
+    """
     if policy == "none":
-        return None, ""
+        return dict.fromkeys(cells)
     if policy == "exact-gausson":
-        return g.sample(lambda x: gausson(x, plan.final_time)), "exact-LogKGE"
-    fine = refs[(eps, *_reference_grid_rule(plan, g.h, tau))]
-    return (None, "") if fine is None else (fine[:: fine.size // g.N], "reference-RLogKGE")
-
-
-def _compute_references(plan: ExperimentPlan, policy: str, cells) -> dict:
-    """Final reference layers the cells need, keyed by (eps, h_ref, tau_ref); None if failed."""
-    if policy != "cnfd-fine":
-        return {}
-    refs = {}
-    for eps, h_ref, tau_ref in sorted(
-        {(eps, *_reference_grid_rule(plan, h, tau)) for eps, h, tau in cells}
-    ):
+        return {cell: _grid_for(plan, cell[1]).sample(lambda x: gausson(x, plan.final_time))
+                for cell in cells}
+    refs = {cell: (cell[0], *_reference_grid_rule(plan, *cell[1:])) for cell in cells}
+    finals = dict.fromkeys(sorted(set(refs.values())))  # None where a reference fails
+    for eps, h_ref, tau_ref in finals:
         g_ref = _grid_for(plan, h_ref)
-        try:
-            refs[(eps, h_ref, tau_ref)] = reference_state(
+        with contextlib.suppress(NonConvergenceError):
+            finals[eps, h_ref, tau_ref] = reference_state(
                 _problem_tag(plan),
                 initial_data_for(plan, g_ref),
                 NonlinearityParams(lam=plan.lam, epsilon=eps),
@@ -456,9 +456,11 @@ def _compute_references(plan: ExperimentPlan, policy: str, cells) -> dict:
                 newton_tol=plan.newton_tol,
                 cache_dir=plan.cache_dir,
             ).curr
-        except NonConvergenceError:
-            refs[(eps, h_ref, tau_ref)] = None
-    return refs
+    truths = {}
+    for cell, ref in refs.items():
+        fine = finals[ref]
+        truths[cell] = None if fine is None else fine[:: fine.size // _grid_for(plan, cell[1]).N]
+    return truths
 
 
 # --- cell execution -------------------------------------------------------
@@ -482,53 +484,48 @@ def _stepper(plan: ExperimentPlan, tau: float) -> StepperConfig:
     return StepperConfig(plan.scheme, tau, plan.newton_tol, plan.newton_max_iter)
 
 
-def _run_cells(plan, policy, refs, cells) -> list[tuple[CellRow, tuple[list, dict]]]:
-    """Row and (energy series, snapshots by time) of cells that share (h, tau).
+def _run_cells(plan, policy, truths, cells) -> list[tuple[CellRow, tuple[list, dict]]]:
+    """Row and (energy series, snapshots by time) of each cell; the cells share (h, tau).
 
-    The cells' eps are the members of one batch.  A member whose own Newton
-    solve fails gets a non-convergence row (no records) and the others are
-    rerun without it, so every row is what a run of its cell alone gives.
+    The cells' eps are the members of one batch.  If a member's Newton solve
+    fails, a batch of several cells returns its cells run one at a time, and
+    a single cell returns its non-convergence row (no records), so every row
+    is what a run of its cell alone gives.
     """
     _, h, tau = cells[0]
     g = _grid_for(plan, h)
-    cfg = _stepper(plan, tau)
     init = initial_data_for(plan, g)
     snapshot_steps = _snapshot_steps(plan) if SWEEP_KINDS[plan.kind].snapshots else ()
-    out = [(_row(plan, eps, h, tau, status="non-convergence"), ([], {})) for eps, _, _ in cells]
-    live = list(range(len(cells)))
-    while live:
-        widths = [cells[i][0] for i in live]
-        # One member steps 1-D layers, the others a (B, N) batch: same rows.
-        p = NonlinearityParams(plan.lam, widths if len(widths) > 1 else widths[0])
-        energies = []
-        snapshots = [{0.0: init.phi} if 0 in snapshot_steps else {} for _ in live]
+    # One cell steps 1-D layers, several a (B, N) batch: same rows.
+    p = NonlinearityParams(plan.lam, [c[0] for c in cells] if len(cells) > 1 else cells[0][0])
+    energies = []
+    snapshots = [{0.0: init.phi} if 0 in snapshot_steps else {} for _ in cells]
 
-        def observe(run):
-            energies.append(run.energy())
-            if run.state.n in snapshot_steps:
-                for snaps, u in zip(snapshots, run.state.curr.reshape(len(live), -1)):
-                    snaps[run.state.n * tau] = u
+    def observe(run):
+        energies.append(run.energy())
+        if run.state.n in snapshot_steps:
+            for snaps, u in zip(snapshots, run.state.curr.reshape(len(cells), -1)):
+                snaps[run.state.n * tau] = u
 
-        try:
-            res = evolve(init, p, cfg, g, _count(plan.final_time, tau), observe)
-        except NonConvergenceError as exc:
-            live = [i for k, i in enumerate(live) if k not in exc.members]
-            continue
-        energies = np.array(energies).reshape(-1, len(live))  # (steps, members)
-        final = res.state.curr.reshape(len(live), -1)
-        for k, i in enumerate(live):
-            eps = cells[i][0]
-            series = energies[:, k]
-            row = _row(plan, eps, h, tau, energy_drift=float(relative_drift(series).max()),
-                       newton_avg_iters=res.member_newton_avg(k))
-            truth, against = _truth_for_cell(plan, policy, eps, g, tau, refs)
-            if truth is not None:
-                rep = error_report(final[k], truth, g, against=against)
-                row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
-            elif policy == "cnfd-fine":
-                row.status = "reference-non-convergence"
-            out[i] = row, (list(series), snapshots[k])
-        break
+    try:
+        res = evolve(init, p, _stepper(plan, tau), g, _count(plan.final_time, tau), observe)
+    except NonConvergenceError:
+        if len(cells) > 1:
+            return [out for cell in cells for out in _run_cells(plan, policy, truths, [cell])]
+        return [(_row(plan, *cells[0], status="non-convergence"), ([], {}))]
+    energies = np.array(energies).reshape(-1, len(cells))  # (steps, members)
+    final = res.state.curr.reshape(len(cells), -1)
+    out = []
+    for k, cell in enumerate(cells):
+        series = energies[:, k]
+        row = _row(plan, *cell, energy_drift=float(relative_drift(series).max()),
+                   newton_avg_iters=res.member_newton_avg(k))
+        if truths[cell] is not None:
+            rep = error_report(final[k], truths[cell], g)
+            row.norm_l2, row.norm_linf, row.norm_h1 = rep.l2, rep.linf, rep.h1
+        elif policy == "cnfd-fine":
+            row.status = "reference-non-convergence"
+        out.append((row, (list(series), snapshots[k])))
     return out
 
 
@@ -590,9 +587,11 @@ def run(plan: ExperimentPlan) -> SweepResult:
     Cells that share (h, tau) run in batches whose members are their eps,
     as many to a batch as fit in :data:`BLOCK` values a layer (at least one).
     The plan is validated first, so a bad plan raises :class:`PlanError`
-    before any reference is computed.  Solver failures inside a cell mark
-    that row's status and never abort the sweep.  Two runs of the same plan
-    against the same cache produce identical rows.
+    before any reference is computed.  Solver failures mark a row's status
+    and never abort the sweep: a batch in which a member's Newton solve
+    fails is rerun one cell at a time, and only the cells that fail alone
+    get a ``non-convergence`` row.  Two runs of the same plan against the
+    same cache produce identical rows.
     """
     errors = plan.validate()
     if errors:
@@ -602,24 +601,23 @@ def run(plan: ExperimentPlan) -> SweepResult:
 
     policy = _resolve_reference(plan)
     cells = _cells_for(plan)
-    refs = _compute_references(plan, policy, cells)
-    groups: dict[tuple[float, float], list[int]] = {}  # cells by (h, tau)
-    for i, (_, h, tau) in enumerate(cells):
-        groups.setdefault((h, tau), []).append(i)
-    done = {}
+    truths = _truths(plan, policy, cells)
+    groups: dict[tuple[float, float], list] = {}  # cells by (h, tau)
+    for cell in cells:
+        groups.setdefault(cell[1:], []).append(cell)
+    done = []
     for (h, _), members in groups.items():
         # At most BLOCK values (64 KiB) a batch layer: each temporary of a
         # layer above glibc's 128 KiB mmap threshold is mapped and faulted anew.
         size = max(1, BLOCK // _grid_for(plan, h).N)
         for lo in range(0, len(members), size):
-            batch = members[lo : lo + size]
-            done.update(zip(batch, _run_cells(plan, policy, refs, [cells[i] for i in batch])))
-    rows, records = map(list, zip(*(done[i] for i in range(len(cells)))))
+            done += _run_cells(plan, policy, truths, members[lo : lo + size])
+    rows = [row for row, _ in done]
     _attach_rates(plan, rows)
     rows.sort(key=CellRow.sort_key)
     aux = {}
     if SWEEP_KINDS[plan.kind].snapshots:  # the one cell's energy series and snapshots by time
-        (energies, snapshots), (_, h, tau) = records[0], cells[0]
+        (_, (energies, snapshots)), (_, h, tau) = done[0], cells[0]
         aux = {"times": np.arange(len(energies)) * tau, "energies": np.array(energies),
                "snapshots": snapshots, "grid": _grid_for(plan, h)}
     return SweepResult(plan=plan, rows=rows, aux=aux)

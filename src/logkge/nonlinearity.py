@@ -35,6 +35,7 @@ __all__ = [
     "fused_discrete_gradient",
     "unreg_log",
     "unreg_log_primitive",
+    "width_requirement",
 ]
 
 # Relative width of the coincidence regime where the divided difference
@@ -52,6 +53,15 @@ DERIVATIVE_REL_TOL = 1e-4
 # 64 KiB per array, so temporaries stay in L2 cache.  Whole-layer ones (512 KiB at
 # N = 65536) made glibc trim and regrow the heap top on every call.
 BLOCK = 8192
+
+
+def width_requirement(eps: float) -> str | None:
+    """The requirement a width ``eps`` fails, or None if it is usable."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        return "finite and > 0"
+    if eps * eps == 0.0:
+        return "large enough that epsilon**2 does not underflow"
+    return None
 
 
 @dataclass(frozen=True)
@@ -78,10 +88,8 @@ class NonlinearityParams:
             if not self.epsilon:
                 raise ValueError("epsilon needs at least one member")
         for eps in self.widths:
-            if not (math.isfinite(eps) and eps > 0.0):
-                raise ValueError(f"epsilon must be finite and > 0, got {eps}")
-            if eps * eps == 0.0:
-                raise ValueError(f"epsilon={eps} is so small that epsilon**2 underflows")
+            if unmet := width_requirement(eps):
+                raise ValueError(f"epsilon must be {unmet}, got {eps}")
 
     @property
     def widths(self) -> tuple[float, ...]:
@@ -207,7 +215,7 @@ def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative, out=(None, N
     formula, so it is bit for bit the same; temporaries are in ``scratch``.
     """
     temps = _temporaries(z1.shape, {} if scratch is None else scratch)
-    rho1, rho2, gap, abs_gap, rho_sum, z_sum, scale, f_mid, divided, dg, dz = temps
+    rho1, rho2, gap, abs_gap, rho_sum, z_sum, scale, f_mid, divided, dg, dz, near = temps
     dg, dz = dg if out[0] is None else out[0], dz if out[1] is None else out[1]
     np.multiply(z1, z1, rho1)
     np.multiply(z2, z2, rho2)
@@ -218,8 +226,7 @@ def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative, out=(None, N
     np.add(rho_sum, p.eps2, scale)
     denom_mid = np.add(np.multiply(rho_sum, 0.5, rho2), p.eps2, rho2)  # eps2 + rho_mid
     np.log(denom_mid, f_mid)
-    near = np.less_equal(abs_gap, np.multiply(scale, COINCIDENCE_REL_TOL, rho_sum),
-                         np.empty(z1.shape, bool))
+    np.less_equal(abs_gap, np.multiply(scale, COINCIDENCE_REL_TOL, rho_sum), near)
     np.copyto(rho_sum, gap)
     np.copyto(rho_sum, 1.0, where=near)
     np.divide(np.subtract(v1, v2, divided), rho_sum, divided)
@@ -248,9 +255,9 @@ def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative, out=(None, N
 
 
 def _temporaries(shape, scratch: dict) -> list:
-    """The 11 temporaries of :func:`_fused_block` at ``shape``, made at first use in ``scratch``."""
+    """The 12 temporaries of :func:`_fused_block` at ``shape``, the last a mask, in ``scratch``."""
     if shape not in scratch:
-        scratch[shape] = [np.empty(shape) for _ in range(11)]
+        scratch[shape] = [np.empty(shape) for _ in range(11)] + [np.empty(shape, bool)]
     return scratch[shape]
 
 

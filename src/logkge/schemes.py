@@ -112,20 +112,20 @@ __all__ = [
 ]
 
 # Laplacian weight w of each outer layer u^{n+1}, u^{n-1}; u^n carries 1 - 2w.
+# The step's residual and discrete_energy implement w = 1/2 and w = 0 only.
 SCHEMES = {"cnfd": 0.5, "siefd": 0.0}
 
 
 class NonConvergenceError(RuntimeError):
     """Implicit solve failed to reach tolerance; carries the last residual.
 
-    ``members`` holds the rows of the members that failed, (0,) for a 1-D
-    layer; ``residual`` is that of the first of them.
+    In a batch the message names the rows of the members that failed, and
+    ``residual`` is that of the first of them.
     """
 
-    def __init__(self, message: str, residual: float, members: tuple[int, ...] = (0,)):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.members = members
 
 
 class StabilityWarning(UserWarning):
@@ -249,9 +249,7 @@ def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D,
     """
     w = SCHEMES[cfg.scheme]
     tau2 = cfg.tau**2
-    known = uc if w == 0.0 else np.multiply(up, w, out=work["known"])
-    if w not in (0.0, 0.5):  # the weight 1 - 2w of u^n is 0 at w = 1/2
-        known += (1.0 - 2.0 * w) * uc
+    known = uc if w == 0.0 else np.multiply(up, w, out=work["known"])  # 1 - 2w is 0 at w = 1/2
     lap_known = periodic_second_diff(known, g.h, work["lap_known"])
     two_uc = np.multiply(uc, 2.0, out=work["two_uc"])
     start = np.subtract(two_uc, up, out=work["start"])
@@ -547,7 +545,6 @@ def _solve_newton(run: Run):
             f"Newton stopped at residual {h[-1]:.3e} after {len(h) - 1} iterations "
             f"(tolerance {t:.3e}){where}",
             residual=h[-1],
-            members=tuple(failed),
         )
     nxt = cand.copy() if cand is start else cand  # the start iterate is a work layer
     return nxt.reshape(shape), v_cand.reshape(shape), norms
@@ -591,11 +588,8 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     ut = np.divide(np.subtract(u, v, out=ut), cfg.tau, out=ut)
     kinetic = inner(ut, ut, g, prod)
     du, dv = periodic_forward_diff(u, h, du), periodic_forward_diff(v, h, dv)
-    terms = ((w, lambda: inner(du, du, g, prod) + inner(dv, dv, g, prod)),
-             (1.0 - 2.0 * w, lambda: inner(du, dv, g, prod)))
-    # A term is formed only where its weight c is nonzero, and not multiplied where c is 1.
-    parts = [x() if c == 1.0 else c * x() for c, x in terms if c]
-    grad = sum(parts[1:], parts[0])
+    # w is 1/2, where the cross term's weight 1 - 2w is 0, or 0, where it is 1.
+    grad = w * (inner(du, du, g, prod) + inner(dv, dv, g, prod)) if w else inner(du, dv, g, prod)
     mass = 0.5 * (inner(u, u, g, prod) + inner(v, v, g, prod))
     v_prev, v_curr = run.v
     pot = np.add(v_curr, v_prev, out=ut)
@@ -662,9 +656,8 @@ def evolve(
     With B widths in ``p`` the run steps B members at once: phi and gamma
     are (B, N), row m being member m's data, or (N,) data that every member
     starts from.  Every state holds (B, N) layers, and a Newton failure of
-    any member ends the run with the failed rows in
-    :attr:`NonConvergenceError.members`.  Each row is bit for bit the run of
-    that member alone.
+    any member ends the run with an error naming the failed rows.  Each row
+    is bit for bit the run of that member alone.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

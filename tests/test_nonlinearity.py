@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,25 @@ class TestBlockedKernel:
         assert _bits(got[0][0]) == _bits(want_dg)
         assert _bits(got[0][1]) == _bits(
             fused_discrete_gradient(z1[::-1], z2[::-1], vs[0][1], vs[1][1], pair.member(1))[0])
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_warm_call_with_scratch_allocates_no_layer(self, derivative):
+        # Given out and a warmed scratch, a call keeps every temporary,
+        # the coincidence mask too, in the scratch: its peak is below one
+        # n-byte bool mask (1440 B at n = 1024 when the mask was made anew).
+        n = 1024
+        z1 = np.linspace(-3.0, 3.0, n)
+        z2 = 0.75 * z1[::-1]
+        v1, v2 = reg_log_primitive(z1 * z1, P01), reg_log_primitive(z2 * z2, P01)
+        scratch, out = {}, (np.empty(n), np.empty(n))
+        fused_discrete_gradient(z1, z2, v1, v2, P01, derivative, out, scratch)
+        tracemalloc.start()
+        try:
+            fused_discrete_gradient(z1, z2, v1, v2, P01, derivative, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n
 
     def test_scalar_and_zero_d_inputs(self):
         z1 = np.linspace(-2.0, 2.0, BLOCK + 5)
