@@ -137,7 +137,7 @@ def reference_state(
     g: Grid1D,
     tau: float,
     n_steps: int,
-    newton_tol: float = 1e-12,
+    newton_tol: float = StepperConfig.newton_tol,
     cache_dir: str | Path | None = None,
 ) -> WaveState:
     """Final state of the fully implicit reference run, cached when possible.

@@ -16,6 +16,8 @@ plus the repeated endpoint.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +46,10 @@ class Grid1D:
     N: int
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
-        if self.N < 4:
-            raise ValueError(f"need N >= 4, got N={self.N}")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"need finite a < b, got [{self.a}, {self.b}]")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 4):
+            raise ValueError(f"need an int N >= 4, got N={self.N!r}")
 
     @property
     def h(self) -> float:

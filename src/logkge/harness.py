@@ -21,8 +21,9 @@ Three tables hold what would otherwise be spread over many branches.
 :data:`SWEEP_KINDS` gives each plan kind its swept axis and the meaning of
 ``reference = auto``; the cells, the validation of the grid lists, the
 reference grids and the rate grouping all follow from the axis.
-:data:`_PLAN_FIELDS` maps every plan-file key to its :class:`ExperimentPlan`
-field, and drives both :func:`plan_from_config` and :func:`plan_to_config`.
+:data:`_PLAN_FIELDS`, read from the fields of :class:`ExperimentPlan`, maps
+every plan-file key to its field and drives both :func:`plan_from_config`
+and :func:`plan_to_config`.
 :data:`_BUILTIN_PLANS` holds each built-in plan's desk-scale fields and the
 fields ``paper_scale`` replaces; :data:`_TARGET_PLANS` sends each reproduce
 target to its plans.
@@ -36,7 +37,7 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import starmap
 from pathlib import Path
 from typing import NamedTuple
@@ -119,29 +120,43 @@ CSV_HEADER = (
     "rate_l2,rate_linf,rate_h1,energy_drift,newton_avg_iters,status"
 )
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _pair(text: str) -> tuple[float, float]:
+    a, b = _floats(text)
+    return (a, b)
+
+
+def _key(default, section: str, key: str, parse=str):
+    """A plan field read from ``key`` in ``[section]`` of a plan file by ``parse``."""
+    return field(default=default, metadata={"plan": (section, key, parse)})
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    kind: str = "single-solve"
-    scheme: str = "cnfd"
-    problem: str = "example1-gausson"
-    domain: tuple[float, float] = (-16.0, 16.0)
-    final_time: float = 1.0
-    lam: float = 1.0
-    epsilons: tuple[float, ...] = (0.05,)
-    taus: tuple[float, ...] = ()
-    hs: tuple[float, ...] = ()
-    reference: str = "auto"
-    tau_ref: float | None = None
-    h_ref: float | None = None
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    cache_dir: str | None = None
-    out: str | None = None
-    phi_expr: str | None = None
-    gamma_expr: str | None = None
-    probe_factors: tuple[float, ...] = (0.9, 1.5)
-    probe_steps: int = 500
-    snapshot_times: tuple[float, ...] = (0.0, 1.0, 5.0)
+    kind: str = _key("single-solve", "experiment", "kind")
+    scheme: str = _key("cnfd", "experiment", "scheme")
+    problem: str = _key("example1-gausson", "experiment", "problem")
+    domain: tuple[float, float] = _key((-16.0, 16.0), "experiment", "domain", _pair)
+    final_time: float = _key(1.0, "experiment", "T", float)
+    lam: float = _key(1.0, "experiment", "lambda", float)
+    epsilons: tuple[float, ...] = _key((0.05,), "grids", "epsilon", _floats)
+    taus: tuple[float, ...] = _key((), "grids", "tau", _floats)
+    hs: tuple[float, ...] = _key((), "grids", "h", _floats)
+    reference: str = _key("auto", "reference", "policy")
+    tau_ref: float | None = _key(None, "reference", "tau_ref", float)
+    h_ref: float | None = _key(None, "reference", "h_ref", float)
+    newton_tol: float = _key(StepperConfig.newton_tol, "solver", "newton_tol", float)
+    newton_max_iter: int = _key(StepperConfig.newton_max_iter, "solver", "newton_max_iter", int)
+    out: str | None = _key(None, "run", "out")
+    cache_dir: str | None = _key(None, "run", "cache_dir")
+    snapshot_times: tuple[float, ...] = _key((0.0, 1.0, 5.0), "run", "snapshot_times", _floats)
+    probe_factors: tuple[float, ...] = _key((0.9, 1.5), "probe", "factors", _floats)
+    probe_steps: int = _key(500, "probe", "steps", int)
+    phi_expr: str | None = _key(None, "custom", "phi")
+    gamma_expr: str | None = _key(None, "custom", "gamma")
 
     def validate(self) -> list[str]:
         """All problems with the plan, not just the first.
@@ -689,42 +704,11 @@ def emit_waveforms(result: SweepResult, path) -> None:
 
 # --- plan files -----------------------------------------------------------
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _pair(text: str) -> tuple[float, float]:
-    a, b = _floats(text)
-    return (a, b)
-
-
-# Every ExperimentPlan field: (section, key, field, parse).  A value that
+# Every ExperimentPlan field: (field, section, key, parse).  A value that
 # parse rejects with ValueError is a parse error.  Values are written with
 # _fmt (17 significant digits, lists space-separated); None is not written.
-_PLAN_FIELDS = (
-    ("experiment", "kind", "kind", str),
-    ("experiment", "scheme", "scheme", str),
-    ("experiment", "problem", "problem", str),
-    ("experiment", "domain", "domain", _pair),
-    ("experiment", "T", "final_time", float),
-    ("experiment", "lambda", "lam", float),
-    ("grids", "epsilon", "epsilons", _floats),
-    ("grids", "tau", "taus", _floats),
-    ("grids", "h", "hs", _floats),
-    ("reference", "policy", "reference", str),
-    ("reference", "tau_ref", "tau_ref", float),
-    ("reference", "h_ref", "h_ref", float),
-    ("solver", "newton_tol", "newton_tol", float),
-    ("solver", "newton_max_iter", "newton_max_iter", int),
-    ("run", "out", "out", str),
-    ("run", "cache_dir", "cache_dir", str),
-    ("run", "snapshot_times", "snapshot_times", _floats),
-    ("probe", "factors", "probe_factors", _floats),
-    ("probe", "steps", "probe_steps", int),
-    ("custom", "phi", "phi_expr", str),
-    ("custom", "gamma", "gamma_expr", str),
-)
-_PLAN_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _PLAN_FIELDS))
+_PLAN_FIELDS = tuple((f.name, *f.metadata["plan"]) for f in fields(ExperimentPlan))
+_PLAN_SECTIONS = tuple(dict.fromkeys(section for _, section, *_ in _PLAN_FIELDS))
 
 
 def plan_from_config(path) -> ExperimentPlan:
@@ -773,7 +757,7 @@ def plan_from_config(path) -> ExperimentPlan:
         values[(section, key.lower())] = (val, lineno)
 
     kw = {}
-    for section, key, name, parse in _PLAN_FIELDS:
+    for name, section, key, parse in _PLAN_FIELDS:
         entry = values.pop((section, key.lower()), None)
         if entry is None:
             continue
@@ -811,7 +795,7 @@ def plan_to_config(plan: ExperimentPlan) -> str:
     for section in _PLAN_SECTIONS:
         body = [
             f"{key} = {_fmt(getattr(plan, name))}"
-            for sec, key, name, _ in _PLAN_FIELDS
+            for name, sec, key, _ in _PLAN_FIELDS
             if sec == section and getattr(plan, name) is not None
         ]
         if body:

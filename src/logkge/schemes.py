@@ -15,9 +15,9 @@ which gives each scheme an exactly conserved discrete energy.  Each step is
 one Newton solve with the analytic Jacobian (cyclic tridiagonal for cnfd,
 diagonal for siefd) whose every iteration is one line search, its first
 trial the full step: :func:`evolve` -> :meth:`Run.advance` -> :func:`solve_newton`.
-:func:`evolve` keeps no records: its one hook ``observe(run)`` sees the
-:class:`Run` at every state from the Taylor start on and may end it, and
-callers keep their own energies, snapshots or blow-up tests.
+:func:`evolve` returns the :class:`Run` it stepped, which keeps no records but
+Newton counts: its one hook ``observe(run)`` sees the run at every state from
+the Taylor start on and may end it, and callers keep energies and snapshots.
 
 Each piece of work in a step is done once, and a term of weight 0 not at
 all: cnfd forms no 0 * u^n and no energy cross product, siefd no 0 * u^{n-1}
@@ -107,7 +107,6 @@ __all__ = [
     "discrete_energy",
     "solve_cyclic_tridiag",
     "evolve",
-    "EvolveResult",
     "relative_drift",
 ]
 
@@ -142,8 +141,8 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 < self.newton_tol <= 1e-6:
             raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")
         if not (isinstance(self.newton_max_iter, numbers.Integral) and self.newton_max_iter >= 1):
@@ -189,18 +188,23 @@ class Run:
     computed from the state the run starts on, then carried by :meth:`advance`.
     ``work`` holds the scratch layers of the step and :meth:`energy`.  A run
     advances in place: an observer that keeps what it sees keeps ``run.state``.
+    ``newton_by_member`` holds each member's Newton iterations over the
+    steps the run took, from the Taylor start in a run of :func:`evolve`,
+    which sets ``stopped``.
     """
 
     def __init__(self, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
         self.state, self.p, self.cfg, self.g = state, p, cfg, g
         self.v = tuple(reg_log_primitive(x * x, p) for x in (state.prev, state.curr))
         self.work = _work(np.atleast_2d(state.curr).shape)
+        self.newton_by_member, self.stopped = (0,) * len(p.widths), False
 
     def advance(self) -> WaveState:
         """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``."""
         state = self.state
         nxt, v_nxt, norms = _solve_newton(self)
         iters = tuple(len(h) - 1 for h in norms)
+        self.newton_by_member = tuple(map(sum, zip(self.newton_by_member, iters)))
         self.v = (self.v[1], v_nxt)
         self.state = WaveState(state.curr, nxt, state.n + 1, state.t + self.cfg.tau,
                                iters if nxt.ndim > 1 else iters[0])
@@ -209,6 +213,29 @@ class Run:
     def energy(self):
         """:func:`discrete_energy` of the run's state, from the carried V."""
         return discrete_energy(self.state, self.p, self.cfg, self.g, self)
+
+    @property
+    def steps(self) -> int:
+        """1 + B (n - 1) for B members at step n: one Taylor start for all, and each one's steps.
+
+        For one member that is n.  Summed over runs with ``newton_total``, a
+        batch counts as B one-member runs but for their Taylor starts.
+        """
+        return 1 + len(self.newton_by_member) * (self.state.n - 1)
+
+    @property
+    def newton_total(self) -> int:
+        return sum(self.newton_by_member)
+
+    @property
+    def newton_avg(self) -> float:
+        """Mean Newton iterations per member step (the Taylor start has none)."""
+        return self.newton_total / (self.steps - 1) if self.steps > 1 else 0.0
+
+    def member_newton_avg(self, m: int) -> float:
+        """:attr:`newton_avg` of member m alone."""
+        n = self.state.n
+        return self.newton_by_member[m] / (n - 1) if n > 1 else 0.0
 
 
 def first_step(
@@ -597,36 +624,6 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     return energy if energy.ndim else float(energy)
 
 
-@dataclass
-class EvolveResult:
-    """The final state of :func:`evolve` and its Newton counts.
-
-    ``newton_by_member`` holds each member's Newton iterations over the run.
-    ``newton_total`` is their sum, and ``steps`` is 1 + B (n - 1) for B
-    members ending at step n: the Taylor start, taken by all members in one
-    evaluation, once, plus each member's Newton steps.  For one member that
-    is n.  So ``newton_avg`` is the mean over member steps, and summing
-    ``steps`` and ``newton_total`` over runs counts a batch like B one-member
-    runs, but for their Taylor starts.  All counts are Python ints.
-    """
-
-    state: WaveState
-    steps: int
-    newton_total: int
-    stopped: bool
-    newton_by_member: tuple[int, ...] = ()
-
-    @property
-    def newton_avg(self) -> float:
-        """Mean Newton iterations per Newton step (the Taylor start has none)."""
-        return self.newton_total / (self.steps - 1) if self.steps > 1 else 0.0
-
-    def member_newton_avg(self, m: int) -> float:
-        """:attr:`newton_avg` of member m alone."""
-        n = self.state.n
-        return self.newton_by_member[m] / (n - 1) if n > 1 else 0.0
-
-
 def relative_drift(energies) -> np.ndarray:
     """|E - E_0| / (1 + |E_0|) of each entry of an energy series (empty stays empty)."""
     e = np.asarray(energies, dtype=float)
@@ -640,15 +637,16 @@ def evolve(
     g: Grid1D,
     n_steps: int,
     observe: Callable[[Run], object] | None = None,
-) -> EvolveResult:
-    """Run a trajectory for n_steps time steps from the Taylor first step.
+) -> Run:
+    """Run a trajectory for n_steps time steps from the Taylor first step; returns its run.
 
     The trajectory is one :class:`Run` from :func:`first_step`; each later
     step is one :meth:`Run.advance` (one guarded Newton solve, whose
     :class:`NonConvergenceError` propagates).  ``observe(run)`` is called
     with the run at the Taylor state (n = 1, ``prev`` = phi) and after every
     later step, and reads ``run.state`` and ``run.energy()``; a true return
-    ends the run there and sets ``stopped``.  Energies, snapshots and
+    ends the run there and sets ``stopped``.  The run returned holds the
+    Newton counts and may be advanced on.  Energies, snapshots and
     blow-up tests are the observer's business.  For siefd,
     warns once if tau exceeds the stability bound predicted from the
     initial layer.
@@ -684,12 +682,8 @@ def evolve(
             )
 
     run = Run(first_step(init, p, cfg, g), p, cfg, g)
-    by_member = (0,) * len(p.widths)
     while True:
-        stopped = observe is not None and bool(observe(run))
-        if stopped or run.state.n >= n_steps:
-            steps = 1 + len(by_member) * (run.state.n - 1)
-            return EvolveResult(run.state, steps, sum(by_member), stopped, by_member)
-        state = run.advance()
-        iters = state.newton_iters if state.curr.ndim > 1 else (state.newton_iters,)
-        by_member = tuple(a + b for a, b in zip(by_member, iters))
+        run.stopped = observe is not None and bool(observe(run))
+        if run.stopped or run.state.n >= n_steps:
+            return run
+        run.advance()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,10 @@ class TestGrid1D:
             Grid1D(1.0, 0.0, 8)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="finite a < b"):
+            Grid1D(0.0, math.inf, 8)
+        with pytest.raises(ValueError, match="an int N >= 4, got N=4.5"):
+            Grid1D(0.0, 1.0, 4.5)
 
 
 class TestGridFunction:

@@ -60,7 +60,7 @@ def zero_data(g):
 
 
 def evolve_with_drift(init, p, cfg, g, n_steps):
-    """(EvolveResult, largest relative energy drift) of one trajectory."""
+    """(run, largest relative energy drift) of one trajectory."""
     energies = []
 
     def observe(run):
@@ -82,6 +82,8 @@ class TestConfig:
             StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=0)
         with pytest.raises(ValueError, match="an int >= 1, got 2.5"):
             StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=2.5)
+        with pytest.raises(ValueError, match="finite and > 0, got inf"):
+            StepperConfig(scheme="cnfd", tau=math.inf)
 
     def test_only_the_weights_the_step_implements(self):
         # The step's residual and discrete_energy implement the Laplacian
@@ -734,9 +736,28 @@ class TestEvolve:
         assert res.stopped
         assert res.steps < 500
 
+    @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
+    @pytest.mark.parametrize("eps", [0.05, [0.05, 0.0125]], ids=["one", "batch"])
+    def test_returned_run_steps_on_as_one_longer_run(self, g, scheme, eps):
+        # evolve returns the run it stepped: a run returned after 5 steps and
+        # advanced 3 more is evolve(8) bit for bit, its counts and energy too
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        cfg = StepperConfig(scheme, tau=0.01)
+        run = evolve(example2_data(g), p, cfg, g, 5)
+        for _ in range(3):
+            run.advance()
+        whole = evolve(example2_data(g), p, cfg, g, 8)
+        for a, b in [(run.state.prev, whole.state.prev), (run.state.curr, whole.state.curr),
+                     (run.energy(), whole.energy())]:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        counts = [(r.state.n, r.state.newton_iters, r.steps, r.newton_total, r.newton_by_member)
+                  for r in (run, whole)]
+        assert counts[0] == counts[1]
+        assert type(run.steps) is int and type(run.newton_total) is int
+
 
 def _observed_run(init, p, cfg, g, n_steps):
-    """(EvolveResult, energies, Newton counts) of every observed state."""
+    """(run, energies, Newton counts) of every observed state."""
     energies, iters = [], []
 
     def observe(run):
