@@ -24,7 +24,6 @@ from .schemes import (
     discrete_energy,
     evolve,
     first_step,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -50,5 +49,4 @@ __all__ = [
     "observed_order",
     "siefd_tau_bound",
     "sigma_max",
-    "step",
 ]

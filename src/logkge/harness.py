@@ -61,6 +61,7 @@ from .schemes import (
     NonConvergenceError,
     StabilityWarning,
     StepperConfig,
+    discrete_energy,
     evolve,
     relative_drift,
 )
@@ -517,7 +518,7 @@ def _run_cells(plan, policy, truths, cells) -> list[tuple[CellRow, tuple[list, d
     snapshots = [{0.0: init.phi} if 0 in snapshot_steps else {} for _ in cells]
 
     def observe(run):
-        energies.append(run.energy())
+        energies.append(discrete_energy(run))
         if run.state.n in snapshot_steps:
             for snaps, u in zip(snapshots, run.state.curr.reshape(len(cells), -1)):
                 snaps[run.state.n * tau] = u

@@ -3,11 +3,14 @@
 The wave equation solved here carries the nonlinear term
 ``lam * u * ln(eps^2 + u^2)``.  This module evaluates the regularized
 logarithm ``reg_log(rho) = ln(eps^2 + rho)`` of the squared field, its
-primitive ``reg_log_primitive``, and the two-point discrete gradient
-``discrete_gradient(z1, z2)`` that both conservative schemes use in place
-of the pointwise nonlinearity.  The discrete gradient satisfies
+primitive ``reg_log_primitive``, and the two-point discrete gradient DG that
+both conservative schemes use in place of the pointwise nonlinearity.  They
+take DG and its z1-derivative from :func:`fused_discrete_gradient`; the
+unfused :func:`discrete_gradient` and :func:`discrete_gradient_dz1` are the
+reference path the tests compare against, and the benchmark's tracer names
+them.  DG satisfies
 
-    discrete_gradient(z1, z2) * (z1 - z2) = (V(z1^2) - V(z2^2)) / 2
+    DG(z1, z2) * (z1 - z2) = (V(z1^2) - V(z2^2)) / 2
 
 with ``V = reg_log_primitive``, which is what makes the discrete energy
 telescope exactly along a trajectory.
@@ -287,10 +290,10 @@ def discrete_gradient(z1, z2, p: NonlinearityParams):
 def discrete_gradient_dz1(z1, z2, p: NonlinearityParams):
     """Partial derivative of :func:`discrete_gradient` with respect to z1.
 
-    Used as the Newton Jacobian of the implicit solves, with z2 frozen at
-    the oldest time layer.  Near coincidence the divided-difference pieces
-    are replaced by their midpoint limits (see :data:`DERIVATIVE_REL_TOL`
-    and :func:`fused_discrete_gradient`).
+    Like it, a reference the tests compare the fused kernel against; the
+    steppers' Newton Jacobian is the fused kernel's.  Near coincidence the
+    divided-difference pieces are replaced by their midpoint limits (see
+    :data:`DERIVATIVE_REL_TOL` and :func:`fused_discrete_gradient`).
     """
     _, out = _fused_from_values(z1, z2, p, derivative=True)
     return out if out.ndim else float(out)

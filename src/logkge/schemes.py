@@ -14,7 +14,7 @@ its implicit system is nodewise scalar.  The residual, the Newton coupling
 which gives each scheme an exactly conserved discrete energy.  Each step is
 one Newton solve with the analytic Jacobian (cyclic tridiagonal for cnfd,
 diagonal for siefd) whose every iteration is one line search, its first
-trial the full step: :func:`evolve` -> :meth:`Run.advance` -> :func:`solve_newton`.
+trial the full step: :func:`evolve` -> :meth:`Run.advance` -> :func:`_solve_newton`.
 :func:`evolve` returns the :class:`Run` it stepped, which keeps no records but
 Newton counts: its one hook ``observe(run)`` sees the run at every state from
 the Taylor start on and may end it, and callers keep energies and snapshots.
@@ -28,9 +28,9 @@ so at w = 1/2 that Laplacian is 1/2 lap(u^{n+1} + u^{n-1}) bit for bit.
 A :class:`Run` carries V(u^2) of its two layers (V = ``reg_log_primitive``):
 V(u^{n-1}^2) is fixed for the whole solve, every Newton iterate evaluates V
 once and the solution's V is carried on, so a one-iteration step costs two
-evaluations of V, and the run's energy reuses the carried pair.  One fused
-kernel gives the discrete gradient and its Jacobian diagonal together at
-the start iterate.  The cnfd Jacobian is solved by
+evaluations of V, and :func:`discrete_energy` of the run reuses the carried
+pair.  One fused kernel gives the discrete gradient and its Jacobian
+diagonal together at the start iterate.  The cnfd Jacobian is solved by
 :func:`solve_cyclic_tridiag`, which solves the Sherman-Morrison corner
 vector only on the rows where it is representable.  Its tridiagonal solves
 are LAPACK's ``dgtsv`` through scipy's f2py wrapper, loaded from the
@@ -86,7 +86,6 @@ from .grid import (
 )
 from .nonlinearity import (
     NonlinearityParams,
-    discrete_gradient,
     fused_discrete_gradient,
     reg_log,
     reg_log_primitive,
@@ -101,9 +100,6 @@ __all__ = [
     "NonConvergenceError",
     "StabilityWarning",
     "first_step",
-    "step",
-    "assemble_residual",
-    "solve_newton",
     "discrete_energy",
     "solve_cyclic_tridiag",
     "evolve",
@@ -186,14 +182,16 @@ class Run:
 
     ``v`` is V(u^{n-1}^2), V(u^n^2) of the state, V being ``reg_log_primitive``:
     computed from the state the run starts on, then carried by :meth:`advance`.
-    ``work`` holds the scratch layers of the step and :meth:`energy`.  A run
-    advances in place: an observer that keeps what it sees keeps ``run.state``.
+    ``work`` holds the scratch layers of the step and of :func:`discrete_energy`.
+    A run advances in place: an observer that keeps what it sees keeps ``run.state``.
     ``newton_by_member`` holds each member's Newton iterations over the
     steps the run took, from the Taylor start in a run of :func:`evolve`,
     which sets ``stopped``.
     """
 
     def __init__(self, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
+        if state.curr.shape != (shape := p.layer_shape(g.N)):
+            raise ValueError(f"state layers have shape {state.curr.shape}, grid wants {shape}")
         self.state, self.p, self.cfg, self.g = state, p, cfg, g
         self.v = tuple(reg_log_primitive(x * x, p) for x in (state.prev, state.curr))
         self.work = _work(np.atleast_2d(state.curr).shape)
@@ -209,10 +207,6 @@ class Run:
         self.state = WaveState(state.curr, nxt, state.n + 1, state.t + self.cfg.tau,
                                iters if nxt.ndim > 1 else iters[0])
         return self.state
-
-    def energy(self):
-        """:func:`discrete_energy` of the run's state, from the carried V."""
-        return discrete_energy(self.state, self.p, self.cfg, self.g, self)
 
     @property
     def steps(self) -> int:
@@ -248,14 +242,6 @@ def first_step(
     return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau)
 
 
-def assemble_residual(
-    cand: np.ndarray, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> np.ndarray:
-    """Left-hand side of the scheme equation at a trial layer u^{n+1}."""
-    residual, _, _ = _step_equation(state.prev, state.curr, p, cfg, g, _work(np.shape(cand)))
-    return residual(cand, discrete_gradient(cand, state.prev, p), np.empty(np.shape(cand)))
-
-
 def _row_norms(x: np.ndarray, g: Grid1D, sq: np.ndarray) -> list[float]:
     """``norm_l2`` of each row of (B, N) x as a float (math.sqrt rounds as np.sqrt)."""
     h = g.h
@@ -265,8 +251,9 @@ def _row_norms(x: np.ndarray, g: Grid1D, sq: np.ndarray) -> list[float]:
 def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D, work: dict):
     """(residual(cand, dg, out), start, b) of one step, built once from the known layers.
 
-    ``residual`` is :func:`assemble_residual` given dg = DG(cand, u^{n-1}),
-    written into ``out``, for every row of the layers at once.
+    ``residual`` is the left-hand side of the scheme equation at a trial
+    layer cand = u^{n+1}, given dg = DG(cand, u^{n-1}), written into
+    ``out``, for every row of the layers at once.
     b = (2u^n - u^{n-1})/tau^2 - u^{n-1}/2 + lap(known) is the
     candidate-independent part of the equation, with
     known = w u^{n-1} + (1-2w) u^n, and start = 2u^n - u^{n-1} the linear
@@ -453,19 +440,17 @@ def _newton_step(jac_diag: np.ndarray, res: np.ndarray, coupling: float, work: d
     return solve_cyclic_tridiag(jac_diag, coupling, rhs, work)
 
 
-def solve_newton(
-    state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> tuple[np.ndarray, list]:
-    """Solve the implicit step equation; returns (next layer, residual history).
+def _solve_newton(run: Run):
+    """Solve the run's implicit step equation; returns (next layer, V of it, residual histories).
 
     Newton from the linear extrapolation 2u^n - u^{n-1}, stopping at
     ||R|| <= newton_tol * (1 + ||b||), b being the candidate-independent
-    part of the equation; the history holds the start and every iteration.
-    After the first iteration it also stops at the rounding floor of R,
-    2^-53 * lin_diag * (2||u^n|| + ||u^{n-1}||), lin_diag being the linear
-    part of the Jacobian diagonal.  Where u^{n+1} passes near 0, ||b|| is
-    small beside the terms R is formed from, and R stagnates there above a
-    tight tolerance.  Elsewhere the floor is at most 0.055 of
+    part of the equation; each member's history holds the start and every
+    iteration.  After the first iteration it also stops at the rounding
+    floor of R, 2^-53 * lin_diag * (2||u^n|| + ||u^{n-1}||), lin_diag being
+    the linear part of the Jacobian diagonal.  Where u^{n+1} passes near 0,
+    ||b|| is small beside the terms R is formed from, and R stagnates there
+    above a tight tolerance.  Elsewhere the floor is at most 0.055 of
     newton_tol * (1 + ||b||) at the default tolerance over the desk tables
     and figures.  Each iteration is one line search.  Where the Jacobian
     diagonal d is positive and finite, its first trial is the full step on
@@ -475,23 +460,14 @@ def solve_newton(
     1/2, ..., 2^-12 until the residual drops by the Armijo factor
     1 - 1e-4*alpha.  Raises :class:`NonConvergenceError` after
     ``newton_max_iter`` iterations, or when no alpha passes (the member
-    stalled).  Each member of (B, N) layers is its own search over whole
-    layers, and the history is one list per member.
-    """
-    nxt, _, norms = _solve_newton(Run(state, p, cfg, g))
-    return nxt, (norms if state.curr.ndim > 1 else norms[0])
-
-
-def _solve_newton(run: Run):
-    """:func:`solve_newton` of the run's state; also returns V of the solution.
-
-    Layers are worked on as (B, N), a 1-D layer as one row, and temporaries
-    in ``run.work``.  Every evaluation covers all B rows: a trial of the line
-    search holds each member still searching at its own step and every
-    other member at its current iterate, copied, and only the rows of the
-    members whose trial passed are taken.  Each trial costs one
-    ``reg_log_primitive`` call; the start iterate's residual and Jacobian
-    share one pass of the fused kernel.
+    stalled).  Each member is its own search over whole layers, worked on
+    as (B, N), a 1-D layer as one row, with temporaries in ``run.work``.
+    Every evaluation covers all B rows: a trial of the line search holds
+    each member still searching at its own step and every other member at
+    its current iterate, copied, and only the rows of the members whose
+    trial passed are taken.  Each trial costs one ``reg_log_primitive``
+    call; the start iterate's residual and Jacobian share one pass of the
+    fused kernel.
     """
     state, p, cfg, g, work = run.state, run.p, run.cfg, run.g, run.work
     shape = state.curr.shape
@@ -577,17 +553,8 @@ def _solve_newton(run: Run):
     return nxt.reshape(shape), v_cand.reshape(shape), norms
 
 
-def step(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D) -> WaveState:
-    """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``: a one-step run.
-
-    A loop on it costs 4 V evaluations a one-iteration step; repeated :meth:`Run.advance` 2.
-    """
-    return Run(state, p, cfg, g).advance()
-
-
-def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D,
-                    run: Run | None = None):
-    """Exactly conserved two-layer energy of the selected scheme.
+def discrete_energy(run: Run):
+    """Exactly conserved two-layer energy of the run's scheme at its state.
 
     With (v, u) = (state.prev, state.curr) playing (u^n, u^{n+1}) and w the
     scheme's Laplacian weight:
@@ -600,14 +567,11 @@ def discrete_energy(state: WaveState, p: NonlinearityParams, cfg: StepperConfig,
     the sign-indefinite cross product h*sum (D+ u)(D+ v) for siefd (no
     positivity is claimed for the latter).  Each ||x||^2 is the sum of
     squares h*sum x_j^2 (``inner(x, x, g)``), which a (B, N) row gets bit
-    for bit as a single layer does.  Given the ``run`` whose state this is,
-    V of the two layers is its carried pair and the temporaries are its
-    ``work`` layers; without one, V is computed here.
+    for bit as a single layer does.  V of the two layers is the run's
+    carried pair and the temporaries are its ``work`` layers.
     A float for 1-D layers, one energy per member for (B, N) layers.
     """
-    if state.curr.shape != p.layer_shape(g.N):
-        raise ValueError("state does not match the grid")
-    run = Run(state, p, cfg, g) if run is None else run
+    state, p, cfg, g = run.state, run.p, run.cfg, run.g
     w = SCHEMES[cfg.scheme]
     v, u, h = state.prev, state.curr, g.h
     # Between steps no layer of the step's work is in use, so the energy borrows four.
@@ -644,12 +608,11 @@ def evolve(
     step is one :meth:`Run.advance` (one guarded Newton solve, whose
     :class:`NonConvergenceError` propagates).  ``observe(run)`` is called
     with the run at the Taylor state (n = 1, ``prev`` = phi) and after every
-    later step, and reads ``run.state`` and ``run.energy()``; a true return
-    ends the run there and sets ``stopped``.  The run returned holds the
-    Newton counts and may be advanced on.  Energies, snapshots and
-    blow-up tests are the observer's business.  For siefd,
-    warns once if tau exceeds the stability bound predicted from the
-    initial layer.
+    later step, and reads ``run.state`` and ``discrete_energy(run)``; a true
+    return ends the run there and sets ``stopped``.  The run returned holds
+    the Newton counts and may be advanced on.  Energies, snapshots and
+    blow-up tests are the observer's business.  For siefd, warns once if tau
+    exceeds the stability bound predicted from the initial layer.
 
     With B widths in ``p`` the run steps B members at once: phi and gamma
     are (B, N), row m being member m's data, or (N,) data that every member

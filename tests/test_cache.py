@@ -9,7 +9,7 @@ from logkge import cache
 from logkge.analysis import gausson_initial_data
 from logkge.grid import Grid1D
 from logkge.nonlinearity import NonlinearityParams
-from logkge.schemes import StepperConfig, evolve, step
+from logkge.schemes import Run, StepperConfig, evolve
 
 G = Grid1D(-16.0, 16.0, 64)
 P = NonlinearityParams(lam=1.0, epsilon=0.05)
@@ -66,10 +66,9 @@ def test_stepping_on_from_a_loaded_state_continues_the_run(tmp_path, evolve_call
     state = _reference(tmp_path)
     assert len(evolve_calls) == 1  # the second state was read back
     cfg, more = StepperConfig("cnfd", TAU), 3
-    iters = []
-    for _ in range(more):
-        state = step(state, P, cfg, G)
-        iters.append(state.newton_iters)
+    run = Run(state, P, cfg, G)
+    iters = [run.advance().newton_iters for _ in range(more)]
+    state = run.state
     seen = []
     whole = evolve(gausson_initial_data(G), P, cfg, G, STEPS + more,
                    lambda run: seen.append(run.state.newton_iters))

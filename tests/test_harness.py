@@ -482,7 +482,7 @@ class TestBatchedCells:
             p, cfg = NonlinearityParams(plan.lam, row.epsilon), StepperConfig(plan.scheme, row.tau)
             energies = []
             res = evolve(gausson_initial_data(g), p, cfg, g, round(T / row.tau),
-                         lambda run: energies.append(discrete_energy(run.state, p, cfg, g)))
+                         lambda run: energies.append(discrete_energy(run)))
             truth = g.sample(lambda x: gausson(x, T))
             rep = error_report(res.state.curr, truth, g)
             assert (row.norm_l2, row.norm_linf, row.norm_h1) == (rep.l2, rep.linf, rep.h1)

@@ -15,22 +15,20 @@ from hypothesis import strategies as hst
 from logkge import schemes
 from logkge.analysis import error_report, gausson, gausson_initial_data
 from logkge.grid import Grid1D, norm_l2, norm_linf
-from logkge.nonlinearity import BLOCK, NonlinearityParams, discrete_gradient_dz1
+from logkge.nonlinearity import BLOCK, NonlinearityParams, discrete_gradient, discrete_gradient_dz1
 from logkge.schemes import (
     SCHEMES,
     InitialData,
     NonConvergenceError,
+    Run,
     StabilityWarning,
     StepperConfig,
     WaveState,
-    assemble_residual,
     discrete_energy,
     evolve,
     first_step,
     relative_drift,
     solve_cyclic_tridiag,
-    solve_newton,
-    step,
 )
 
 P = NonlinearityParams(lam=1.0, epsilon=0.05)
@@ -64,10 +62,17 @@ def evolve_with_drift(init, p, cfg, g, n_steps):
     energies = []
 
     def observe(run):
-        energies.append(run.energy())
+        energies.append(discrete_energy(run))
 
     res = evolve(init, p, cfg, g, n_steps, observe)
     return res, max(relative_drift(energies))
+
+
+def assemble_residual(cand, state, p, cfg, g):
+    """Left-hand side of the scheme equation at a trial layer u^{n+1}, on the unfused gradient."""
+    residual, _, _ = schemes._step_equation(state.prev, state.curr, p, cfg, g,
+                                            schemes._work(np.shape(cand)))
+    return residual(cand, discrete_gradient(cand, state.prev, p), np.empty(np.shape(cand)))
 
 
 class TestConfig:
@@ -135,7 +140,7 @@ class TestStepping:
     def test_zero_state_fixed_point(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
         st = first_step(zero_data(g), P, cfg, g)
-        nxt = step(st, P, cfg, g)
+        nxt = Run(st, P, cfg, g).advance()
         assert norm_linf(nxt.curr, g) == 0.0
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
@@ -147,7 +152,7 @@ class TestStepping:
             n=1,
             t=cfg.tau,
         )
-        nxt = step(st, P, cfg, g)
+        nxt = Run(st, P, cfg, g).advance()
         spread = np.ptp(nxt.curr)
         assert spread <= 1e-12 * (1.0 + norm_linf(nxt.curr, g))
 
@@ -155,19 +160,20 @@ class TestStepping:
     def test_time_reversible(self, g, scheme):
         # advancing from the swapped pair recovers the oldest layer
         cfg = StepperConfig(scheme, tau=0.01)
-        st = first_step(example2_data(g), P, cfg, g)
+        run = Run(first_step(example2_data(g), P, cfg, g), P, cfg, g)
         for _ in range(3):
-            st = step(st, P, cfg, g)
-        fwd = step(st, P, cfg, g)
+            run.advance()
+        st = run.state
+        fwd = run.advance()
         back_state = WaveState(prev=fwd.curr, curr=fwd.prev, n=1, t=cfg.tau)
-        back = step(back_state, P, cfg, g)
+        back = Run(back_state, P, cfg, g).advance()
         assert norm_linf(back.curr - st.prev, g) < 1e-9
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_translation_equivariance(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
         st = first_step(example2_data(g), P, cfg, g)
-        nxt = step(st, P, cfg, g)
+        nxt = Run(st, P, cfg, g).advance()
         k = 17
         rolled = WaveState(
             prev=np.roll(st.prev, k),
@@ -175,8 +181,20 @@ class TestStepping:
             n=st.n,
             t=st.t,
         )
-        nxt_rolled = step(rolled, P, cfg, g)
+        nxt_rolled = Run(rolled, P, cfg, g).advance()
         assert norm_linf(nxt_rolled.curr - np.roll(nxt.curr, k), g) < 1e-9
+
+    def test_layers_that_do_not_fit_the_grid_are_rejected(self, g):
+        # 128-node layers on a 64-node grid would step with h = 2/64, and
+        # 1-D layers under two widths would fail deep in numpy: a run of
+        # layers of another shape than p gives on g is an error at once.
+        cfg = StepperConfig("cnfd", tau=0.01)
+        fine = Grid1D(-1.0, 1.0, 128)
+        pair = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
+        for state, p in [(first_step(example2_data(fine), P, cfg, fine), P),
+                         (first_step(example2_data(g), P, cfg, g), pair)]:
+            with pytest.raises(ValueError, match="grid wants"):
+                Run(state, p, cfg, g)
 
 
 class TestResidualAndNewton:
@@ -190,7 +208,7 @@ class TestResidualAndNewton:
     def test_solved_layer_has_small_residual(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
         st = first_step(example2_data(g), P, cfg, g)
-        u_next, norms = solve_newton(st, P, cfg, g)
+        u_next, _, (norms,) = schemes._solve_newton(Run(st, P, cfg, g))
         r = assemble_residual(u_next, st, P, cfg, g)
         assert norm_l2(r, g) <= cfg.newton_tol * (1.0 + 1e4)
         assert norms[-1] <= norms[0]
@@ -220,9 +238,9 @@ class TestResidualAndNewton:
         # quadratic contraction before hitting tolerance
         g = Grid1D(-16.0, 16.0, 1024)
         cfg = StepperConfig("cnfd", tau=0.01)
-        st = first_step(gausson_initial_data(g), P, cfg, g)
-        st = step(st, P, cfg, g)
-        _, norms = solve_newton(st, P, cfg, g)
+        run = Run(first_step(gausson_initial_data(g), P, cfg, g), P, cfg, g)
+        st = run.advance()
+        _, _, (norms,) = schemes._solve_newton(run)
         assert len(norms) >= 2
         scale = 1.0 + norm_l2(st.curr, g) / cfg.tau**2
         rel = [r / scale for r in norms]
@@ -235,13 +253,13 @@ class TestResidualAndNewton:
         cfg = StepperConfig("cnfd", tau=0.5, newton_max_iter=1)
         st = first_step(amplitude5_data(g), P, cfg, g)
         with pytest.raises(NonConvergenceError) as exc:
-            step(st, P, cfg, g)
+            Run(st, P, cfg, g).advance()
         assert exc.value.residual > 0.0
 
     def test_large_step_converges_within_budget(self, g):
         cfg = StepperConfig("cnfd", tau=0.5)
         st = first_step(amplitude5_data(g), P, cfg, g)
-        nxt = step(st, P, cfg, g)
+        nxt = Run(st, P, cfg, g).advance()
         assert 1 <= nxt.newton_iters <= cfg.newton_max_iter
         r = assemble_residual(nxt.curr, st, P, cfg, g)
         assert norm_l2(r, g) < 1e-6
@@ -251,10 +269,11 @@ class TestResidualAndNewton:
         # plain Newton, full steps, same start and same arithmetic: the
         # ordinary path must reproduce it bit for bit
         cfg = StepperConfig(scheme, tau=0.01)
-        st = first_step(example2_data(g), P, cfg, g)
+        run = Run(first_step(example2_data(g), P, cfg, g), P, cfg, g)
         lin = 1.0 / cfg.tau**2 + 0.5 + (1.0 / g.h**2 if scheme == "cnfd" else 0.0)
         for _ in range(5):
-            nxt = step(st, P, cfg, g)
+            st = run.state
+            nxt = run.advance()
             assert nxt.newton_iters >= 1
             cand = 2.0 * st.curr - st.prev
             for _ in range(nxt.newton_iters):
@@ -266,7 +285,6 @@ class TestResidualAndNewton:
                     delta = -res / jac
                 cand = cand + delta
             assert np.array_equal(nxt.curr, cand)
-            st = nxt
 
     def test_guarded_iterations_converge(self):
         # the Jacobian diagonal loses positivity on this trajectory, so the
@@ -310,7 +328,7 @@ class TestLaplacianCount:
         # (the start iterate and each Newton iterate) only when w > 0
         g = Grid1D(*domain, n)
         cfg = StepperConfig(scheme, tau)
-        state = first_step(data(g), P, cfg, g)
+        run = Run(first_step(data(g), P, cfg, g), P, cfg, g)
         calls, real = [], schemes.periodic_second_diff
 
         def counting(v, h, *out):
@@ -319,8 +337,7 @@ class TestLaplacianCount:
 
         monkeypatch.setattr(schemes, "periodic_second_diff", counting)
         for _ in range(100):
-            state = step(state, P, cfg, g)
-            assert state.newton_iters == iters
+            assert run.advance().newton_iters == iters
         assert len(calls) / 100 == per_step
 
 
@@ -528,7 +545,7 @@ class TestDiscreteEnergy:
     def test_zero_state(self, g):
         cfg = StepperConfig("cnfd", tau=0.01)
         st = first_step(zero_data(g), P, cfg, g)
-        assert discrete_energy(st, P, cfg, g) == 0.0
+        assert discrete_energy(Run(st, P, cfg, g)) == 0.0
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_constant_state_value(self, g, scheme):
@@ -545,7 +562,7 @@ class TestDiscreteEnergy:
             t=cfg.tau,
         )
         expected = (g.b - g.a) * (c**2 + P.lam * reg_log_primitive(c**2, P))
-        assert discrete_energy(st, P, cfg, g) == pytest.approx(expected, rel=1e-12)
+        assert discrete_energy(Run(st, P, cfg, g)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_conservation_along_trajectory(self, g, scheme):
@@ -597,13 +614,13 @@ _SIEFD_ENERGIES = """
 from logkge.analysis import gausson_initial_data
 from logkge.grid import Grid1D
 from logkge.nonlinearity import NonlinearityParams
-from logkge.schemes import StepperConfig, evolve
+from logkge.schemes import StepperConfig, discrete_energy, evolve
 
 g = Grid1D(-16.0, 16.0, 65536)
 p = NonlinearityParams(lam=1.0, epsilon=0.05)
 cfg = StepperConfig("siefd", tau=2.0**-12)
 energies = []
-evolve(gausson_initial_data(g), p, cfg, g, 10, lambda run: energies.append(run.energy()))
+evolve(gausson_initial_data(g), p, cfg, g, 10, lambda run: energies.append(discrete_energy(run)))
 print(" ".join(map(repr, energies)))
 """
 
@@ -651,8 +668,9 @@ class TestCarriedPotentials:
         def observe(run):
             st = run.state
             fresh = WaveState(st.prev, st.curr, st.n, st.t)
-            assert run.energy() == discrete_energy(fresh, p, cfg, g)
-            assert discrete_energy(st, other, cfg, g) == discrete_energy(fresh, other, cfg, g)
+            assert discrete_energy(run) == discrete_energy(Run(fresh, p, cfg, g))
+            assert (discrete_energy(Run(st, other, cfg, g))
+                    == discrete_energy(Run(fresh, other, cfg, g)))
             start = 2.0 * st.curr - st.prev
             jac = lin + p.lam * discrete_gradient_dz1(start, st.prev, p)
             guarded.append(not 0.0 < jac.min())
@@ -684,11 +702,11 @@ class TestEvolve:
         energies = []
         res = evolve(
             example2_data(g), P, cfg, g, 20,
-            lambda run: energies.append(run.energy()),
+            lambda run: energies.append(discrete_energy(run)),
         )
         assert len(energies) == 20
         assert relative_drift(energies)[0] == 0.0
-        assert energies[-1] == discrete_energy(res.state, P, cfg, g)
+        assert energies[-1] == discrete_energy(Run(res.state, P, cfg, g))
         assert res.newton_total == 19
         assert res.newton_avg == 1.0
         quiet = evolve(example2_data(g), P, cfg, g, 20)
@@ -748,7 +766,7 @@ class TestEvolve:
             run.advance()
         whole = evolve(example2_data(g), p, cfg, g, 8)
         for a, b in [(run.state.prev, whole.state.prev), (run.state.curr, whole.state.curr),
-                     (run.energy(), whole.energy())]:
+                     (discrete_energy(run), discrete_energy(whole))]:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         counts = [(r.state.n, r.state.newton_iters, r.steps, r.newton_total, r.newton_by_member)
                   for r in (run, whole)]
@@ -761,7 +779,7 @@ def _observed_run(init, p, cfg, g, n_steps):
     energies, iters = [], []
 
     def observe(run):
-        energies.append(run.energy())
+        energies.append(discrete_energy(run))
         iters.append(run.state.newton_iters)
 
     return evolve(init, p, cfg, g, n_steps, observe), energies, iters
