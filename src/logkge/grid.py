@@ -118,8 +118,9 @@ def _per_row(x):
     return x if x.ndim else float(x)
 
 
-def norm_l2(u: np.ndarray, g: Grid1D):
-    return _per_row(np.sqrt(g.h * (u * u).sum(axis=-1)))
+def norm_l2(u: np.ndarray, g: Grid1D, out: np.ndarray | None = None):
+    """sqrt(inner(u, u, g)), the squares formed in ``out``."""
+    return _per_row(np.sqrt(inner(u, u, g, out)))
 
 
 def norm_linf(u: np.ndarray, g: Grid1D):

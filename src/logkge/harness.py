@@ -582,9 +582,12 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
     def growing(run):  # sup norm past 10x its start, or not finite
         return not norm_linf(run.state.curr, g) / u0_inf <= 10.0
 
+    taus = [fac * bound for fac in plan.probe_factors]
+    if not _within(taus, 0.0):
+        raise PlanError([f"probe factors: tau = factor * {bound:g}, the siefd tau bound at "
+                         f"h = {h:g}, gives {taus}; each must be finite and > 0"])
     rows = []
-    for fac in plan.probe_factors:
-        tau = fac * bound
+    for tau in taus:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             try:
@@ -607,13 +610,14 @@ def run(plan: ExperimentPlan) -> SweepResult:
     and never abort the sweep: a batch in which a member's Newton solve
     fails is rerun one cell at a time, and only the cells that fail alone
     get a ``non-convergence`` row.  Two runs of the same plan against the
-    same cache produce identical rows.
+    same cache produce identical rows.  When ``plan.out`` is set, writes
+    the result there as :func:`run_reproduce` does.
     """
     errors = plan.validate()
     if errors:
         raise PlanError(errors)
     if plan.kind == "stability-probe":
-        return _run_stability_probe(plan)
+        return _emit(_run_stability_probe(plan), plan.out)
 
     policy = _resolve_reference(plan)
     cells = _cells_for(plan)
@@ -636,7 +640,7 @@ def run(plan: ExperimentPlan) -> SweepResult:
         (_, (energies, snapshots)), (_, h, tau) = done[0], cells[0]
         aux = {"times": np.arange(len(energies)) * tau, "energies": np.array(energies),
                "snapshots": snapshots, "grid": _grid_for(plan, h)}
-    return SweepResult(plan=plan, rows=rows, aux=aux)
+    return _emit(SweepResult(plan=plan, rows=rows, aux=aux), plan.out)
 
 
 # --- CSV ------------------------------------------------------------------
@@ -886,10 +890,16 @@ def run_reproduce(
         raise PlanError(
             [f"unknown reproduce target {target!r}, expected one of {REPRODUCE_TARGETS}"]
         )
-    plans = [reproduce_plan(name, paper_scale, out, cache_dir) for name in _TARGET_PLANS[target]]
+    # The legs run without out, so each file is written once, with every row.
+    plans = [reproduce_plan(name, paper_scale, None, cache_dir) for name in _TARGET_PLANS[target]]
     result, *rest = map(run, plans)
     for more in rest:
         result.rows += more.rows
+    return _emit(result, out)
+
+
+def _emit(result: SweepResult, out: str | None) -> SweepResult:
+    """``result``, first written to ``out`` if it is set, as :func:`run_reproduce` describes."""
     if out is not None:
         emit_csv(result, out)
         if SWEEP_KINDS[result.plan.kind].snapshots:

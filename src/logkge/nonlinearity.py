@@ -143,17 +143,14 @@ def reg_log_primitive(rho, p: NonlinearityParams):
     block, as :func:`fused_discrete_gradient` does.
     """
     rho = _check_rho(rho)
-    if rho.size <= BLOCK:
-        out = _primitive(rho, p.eps2)
-        return out if out.ndim else float(out)
-    out, rows = np.empty(rho.shape), rho.reshape(-1, rho.shape[-1])
-    for s, q in _blocks(rows.shape, p):
-        out.reshape(rows.shape)[s] = _primitive(rows[s], q.eps2)
-    return out
+    out = np.empty(rho.shape)
+    for eps2, (r, o) in _blocks(p.eps2, rho, out):
+        _primitive(r, eps2, o)
+    return out if out.ndim else float(out)
 
 
-def _primitive(rho, eps2):
-    """:func:`reg_log_primitive` of checked rho in one pass."""
+def _primitive(rho, eps2, out):
+    """:func:`reg_log_primitive` of checked rho in one pass, into ``out``."""
     with np.errstate(over="ignore"):
         ratio = rho / eps2
     finite = np.isfinite(ratio)
@@ -166,15 +163,21 @@ def _primitive(rho, eps2):
             eps2 * np.log1p(np.where(finite, ratio, 0.0)),
             eps2 * (np.log(safe_rho) - np.log(eps2)),
         )
-    return rho * np.log(eps2 + rho) + mid - rho
+    v = np.multiply(rho, np.log(eps2 + rho), out=out)  # rho*ln(eps2 + rho) + mid - rho
+    return np.subtract(np.add(v, mid, out=v), rho, out=v)
 
 
-def _blocks(shape, p: NonlinearityParams):
-    """(index, params) of each block of BLOCK values of each row m of a (B, N) shape."""
-    for m in range(shape[0]):
-        q = p.member(m) if isinstance(p.epsilon, tuple) else p
-        for lo in range(0, shape[1], BLOCK):
-            yield (m, slice(lo, lo + BLOCK)), q
+def _blocks(eps2, *arrays):
+    """(eps2, views of the arrays) of each block: the whole arrays at or below BLOCK values,
+    else BLOCK values of one row of (B, N) arrays at a time, with its eps2 from ``p.eps2``.
+    """
+    if arrays[0].size <= BLOCK:
+        yield eps2, arrays
+        return
+    rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    for m, row_eps2 in enumerate(np.broadcast_to(eps2, (len(rows[0]), 1))[:, 0].tolist()):
+        for lo in range(0, rows[0].shape[1], BLOCK):
+            yield row_eps2, [r[m, lo : lo + BLOCK] for r in rows]
 
 
 def fused_discrete_gradient(z1, z2, v1, v2, p: NonlinearityParams, derivative=False, out=None,
@@ -196,38 +199,36 @@ def fused_discrete_gradient(z1, z2, v1, v2, p: NonlinearityParams, derivative=Fa
 
     Above :data:`BLOCK` values it runs row by row (one row for a 1-D input)
     and block by block within a row; every operation is elementwise, so that
-    is bitwise one pass.  ``out``, a pair of arrays of the inputs' shape,
-    receives the results (the second only with ``derivative``).  Calls given
-    one dict as ``scratch`` keep their temporaries in it and allocate none;
-    without ``out`` their results are then arrays of ``scratch``.
+    is bitwise one pass.  The results go into ``out``, a pair of arrays of
+    the inputs' shape (the second written only with ``derivative``), or a
+    new pair without it.  Calls given one dict as ``scratch`` keep their
+    temporaries in it and allocate none.
     """
-    scratch = {} if scratch is None else scratch
-    if z1.size <= BLOCK:
-        return _fused_block(z1, z2, v1, v2, p, derivative, out or (None, None), scratch)
     dg, dg_dz1 = out or (np.empty(z1.shape), np.empty(z1.shape))
-    rows = [a.reshape(-1, z1.shape[-1]) for a in (z1, z2, v1, v2, dg, dg_dz1)]
-    for s, q in _blocks(rows[0].shape, p):
-        _fused_block(*(a[s] for a in rows[:4]), q, derivative, (rows[4][s], rows[5][s]), scratch)
+    scratch = {} if scratch is None else scratch
+    for eps2, (z1s, z2s, v1s, v2s, dgs, dzs) in _blocks(p.eps2, z1, z2, v1, v2, dg, dg_dz1):
+        _fused_block(z1s, z2s, v1s, v2s, eps2, derivative, (dgs, dzs), scratch)
     return dg, (dg_dz1 if derivative else None)
 
 
-def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative, out=(None, None), scratch=None):
-    """:func:`fused_discrete_gradient` in one pass over whole arrays, into ``out`` if given.
+def _fused_block(z1, z2, v1, v2, eps2, derivative, out, scratch: dict) -> None:
+    """:func:`fused_discrete_gradient` in one pass over whole arrays, into the pair ``out``.
 
-    Each expression is formed with ``out=`` in the order of the plain
-    formula, so it is bit for bit the same; temporaries are in ``scratch``.
+    ``eps2`` is a width's square, or a column of them.  Each expression is
+    formed with ``out=`` in the order of the plain formula, so it is bit for
+    bit the same; temporaries are in ``scratch``.
     """
-    temps = _temporaries(z1.shape, {} if scratch is None else scratch)
-    rho1, rho2, gap, abs_gap, rho_sum, z_sum, scale, f_mid, divided, dg, dz, near = temps
-    dg, dz = dg if out[0] is None else out[0], dz if out[1] is None else out[1]
+    temps = _temporaries(z1.shape, scratch)
+    rho1, rho2, gap, abs_gap, rho_sum, z_sum, scale, f_mid, divided, near = temps
+    dg, dz = out
     np.multiply(z1, z1, rho1)
     np.multiply(z2, z2, rho2)
     np.subtract(rho1, rho2, gap)
     np.abs(gap, abs_gap)
     np.add(rho1, rho2, rho_sum)
     np.add(z1, z2, z_sum)
-    np.add(rho_sum, p.eps2, scale)
-    denom_mid = np.add(np.multiply(rho_sum, 0.5, rho2), p.eps2, rho2)  # eps2 + rho_mid
+    np.add(rho_sum, eps2, scale)
+    denom_mid = np.add(np.multiply(rho_sum, 0.5, rho2), eps2, rho2)  # eps2 + rho_mid
     np.log(denom_mid, f_mid)
     np.less_equal(abs_gap, np.multiply(scale, COINCIDENCE_REL_TOL, rho_sum), near)
     np.copyto(rho_sum, gap)
@@ -237,7 +238,7 @@ def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative, out=(None, N
     np.copyto(dg, f_mid, where=near)
     np.multiply(np.multiply(dg, 0.5, dg), z_sum, dg)
     if not derivative:
-        return dg, None
+        return
     # The derivative band contains the gradient band, so outside it
     # ``divided`` is the plain quotient by the gap.
     np.less_equal(abs_gap, np.multiply(scale, DERIVATIVE_REL_TOL, scale), near)
@@ -247,20 +248,20 @@ def _fused_block(z1, z2, v1, v2, p: NonlinearityParams, derivative, out=(None, N
     # f'(rho_mid)/2 + gap f''(rho_mid)/12 = 0.5/denom_mid - gap/(12 denom_mid^2).
     lim = np.divide(0.5, denom_mid, abs_gap)
     lim -= np.divide(gap, np.multiply(np.multiply(denom_mid, 12.0, scale), denom_mid, scale), scale)
-    ddd_drho1 = np.log(np.add(rho1, p.eps2, rho1), rho1)
+    ddd_drho1 = np.log(np.add(rho1, eps2, rho1), rho1)
     ddd_drho1 -= dd
     np.copyto(gap, 1.0, where=near)
     ddd_drho1 /= gap
     np.copyto(ddd_drho1, lim, where=near)
     np.multiply(np.multiply(np.multiply(z1, 2.0, dz), ddd_drho1, dz), 0.5, dz)
     np.multiply(dz, z_sum, dz)
-    return dg, np.add(dz, np.multiply(dd, 0.5, dd), dz)
+    np.add(dz, np.multiply(dd, 0.5, dd), dz)
 
 
 def _temporaries(shape, scratch: dict) -> list:
-    """The 12 temporaries of :func:`_fused_block` at ``shape``, the last a mask, in ``scratch``."""
+    """The 10 temporaries of :func:`_fused_block` at ``shape``, the last a mask, in ``scratch``."""
     if shape not in scratch:
-        scratch[shape] = [np.empty(shape) for _ in range(11)] + [np.empty(shape, bool)]
+        scratch[shape] = [np.empty(shape) for _ in range(9)] + [np.empty(shape, bool)]
     return scratch[shape]
 
 

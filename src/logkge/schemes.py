@@ -81,6 +81,7 @@ from .analysis import siefd_tau_bound, sigma_max
 from .grid import (
     Grid1D,
     inner,
+    norm_l2,
     periodic_forward_diff,
     periodic_second_diff,
 )
@@ -240,12 +241,6 @@ def first_step(
     accel = periodic_second_diff(phi, g.h) - phi - p.lam * phi * reg_log(phi * phi, p)
     u1 = phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
     return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau)
-
-
-def _row_norms(x: np.ndarray, g: Grid1D, sq: np.ndarray) -> list[float]:
-    """``norm_l2`` of each row of (B, N) x as a float (math.sqrt rounds as np.sqrt)."""
-    h = g.h
-    return [math.sqrt(h * s) for s in np.add.reduce(np.multiply(x, x, sq), -1).tolist()]
 
 
 def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D, work: dict):
@@ -474,7 +469,7 @@ def _solve_newton(run: Run):
     up, uc, v_prev = (x.reshape(-1, shape[-1]) for x in (state.prev, state.curr, run.v[0]))
     w = SCHEMES[cfg.scheme]
     residual, start, b = _step_equation(up, uc, p, cfg, g, work)
-    tol = [cfg.newton_tol * (1.0 + x) for x in _row_norms(b, g, work["tmp"])]
+    tol = [cfg.newton_tol * (1.0 + x) for x in norm_l2(b, g, work["tmp"]).tolist()]
     coupling = -w / g.h**2
     lin_diag = 1.0 / cfg.tau**2 + 0.5 + 2.0 * w / g.h**2
     res_out = [work["res"], work["trial_res"]]  # the accepted residual's layer, the trials'
@@ -489,7 +484,7 @@ def _solve_newton(run: Run):
         v_cand = reg_log_primitive(np.multiply(cand, cand, out=work["tmp"]), p)
         dg, jac_diag = kernel(cand, v_cand, jacobian)
         res = residual(cand, dg, res)
-        return (cand, res, v_cand), _row_norms(res, g, work["tmp"]), jac_diag
+        return (cand, res, v_cand), norm_l2(res, g, work["tmp"]).tolist(), jac_diag
 
     (cand, res, v_cand), rnorm, jac_diag = evaluate(start, res_out[0], jacobian=True)
     norms = [[r] for r in rnorm]  # each member's residual history
@@ -500,7 +495,7 @@ def _solve_newton(run: Run):
         if going and it == 1:
             # R sums terms of about lin_diag * |u| over u^{n+1} ~ 2u^n - u^{n-1},
             # 2u^n and u^{n-1}; it stagnates near one unit roundoff of their size.
-            floor = zip(_row_norms(uc, g, work["tmp"]), _row_norms(up, g, work["tmp"]))
+            floor = zip(norm_l2(uc, g, work["tmp"]).tolist(), norm_l2(up, g, work["tmp"]).tolist())
             tol = [max(t, 2.0**-53 * lin_diag * (2.0 * c + b)) for t, (c, b) in zip(tol, floor)]
             going = [m for m in going if not norms[m][-1] <= tol[m]]
         if not going or it == cfg.newton_max_iter:

@@ -137,6 +137,19 @@ class TestNormsAndQuadrature:
             assert f(u, g).tolist() == [f(row, g) for row in u]
         assert inner(u, v, g).tolist() == [inner(a, b, g) for a, b in zip(u, v)]
 
+    @pytest.mark.parametrize("shape", [(257,), (3, 257)])
+    def test_l2_forms_its_squares_in_out(self, shape):
+        # The same value bit for bit, the squares left in ``out``, and each
+        # row the correctly rounded root of h times its pairwise sum.
+        g = Grid1D(-1.0, 1.0, shape[-1])
+        u = np.random.default_rng(7).standard_normal(shape)
+        out = np.empty(shape)
+        got, want = norm_l2(u, g, out), norm_l2(u, g)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert out.tobytes() == (u * u).tobytes()
+        sums = np.atleast_1d(np.add.reduce(u * u, axis=-1)).tolist()
+        assert np.atleast_1d(got).tolist() == [math.sqrt(g.h * s) for s in sums]
+
     def test_l2_of_one(self, g):
         u = g.sample(lambda x: 1.0)
         assert norm_l2(u, g) == pytest.approx(np.sqrt(g.b - g.a), rel=1e-14)

@@ -442,6 +442,19 @@ class TestSweepKinds:
         assert rows == harness.run(replace(_PROBE, taus=(0.25,))).rows
         assert [r.status for r in rows] == ["ok", "unstable"]
 
+    @pytest.mark.parametrize("h, factors", [(2.0, (0.9, 1.5)), (32 / 45, (0.5, 1e308))],
+                             ids=["inf-bound", "overflow"])
+    def test_probe_tau_off_the_reals_is_a_plan_error(self, monkeypatch, h, factors):
+        # At h = 2 the siefd bound on the Gausson is inf; at h = 32/45 it is
+        # about 2.1, which a factor of 1e308 overflows.  Either is reported
+        # before any step.
+        plan = ExperimentPlan(kind="stability-probe", scheme="siefd", final_time=1.0,
+                              taus=(0.1,), hs=(h,), epsilons=(0.05,), probe_factors=factors)
+        assert plan.validate() == []
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: pytest.fail("stepped"))
+        with pytest.raises(PlanError, match=f"bound at h = {h:g}, gives .*inf"):
+            harness.run(plan)
+
     def test_fig1_eps_rates_near_one(self):
         rows = harness.run(reproduce_plan("fig1")).rows
         rates = [
@@ -676,6 +689,79 @@ class TestHostilePlans:
         with pytest.raises(PlanError):
             harness.run(plan)
         assert calls == []
+
+
+def _gausson_plans():
+    """Every kind and scheme on the Gausson at h = 0.5 and 2, T = 0.2, tau = 0.1.
+
+    A swept axis gets its second, halved value; the reference is none, but
+    auto for single-solve.
+    """
+    for kind, sweep in harness.SWEEP_KINDS.items():
+        def two(axis, first):
+            return (first, first / 2) if sweep.axis in (axis, "diagonal") else (first,)
+
+        for scheme in harness.SCHEMES:
+            for h in (0.5, 2.0):
+                plan = ExperimentPlan(
+                    kind=kind, scheme=scheme, final_time=0.2, taus=two("tau", 0.1),
+                    hs=two("h", h), epsilons=two("epsilon", 0.05),
+                    reference="auto" if kind == "single-solve" else "none",
+                )
+                yield pytest.param(plan, id=f"{kind}-{scheme}-h{h:g}")
+
+
+class TestValidatedPlans:
+    @pytest.mark.parametrize("plan", _gausson_plans())
+    def test_runs_or_raises_plan_error(self, plan):
+        assert plan.validate() == []
+        try:
+            rows = harness.run(plan).rows
+        except PlanError:
+            return
+        assert rows and all(r.status in ("ok", "unstable") for r in rows)
+
+
+class TestPlanOut:
+    @pytest.mark.parametrize(
+        "kind, written",
+        [("single-solve", ["x.csv"]),
+         ("energy-drift", ["x.csv", "x_drift.csv", "x_waveforms.csv"])],
+    )
+    def test_run_writes_the_plan_files_out(self, tmp_path, kind, written):
+        out = tmp_path / "results" / "x.csv"
+        path = tmp_path / "plan.txt"
+        path.write_text(
+            f"[experiment]\nkind = {kind}\nT = 0.2\n[grids]\ntau = 0.1\nh = 0.5\n"
+            f"[run]\nout = {out}\nsnapshot_times = 0 0.1\n"
+        )
+        plan = plan_from_config(path)
+        assert plan.out == str(out)
+        result = harness.run(plan)
+        assert sorted(p.name for p in out.parent.iterdir()) == written
+        emit_csv(result, tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        if len(written) > 1:
+            emit_drift_series(result, tmp_path / "drift.csv")
+            emit_waveforms(result, tmp_path / "waveforms.csv")
+            for name in ("drift", "waveforms"):
+                got = out.with_name(f"x_{name}.csv").read_bytes()
+                assert got == (tmp_path / f"{name}.csv").read_bytes()
+
+    def test_reproduce_writes_each_file_once(self, tmp_path, monkeypatch):
+        # The legs of table3 run without out; only the joined rows are written.
+        written, real = [], harness.emit_csv
+
+        def emit(result, path):
+            written.append(len(result.rows))
+            real(result, path)
+
+        monkeypatch.setattr(harness, "emit_csv", emit)
+        monkeypatch.setattr(harness, "_run_cells", lambda plan, policy, truths, cells: [
+            (harness._row(plan, *cell), ([], {})) for cell in cells])
+        harness.run_reproduce("table3", out=str(tmp_path / "t3.csv"))
+        assert written == [10]
+        assert len((tmp_path / "t3.csv").read_text().splitlines()) == 11
 
 
 def _plan_grids(plan):

@@ -468,9 +468,11 @@ class TestBlockedKernel:
         assert np.any(gap <= COINCIDENCE_REL_TOL) and np.any(gap > DERIVATIVE_REL_TOL)
         assert np.any((gap > COINCIDENCE_REL_TOL) & (gap <= DERIVATIVE_REL_TOL))
         v1, v2 = reg_log_primitive(z1 * z1, p), reg_log_primitive(z2 * z2, p)
-        assert _bits(v1) == _bits(nonlinearity._primitive(z1 * z1, p.eps2))  # V's blocks too
+        one_pass_v1 = nonlinearity._primitive(z1 * z1, p.eps2, np.empty(n))
+        assert _bits(v1) == _bits(one_pass_v1)  # V's blocks too
         dg, dz1 = fused_discrete_gradient(z1, z2, v1, v2, p, derivative)
-        want_dg, want_dz1 = nonlinearity._fused_block(z1, z2, v1, v2, p, derivative)
+        want_dg, want_dz1 = want = (np.empty(n), np.empty(n))
+        nonlinearity._fused_block(z1, z2, v1, v2, p.eps2, derivative, want, {})
         assert _bits(dg) == _bits(want_dg)
         if derivative:
             assert _bits(dz1) == _bits(want_dz1)
@@ -494,6 +496,39 @@ class TestBlockedKernel:
         assert _bits(got[0][0]) == _bits(want_dg)
         assert _bits(got[0][1]) == _bits(
             fused_discrete_gradient(z1[::-1], z2[::-1], vs[0][1], vs[1][1], pair.member(1))[0])
+
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1])
+    def test_result_without_out_survives_a_second_call(self, n):
+        # The kernel writes only into its outputs: a result made without
+        # ``out`` is not a temporary of the scratch the next call reuses.
+        z1 = np.linspace(-3.0, 3.0, n)
+        z2 = 0.75 * z1[::-1]
+        v1, v2 = reg_log_primitive(z1 * z1, P01), reg_log_primitive(z2 * z2, P01)
+        scratch = {}
+        dg, dz1 = fused_discrete_gradient(z1, z2, v1, v2, P01, True, scratch=scratch)
+        want = _bits(dg), _bits(dz1)
+        fused_discrete_gradient(z2, z1, v2, v1, P01, True, scratch=scratch)
+        assert (_bits(dg), _bits(dz1)) == want
+        assert want == tuple(map(_bits, fused_discrete_gradient(z1, z2, v1, v2, P01, True)))
+
+    def test_batched_blocks_build_no_params(self, monkeypatch):
+        # Each row's eps2 comes from the batch's column, not from a
+        # NonlinearityParams per row.
+        pair = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
+        z1 = np.stack([np.linspace(-3.0, 3.0, BLOCK + 1), np.linspace(-1.0, 2.0, BLOCK + 1)])
+        z2 = 0.75 * z1[:, ::-1]
+        built = []
+        post_init = NonlinearityParams.__post_init__
+        monkeypatch.setattr(NonlinearityParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        v1, v2 = reg_log_primitive(z1 * z1, pair), reg_log_primitive(z2 * z2, pair)
+        dg, dz1 = fused_discrete_gradient(z1, z2, v1, v2, pair, derivative=True)
+        assert built == []
+        for m, eps in enumerate(pair.widths):
+            p = NonlinearityParams(lam=1.0, epsilon=eps)
+            assert _bits(v1[m]) == _bits(reg_log_primitive(z1[m] * z1[m], p))
+            assert _bits(dg[m]) == _bits(discrete_gradient(z1[m], z2[m], p))
+            assert _bits(dz1[m]) == _bits(discrete_gradient_dz1(z1[m], z2[m], p))
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_warm_call_with_scratch_allocates_no_layer(self, derivative):
