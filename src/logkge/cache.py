@@ -9,21 +9,22 @@ Format (version 2): one ``.npz`` file per entry under the cache directory,
 named ``<sha256 of the canonical key string>.npz`` and containing
 
     key     : the canonical key string (verified on load)
-    version : format version
     prev    : layer u^{n-1} at the end of the run, float64, length N
     curr    : layer u^n at the end of the run, float64, length N
-    n, t    : step index and time of ``curr``
 
-A layer holds the N independent node values; the repeated endpoint of the
+The key holds the format version, tau and the step count n, so the file's
+name fixes them and nothing else is stored; other fields, such as the
+``version``, ``n`` and ``t`` of entries written before, are ignored.  A
+layer holds the N independent node values; the repeated endpoint of the
 periodic grid is not stored.
 
 Writes go through a temporary file in the same directory followed by an
 atomic rename, so concurrent readers never observe a partial entry and
 concurrent writers of the same key simply race to install identical bytes
 (reference computation is deterministic).  An entry that cannot be trusted
-(unreadable, another version, another key, a layer whose shape is not
-``(N,)``) is logged as a warning, then recomputed and replaced like a
-missing one.
+(unreadable, another key, a layer whose shape is not ``(N,)``) is logged as
+a warning, then recomputed and replaced like a missing one; one that cannot
+be written is logged, and the computed state returned.
 """
 
 from __future__ import annotations
@@ -83,22 +84,18 @@ def _entry_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{digest}.npz"
 
 
-def _load(path: Path, key: str, n_nodes: int) -> WaveState | None:
+def _load(path: Path, key: str, n_nodes: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stored layers (prev, curr) of the entry at ``path``; None if there is none."""
     if not path.exists():
         return None
     try:
         # np.load leaks the handle it opens when the archive is corrupt.
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             stored_key = str(data["key"])
-            version = int(data["version"])
             prev = np.asarray(data["prev"], dtype=float)
             curr = np.asarray(data["curr"], dtype=float)
-            n = int(data["n"])
-            t = float(data["t"])
     except Exception as exc:
         raise CacheError(f"unreadable cache entry {path}: {exc}") from exc
-    if version != CACHE_VERSION:
-        raise CacheError(f"cache entry {path} has version {version}, expected {CACHE_VERSION}")
     if stored_key != key:
         raise CacheError(f"cache digest collision or corruption at {path}")
     if prev.shape != (n_nodes,) or curr.shape != (n_nodes,):
@@ -106,7 +103,7 @@ def _load(path: Path, key: str, n_nodes: int) -> WaveState | None:
             f"cache entry {path} holds layers of shapes {prev.shape} and {curr.shape}, "
             f"expected ({n_nodes},)"
         )
-    return WaveState(prev=prev, curr=curr, n=n, t=t)
+    return prev, curr
 
 
 def _store(path: Path, key: str, state: WaveState) -> None:
@@ -114,15 +111,7 @@ def _store(path: Path, key: str, state: WaveState) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                key=key,
-                version=CACHE_VERSION,
-                prev=state.prev,
-                curr=state.curr,
-                n=state.n,
-                t=state.t,
-            )
+            np.savez(fh, key=key, prev=state.prev, curr=state.curr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -153,12 +142,15 @@ def reference_state(
     key = reference_key(problem, "cnfd", p, g, tau, n_steps, newton_tol)
     path = _entry_path(cache_dir, key)
     try:
-        state = _load(path, key, g.N)
+        layers = _load(path, key, g.N)
     except CacheError as exc:
         log.warning("recomputing cache entry %s: %s", path, exc)
-        state = None
-    if state is not None:
-        return state
+        layers = None
+    if layers is not None:
+        return WaveState(*layers, n=n_steps)
     state = evolve(init, p, cfg, g, n_steps).state
-    _store(path, key, state)
+    try:
+        _store(path, key, state)
+    except OSError as exc:
+        log.warning("cannot write cache entry %s: %s", path, exc)
     return state

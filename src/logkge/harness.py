@@ -34,7 +34,6 @@ from __future__ import annotations
 import ast
 import contextlib
 import math
-import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field, fields
@@ -61,6 +60,7 @@ from .schemes import (
     NonConvergenceError,
     StabilityWarning,
     StepperConfig,
+    _whole,
     discrete_energy,
     evolve,
     relative_drift,
@@ -238,11 +238,6 @@ class ExperimentPlan:
 def _within(values, low: float) -> bool:
     """Every value that is set lies in (low, inf); NaN never does."""
     return all(low < v < math.inf for v in values if v is not None)
-
-
-def _whole(value) -> bool:
-    """A count of steps or iterations: an integer >= 1 (2.5 is not one)."""
-    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass

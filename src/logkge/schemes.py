@@ -128,6 +128,11 @@ class StabilityWarning(UserWarning):
     """Emitted when a siefd run starts above its predicted stable time step."""
 
 
+def _whole(value) -> bool:
+    """A count of steps or iterations: an integer >= 1 (2.5 and True are not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     scheme: str
@@ -142,7 +147,7 @@ class StepperConfig:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 < self.newton_tol <= 1e-6:
             raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")
-        if not (isinstance(self.newton_max_iter, numbers.Integral) and self.newton_max_iter >= 1):
+        if not _whole(self.newton_max_iter):
             raise ValueError(f"newton_max_iter must be an int >= 1, got {self.newton_max_iter!r}")
 
 
@@ -161,7 +166,7 @@ def _work(shape) -> dict:
 
 @dataclass(frozen=True)
 class WaveState:
-    """Two consecutive layers (u^{n-1}, u^n) of a trajectory, t = n*tau.
+    """Two consecutive layers (u^{n-1}, u^n) of a trajectory, at time n*tau.
 
     ``newton_iters`` counts the iterations of the step that made the state,
     one int per member for (B, N) layers.
@@ -170,7 +175,6 @@ class WaveState:
     prev: np.ndarray
     curr: np.ndarray
     n: int
-    t: float
     newton_iters: int | tuple[int, ...] = 0
 
     def __post_init__(self):
@@ -205,8 +209,7 @@ class Run:
         iters = tuple(len(h) - 1 for h in norms)
         self.newton_by_member = tuple(map(sum, zip(self.newton_by_member, iters)))
         self.v = (self.v[1], v_nxt)
-        self.state = WaveState(state.curr, nxt, state.n + 1, state.t + self.cfg.tau,
-                               iters if nxt.ndim > 1 else iters[0])
+        self.state = WaveState(state.curr, nxt, state.n + 1, iters if nxt.ndim > 1 else iters[0])
         return self.state
 
     @property
@@ -240,7 +243,7 @@ def first_step(
     phi, gamma = init.phi, init.gamma
     accel = periodic_second_diff(phi, g.h) - phi - p.lam * phi * reg_log(phi * phi, p)
     u1 = phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
-    return WaveState(prev=phi, curr=u1, n=1, t=cfg.tau)
+    return WaveState(prev=phi, curr=u1, n=1)
 
 
 def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D, work: dict):

@@ -44,14 +44,15 @@ def _entry(cache_dir):
 def _assert_same(a, b):
     assert np.array_equal(a.prev, b.prev)
     assert np.array_equal(a.curr, b.curr)
-    assert (a.n, a.t) == (b.n, b.t)
+    assert a.n == b.n
 
 
 def test_miss_then_hit(tmp_path, evolve_calls):
     first = _reference(tmp_path)
     assert len(evolve_calls) == 1 and _entry(tmp_path).exists()
     with np.load(_entry(tmp_path)) as data:
-        assert int(data["version"]) == cache.CACHE_VERSION == 2
+        assert cache.CACHE_VERSION == 2
+        assert sorted(data.files) == ["curr", "key", "prev"]
         assert data["prev"].shape == data["curr"].shape == (G.N,)
     second = _reference(tmp_path)
     assert len(evolve_calls) == 1
@@ -74,7 +75,7 @@ def test_stepping_on_from_a_loaded_state_continues_the_run(tmp_path, evolve_call
                    lambda run: seen.append(run.state.newton_iters))
     assert state.prev.tobytes() == whole.state.prev.tobytes()
     assert state.curr.tobytes() == whole.state.curr.tobytes()
-    assert (state.n, state.t) == (whole.state.n, whole.state.t)
+    assert state.n == whole.state.n
     assert iters == seen[STEPS:]
 
 
@@ -90,28 +91,34 @@ def _corrupt_truncated(path):
     path.write_bytes(path.read_bytes()[:100])
 
 
-def _corrupt_version(path):
+def _rewrite(path, **changes):
+    """Store the entry at ``path`` again with fields changed (None drops one)."""
     with np.load(path) as data:
-        fields = dict(data)
-    fields["version"] = cache.CACHE_VERSION + 1
+        fields = dict(data) | changes
     with open(path, "wb") as fh:
-        np.savez(fh, **fields)
+        np.savez(fh, **{k: v for k, v in fields.items() if v is not None})
+
+
+def _corrupt_key(path):
+    # the entry of a run one step longer, under this run's name
+    _rewrite(path, key=cache.reference_key("example1-gausson", "cnfd", P, G, TAU, STEPS + 1, 1e-12))
+
+
+def _corrupt_missing_layer(path):
+    _rewrite(path, prev=None)
 
 
 def _corrupt_closed_layers(path):
-    # a current-version entry whose layers repeat the endpoint (length N+1)
+    # an entry whose layers repeat the endpoint (length N+1)
     with np.load(path) as data:
-        fields = dict(data)
-    for name in ("prev", "curr"):
-        fields[name] = np.append(fields[name], fields[name][0])
-    with open(path, "wb") as fh:
-        np.savez(fh, **fields)
+        closed = {name: np.append(data[name], data[name][0]) for name in ("prev", "curr")}
+    _rewrite(path, **closed)
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_corrupt_truncated, _corrupt_version, _corrupt_closed_layers],
-    ids=["truncated", "wrong-version", "closed-layers"],
+    [_corrupt_truncated, _corrupt_key, _corrupt_missing_layer, _corrupt_closed_layers],
+    ids=["truncated", "another-key", "missing-layer", "closed-layers"],
 )
 def test_untrusted_entry_is_recomputed_and_replaced(tmp_path, caplog, evolve_calls, corrupt):
     good = _reference(tmp_path)
@@ -132,6 +139,51 @@ def test_untrusted_entry_is_recomputed_and_replaced(tmp_path, caplog, evolve_cal
     _assert_same(good, _reference(tmp_path))
     assert len(evolve_calls) == 2
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_entry_with_stored_version_and_step_is_read(tmp_path, evolve_calls):
+    # Entries once stored the format version, n and t beside the key and
+    # the layers; the key fixes all three, so such an entry is still a hit.
+    good = _reference(tmp_path)
+    _rewrite(_entry(tmp_path), version=cache.CACHE_VERSION, n=STEPS, t=STEPS * TAU)
+    again = _reference(tmp_path)
+    assert len(evolve_calls) == 1
+    _assert_same(good, again)
+
+
+def test_another_format_version_names_another_entry(tmp_path, caplog, monkeypatch, evolve_calls):
+    _reference(tmp_path)
+    monkeypatch.setattr(cache, "CACHE_VERSION", cache.CACHE_VERSION + 1)
+    with caplog.at_level(logging.WARNING, logger="logkge.cache"):
+        _reference(tmp_path)
+    assert len(evolve_calls) == 2  # a miss: the old entry is neither read nor replaced
+    assert caplog.text == ""
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def _block_entry(tmp_path):
+    _entry(tmp_path).mkdir()
+    return tmp_path
+
+
+def _block_cache_dir(tmp_path):
+    (tmp_path / "cache").write_text("")
+    return tmp_path / "cache"
+
+
+@pytest.mark.parametrize("block", [_block_entry, _block_cache_dir],
+                         ids=["entry-is-a-directory", "cache-dir-is-a-file"])
+def test_entry_that_cannot_be_written_is_logged(tmp_path, caplog, evolve_calls, block):
+    cache_dir = block(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="logkge.cache"):
+        state = _reference(cache_dir)
+    assert len(evolve_calls) == 1
+    assert str(_entry(cache_dir)) in caplog.text
+    uncached = _reference(None)
+    assert state.prev.tobytes() == uncached.prev.tobytes()
+    assert state.curr.tobytes() == uncached.curr.tobytes()
+    assert state.n == uncached.n
+    assert len(list(tmp_path.iterdir())) == 1  # no temporary file left behind
 
 
 def test_concurrent_writers_of_one_key(tmp_path, monkeypatch):

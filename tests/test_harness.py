@@ -672,6 +672,10 @@ class TestHostilePlans:
             pytest.param(dict(newton_max_iter=2.5), id="fractional-newton-budget"),
             pytest.param(dict(kind="stability-probe", scheme="siefd", probe_steps=2.5),
                          id="fractional-probe-steps"),
+            # bool is an Integral: True would have run Newton for one iteration.
+            pytest.param(dict(newton_max_iter=True), id="boolean-newton-budget"),
+            pytest.param(dict(kind="stability-probe", scheme="siefd", probe_steps=True),
+                         id="boolean-probe-steps"),
             # A repeated eps crashed the rates; an underflowing eps**2 the first step.
             pytest.param(dict(kind="spatial-sweep", hs=(1.0, 0.5), epsilons=(0.05, 0.05)),
                          id="spatial-repeated-epsilon"),

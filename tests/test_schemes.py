@@ -87,6 +87,8 @@ class TestConfig:
             StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=0)
         with pytest.raises(ValueError, match="an int >= 1, got 2.5"):
             StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=2.5)
+        with pytest.raises(ValueError, match="an int >= 1, got True"):
+            StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=True)
         with pytest.raises(ValueError, match="finite and > 0, got inf"):
             StepperConfig(scheme="cnfd", tau=math.inf)
 
@@ -102,7 +104,7 @@ class TestFirstStep:
         cfg = StepperConfig("cnfd", tau=0.01)
         st = first_step(zero_data(g), P, cfg, g)
         assert norm_linf(st.curr, g) == 0.0
-        assert st.n == 1 and st.t == cfg.tau
+        assert st.n == 1
 
     def test_tau_to_zero_limit(self, g):
         init = InitialData(
@@ -150,7 +152,6 @@ class TestStepping:
             prev=g.sample(lambda x: 0.8),
             curr=g.sample(lambda x: 0.79),
             n=1,
-            t=cfg.tau,
         )
         nxt = Run(st, P, cfg, g).advance()
         spread = np.ptp(nxt.curr)
@@ -165,7 +166,7 @@ class TestStepping:
             run.advance()
         st = run.state
         fwd = run.advance()
-        back_state = WaveState(prev=fwd.curr, curr=fwd.prev, n=1, t=cfg.tau)
+        back_state = WaveState(prev=fwd.curr, curr=fwd.prev, n=1)
         back = Run(back_state, P, cfg, g).advance()
         assert norm_linf(back.curr - st.prev, g) < 1e-9
 
@@ -179,7 +180,6 @@ class TestStepping:
             prev=np.roll(st.prev, k),
             curr=np.roll(st.curr, k),
             n=st.n,
-            t=st.t,
         )
         nxt_rolled = Run(rolled, P, cfg, g).advance()
         assert norm_linf(nxt_rolled.curr - np.roll(nxt.curr, k), g) < 1e-9
@@ -559,7 +559,6 @@ class TestDiscreteEnergy:
             prev=g.sample(lambda x: c),
             curr=g.sample(lambda x: c),
             n=1,
-            t=cfg.tau,
         )
         expected = (g.b - g.a) * (c**2 + P.lam * reg_log_primitive(c**2, P))
         assert discrete_energy(Run(st, P, cfg, g)) == pytest.approx(expected, rel=1e-12)
@@ -667,7 +666,7 @@ class TestCarriedPotentials:
 
         def observe(run):
             st = run.state
-            fresh = WaveState(st.prev, st.curr, st.n, st.t)
+            fresh = WaveState(st.prev, st.curr, st.n)
             assert discrete_energy(run) == discrete_energy(Run(fresh, p, cfg, g))
             assert (discrete_energy(Run(st, other, cfg, g))
                     == discrete_energy(Run(fresh, other, cfg, g)))
