@@ -20,7 +20,6 @@ from .schemes import (
     Run,
     StabilityWarning,
     StepperConfig,
-    WaveState,
     discrete_energy,
     evolve,
     first_step,
@@ -38,7 +37,6 @@ __all__ = [
     "Run",
     "StabilityWarning",
     "StepperConfig",
-    "WaveState",
     "discrete_energy",
     "energy_gap_bound",
     "error_report",

@@ -124,8 +124,9 @@ def energy_gap_bound(
     and are excluded; what remains is |lam| times the quadrature of the
     pointwise (nonnegative) primitive difference, which is bounded by
     4*eps*|lam|*||u0||_L1.  Raises if the bound is violated, which would
-    signal a numerics bug since it holds pointwise.
+    signal a numerics bug since it holds pointwise.  ``p`` has one width.
     """
+    _one_width(p, "energy_gap_bound")
     gap = abs(p.lam) * quad(reg_unreg_gap_density(u0**2, p), g)
     bound = 4.0 * p.epsilon * abs(p.lam) * quad_l1(u0, g)
     if gap > bound + 1e-15 * (1.0 + bound):
@@ -133,8 +134,16 @@ def energy_gap_bound(
     return gap, bound
 
 
+def _one_width(p: NonlinearityParams, name: str) -> None:
+    """Raise unless ``p`` has a single width: a batch of B needs B calls, one per p.member(m)."""
+    if isinstance(p.epsilon, tuple):
+        raise ValueError(f"{name} takes one width, got the widths {p.epsilon}; "
+                         "pass p.member(m) for each")
+
+
 def sigma_max(u: np.ndarray, p: NonlinearityParams) -> float:
-    """max(|ln eps^2|, |ln(eps^2 + ||u||_inf^2)|), the log-magnitude bound."""
+    """max(|ln eps^2|, |ln(eps^2 + ||u||_inf^2)|), the log-magnitude bound; ``p`` has one width."""
+    _one_width(p, "sigma_max")
     uinf = float(np.max(np.abs(u)))
     return max(abs(math.log(p.eps2)), abs(math.log(p.eps2 + uinf * uinf)))
 
@@ -152,8 +161,8 @@ def siefd_tau_bound(h: float, sigma: float) -> float:
     ``unstable`` at 0.9 and 0.95, while at h = 0.25 it reads ``ok`` up to
     0.95 and ``unstable`` at 1.05.
     """
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
+    if not (0.0 < h < math.inf and math.isfinite(sigma)):
+        raise ValueError(f"need h finite and > 0 and sigma finite, got h={h}, sigma={sigma}")
     disc = 4.0 - h * h * (1.0 + sigma)
     if disc <= 0.0:
         return math.inf

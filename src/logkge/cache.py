@@ -24,7 +24,8 @@ concurrent writers of the same key simply race to install identical bytes
 (reference computation is deterministic).  An entry that cannot be trusted
 (unreadable, another key, a layer whose shape is not ``(N,)``) is logged as
 a warning, then recomputed and replaced like a missing one; one that cannot
-be written is logged, and the computed state returned.
+be written is logged, and the computed layers returned.  Either way
+:func:`reference_state` returns the final layers ``(prev, curr)``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .grid import Grid1D
 from .nonlinearity import NonlinearityParams
-from .schemes import InitialData, StepperConfig, WaveState, evolve
+from .schemes import InitialData, StepperConfig, evolve
 
 __all__ = ["CacheError", "reference_key", "reference_state"]
 
@@ -106,12 +107,12 @@ def _load(path: Path, key: str, n_nodes: int) -> tuple[np.ndarray, np.ndarray] |
     return prev, curr
 
 
-def _store(path: Path, key: str, state: WaveState) -> None:
+def _store(path: Path, key: str, prev: np.ndarray, curr: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, key=key, prev=state.prev, curr=state.curr)
+            np.savez(fh, key=key, prev=prev, curr=curr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -128,8 +129,8 @@ def reference_state(
     n_steps: int,
     newton_tol: float = StepperConfig.newton_tol,
     cache_dir: str | Path | None = None,
-) -> WaveState:
-    """Final state of the fully implicit reference run, cached when possible.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final layers (prev, curr) of the fully implicit reference run, cached when possible.
 
     ``problem`` must identify the initial data (it is part of the key); the
     caller supplies the matching sampled ``init``.  With no cache directory
@@ -137,7 +138,8 @@ def reference_state(
     """
     cfg = StepperConfig(scheme="cnfd", tau=tau, newton_tol=newton_tol)
     if cache_dir is None:
-        return evolve(init, p, cfg, g, n_steps).state
+        run = evolve(init, p, cfg, g, n_steps)
+        return run.prev, run.curr
     cache_dir = Path(cache_dir)
     key = reference_key(problem, "cnfd", p, g, tau, n_steps, newton_tol)
     path = _entry_path(cache_dir, key)
@@ -147,10 +149,10 @@ def reference_state(
         log.warning("recomputing cache entry %s: %s", path, exc)
         layers = None
     if layers is not None:
-        return WaveState(*layers, n=n_steps)
-    state = evolve(init, p, cfg, g, n_steps).state
+        return layers
+    run = evolve(init, p, cfg, g, n_steps)
     try:
-        _store(path, key, state)
+        _store(path, key, run.prev, run.curr)
     except OSError as exc:
         log.warning("cannot write cache entry %s: %s", path, exc)
-    return state
+    return run.prev, run.curr

@@ -236,8 +236,9 @@ class ExperimentPlan:
 
 
 def _within(values, low: float) -> bool:
-    """Every value that is set lies in (low, inf); NaN never does."""
-    return all(low < v < math.inf for v in values if v is not None)
+    """Every value that is set lies in (low, inf); NaN and a bool never do."""
+    return all(low < v < math.inf and not isinstance(v, (bool, np.bool_))
+               for v in values if v is not None)
 
 
 @dataclass
@@ -466,7 +467,7 @@ def _truths(plan: ExperimentPlan, policy: str, cells) -> dict:
                 _count(plan.final_time, tau_ref),
                 newton_tol=plan.newton_tol,
                 cache_dir=plan.cache_dir,
-            ).curr
+            )[1]  # the final layer u^n
     truths = {}
     for cell, ref in refs.items():
         fine = finals[ref]
@@ -514,9 +515,9 @@ def _run_cells(plan, policy, truths, cells) -> list[tuple[CellRow, tuple[list, d
 
     def observe(run):
         energies.append(discrete_energy(run))
-        if run.state.n in snapshot_steps:
-            for snaps, u in zip(snapshots, run.state.curr.reshape(len(cells), -1)):
-                snaps[run.state.n * tau] = u
+        if run.n in snapshot_steps:
+            for snaps, u in zip(snapshots, run.curr.reshape(len(cells), -1)):
+                snaps[run.n * tau] = u
 
     try:
         res = evolve(init, p, _stepper(plan, tau), g, _count(plan.final_time, tau), observe)
@@ -525,7 +526,7 @@ def _run_cells(plan, policy, truths, cells) -> list[tuple[CellRow, tuple[list, d
             return [out for cell in cells for out in _run_cells(plan, policy, truths, [cell])]
         return [(_row(plan, *cells[0], status="non-convergence"), ([], {}))]
     energies = np.array(energies).reshape(-1, len(cells))  # (steps, members)
-    final = res.state.curr.reshape(len(cells), -1)
+    final = res.curr.reshape(len(cells), -1)
     out = []
     for k, cell in enumerate(cells):
         series = energies[:, k]
@@ -575,7 +576,7 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
     u0_inf = max(norm_linf(init.phi, g), 1e-300)
 
     def growing(run):  # sup norm past 10x its start, or not finite
-        return not norm_linf(run.state.curr, g) / u0_inf <= 10.0
+        return not norm_linf(run.curr, g) / u0_inf <= 10.0
 
     taus = [fac * bound for fac in plan.probe_factors]
     if not _within(taus, 0.0):

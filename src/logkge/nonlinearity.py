@@ -59,8 +59,8 @@ BLOCK = 8192
 
 
 def width_requirement(eps: float) -> str | None:
-    """The requirement a width ``eps`` fails, or None if it is usable."""
-    if not (math.isfinite(eps) and eps > 0.0):
+    """The requirement a width ``eps`` fails, or None if it is usable (a bool is not)."""
+    if isinstance(eps, (bool, np.bool_)) or not (math.isfinite(eps) and eps > 0.0):
         return "finite and > 0"
     if eps * eps == 0.0:
         return "large enough that epsilon**2 does not underflow"
@@ -84,15 +84,16 @@ class NonlinearityParams:
     epsilon: float | tuple[float, ...]
 
     def __post_init__(self):
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if np.ndim(self.epsilon) != 0:
+        if isinstance(self.lam, (bool, np.bool_)) or not math.isfinite(self.lam):
+            raise ValueError(f"lam must be a finite number, got {self.lam}")
+        batch = np.ndim(self.epsilon) != 0
+        for eps in self.epsilon if batch else (self.epsilon,):  # as given: float(True) is 1.0
+            if unmet := width_requirement(eps):
+                raise ValueError(f"epsilon must be {unmet}, got {eps}")
+        if batch:
             object.__setattr__(self, "epsilon", tuple(map(float, self.epsilon)))
             if not self.epsilon:
                 raise ValueError("epsilon needs at least one member")
-        for eps in self.widths:
-            if unmet := width_requirement(eps):
-                raise ValueError(f"epsilon must be {unmet}, got {eps}")
 
     @property
     def widths(self) -> tuple[float, ...]:

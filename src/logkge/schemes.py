@@ -16,8 +16,10 @@ one Newton solve with the analytic Jacobian (cyclic tridiagonal for cnfd,
 diagonal for siefd) whose every iteration is one line search, its first
 trial the full step: :func:`evolve` -> :meth:`Run.advance` -> :func:`_solve_newton`.
 :func:`evolve` returns the :class:`Run` it stepped, which keeps no records but
-Newton counts: its one hook ``observe(run)`` sees the run at every state from
+Newton counts: its one hook ``observe(run)`` sees the run at every step from
 the Taylor start on and may end it, and callers keep energies and snapshots.
+A step never writes a layer it has handed out: each step makes u^{n+1} anew,
+so a layer an observer keeps holds its values for good.
 
 Each piece of work in a step is done once, and a term of weight 0 not at
 all: cnfd forms no 0 * u^n and no energy cross product, siefd no 0 * u^{n-1}
@@ -96,7 +98,6 @@ __all__ = [
     "SCHEMES",
     "StepperConfig",
     "InitialData",
-    "WaveState",
     "Run",
     "NonConvergenceError",
     "StabilityWarning",
@@ -143,7 +144,7 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
-        if not 0.0 < self.tau < math.inf:
+        if isinstance(self.tau, (bool, np.bool_)) or not 0.0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 < self.newton_tol <= 1e-6:
             raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")
@@ -164,53 +165,41 @@ def _work(shape) -> dict:
     return defaultdict(partial(np.empty, shape))
 
 
-@dataclass(frozen=True)
-class WaveState:
-    """Two consecutive layers (u^{n-1}, u^n) of a trajectory, at time n*tau.
-
-    ``newton_iters`` counts the iterations of the step that made the state,
-    one int per member for (B, N) layers.
-    """
-
-    prev: np.ndarray
-    curr: np.ndarray
-    n: int
-    newton_iters: int | tuple[int, ...] = 0
-
-    def __post_init__(self):
-        if self.prev.shape != self.curr.shape:
-            raise ValueError("both layers must live on the same grid")
-
-
 class Run:
-    """A trajectory being stepped: its ``state``, ``p``, ``cfg``, ``g`` and carried data.
+    """A trajectory being stepped: layers ``prev``, ``curr`` = (u^{n-1}, u^n) at step ``n``.
 
-    ``v`` is V(u^{n-1}^2), V(u^n^2) of the state, V being ``reg_log_primitive``:
-    computed from the state the run starts on, then carried by :meth:`advance`.
-    ``work`` holds the scratch layers of the step and of :func:`discrete_energy`.
-    A run advances in place: an observer that keeps what it sees keeps ``run.state``.
-    ``newton_by_member`` holds each member's Newton iterations over the
-    steps the run took, from the Taylor start in a run of :func:`evolve`,
-    which sets ``stopped``.
+    ``p``, ``cfg`` and ``g`` set the scheme.  ``v`` is V(u^{n-1}^2), V(u^n^2),
+    V being ``reg_log_primitive``: computed from the layers the run starts on,
+    then carried by :meth:`advance`, which also sets ``newton_iters``, the last
+    step's iterations (one int per member for (B, N) layers).  ``work`` holds
+    the scratch layers of the step and of :func:`discrete_energy`.
+    ``newton_by_member`` holds each member's iterations over the steps the run
+    took, from the Taylor start in a run of :func:`evolve`, which sets
+    ``stopped``.  A run advances in place, but no step writes a layer it has
+    handed out, so an observer may keep ``run.prev`` and ``run.curr``.
     """
 
-    def __init__(self, state: WaveState, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D):
-        if state.curr.shape != (shape := p.layer_shape(g.N)):
-            raise ValueError(f"state layers have shape {state.curr.shape}, grid wants {shape}")
-        self.state, self.p, self.cfg, self.g = state, p, cfg, g
-        self.v = tuple(reg_log_primitive(x * x, p) for x in (state.prev, state.curr))
-        self.work = _work(np.atleast_2d(state.curr).shape)
+    def __init__(self, prev: np.ndarray, curr: np.ndarray, p: NonlinearityParams,
+                 cfg: StepperConfig, g: Grid1D, n: int = 1):
+        shape = p.layer_shape(g.N)
+        if not prev.shape == curr.shape == shape:
+            raise ValueError(f"layers of shapes {prev.shape}, {curr.shape}; grid wants {shape}")
+        if not _whole(n):
+            raise ValueError(f"n must be an int >= 1, got {n!r}")
+        self.prev, self.curr, self.n, self.newton_iters = prev, curr, n, 0
+        self.p, self.cfg, self.g = p, cfg, g
+        self.v = tuple(reg_log_primitive(x * x, p) for x in (prev, curr))
+        self.work = _work(np.atleast_2d(curr).shape)
         self.newton_by_member, self.stopped = (0,) * len(p.widths), False
 
-    def advance(self) -> WaveState:
-        """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``."""
-        state = self.state
+    def advance(self) -> Run:
+        """Advance (u^{n-1}, u^n) to (u^n, u^{n+1}) with the scheme of ``cfg``; returns the run."""
         nxt, v_nxt, norms = _solve_newton(self)
         iters = tuple(len(h) - 1 for h in norms)
         self.newton_by_member = tuple(map(sum, zip(self.newton_by_member, iters)))
-        self.v = (self.v[1], v_nxt)
-        self.state = WaveState(state.curr, nxt, state.n + 1, iters if nxt.ndim > 1 else iters[0])
-        return self.state
+        self.prev, self.curr, self.v, self.n, self.newton_iters = (
+            self.curr, nxt, (self.v[1], v_nxt), self.n + 1, iters if nxt.ndim > 1 else iters[0])
+        return self
 
     @property
     def steps(self) -> int:
@@ -219,7 +208,7 @@ class Run:
         For one member that is n.  Summed over runs with ``newton_total``, a
         batch counts as B one-member runs but for their Taylor starts.
         """
-        return 1 + len(self.newton_by_member) * (self.state.n - 1)
+        return 1 + len(self.newton_by_member) * (self.n - 1)
 
     @property
     def newton_total(self) -> int:
@@ -232,18 +221,16 @@ class Run:
 
     def member_newton_avg(self, m: int) -> float:
         """:attr:`newton_avg` of member m alone."""
-        n = self.state.n
-        return self.newton_by_member[m] / (n - 1) if n > 1 else 0.0
+        return self.newton_by_member[m] / (self.n - 1) if self.n > 1 else 0.0
 
 
 def first_step(
     init: InitialData, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D
-) -> WaveState:
+) -> np.ndarray:
     """Taylor start: u^1 = phi + tau*gamma + tau^2/2 * u_tt(0) evaluated nodewise."""
     phi, gamma = init.phi, init.gamma
     accel = periodic_second_diff(phi, g.h) - phi - p.lam * phi * reg_log(phi * phi, p)
-    u1 = phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
-    return WaveState(prev=phi, curr=u1, n=1)
+    return phi + cfg.tau * gamma + 0.5 * cfg.tau**2 * accel
 
 
 def _step_equation(up, uc, p: NonlinearityParams, cfg: StepperConfig, g: Grid1D, work: dict):
@@ -467,9 +454,9 @@ def _solve_newton(run: Run):
     call; the start iterate's residual and Jacobian share one pass of the
     fused kernel.
     """
-    state, p, cfg, g, work = run.state, run.p, run.cfg, run.g, run.work
-    shape = state.curr.shape
-    up, uc, v_prev = (x.reshape(-1, shape[-1]) for x in (state.prev, state.curr, run.v[0]))
+    p, cfg, g, work = run.p, run.cfg, run.g, run.work
+    shape = run.curr.shape
+    up, uc, v_prev = (x.reshape(-1, shape[-1]) for x in (run.prev, run.curr, run.v[0]))
     w = SCHEMES[cfg.scheme]
     residual, start, b = _step_equation(up, uc, p, cfg, g, work)
     tol = [cfg.newton_tol * (1.0 + x) for x in norm_l2(b, g, work["tmp"]).tolist()]
@@ -552,9 +539,9 @@ def _solve_newton(run: Run):
 
 
 def discrete_energy(run: Run):
-    """Exactly conserved two-layer energy of the run's scheme at its state.
+    """Exactly conserved two-layer energy of the run's scheme at its layers.
 
-    With (v, u) = (state.prev, state.curr) playing (u^n, u^{n+1}) and w the
+    With (v, u) = (run.prev, run.curr) playing (u^n, u^{n+1}) and w the
     scheme's Laplacian weight:
 
         ||(u - v)/tau||^2 + w (||D+ u||^2 + ||D+ v||^2) + (1-2w) (D+ u, D+ v)
@@ -569,9 +556,9 @@ def discrete_energy(run: Run):
     carried pair and the temporaries are its ``work`` layers.
     A float for 1-D layers, one energy per member for (B, N) layers.
     """
-    state, p, cfg, g = run.state, run.p, run.cfg, run.g
+    p, cfg, g = run.p, run.cfg, run.g
     w = SCHEMES[cfg.scheme]
-    v, u, h = state.prev, state.curr, g.h
+    v, u, h = run.prev, run.curr, g.h
     # Between steps no layer of the step's work is in use, so the energy borrows four.
     ut, du, dv, prod = (run.work[k].reshape(u.shape) for k in ("res", "trial_res", "dg", "tmp"))
     ut = np.divide(np.subtract(u, v, out=ut), cfg.tau, out=ut)
@@ -605,21 +592,22 @@ def evolve(
     The trajectory is one :class:`Run` from :func:`first_step`; each later
     step is one :meth:`Run.advance` (one guarded Newton solve, whose
     :class:`NonConvergenceError` propagates).  ``observe(run)`` is called
-    with the run at the Taylor state (n = 1, ``prev`` = phi) and after every
-    later step, and reads ``run.state`` and ``discrete_energy(run)``; a true
-    return ends the run there and sets ``stopped``.  The run returned holds
-    the Newton counts and may be advanced on.  Energies, snapshots and
-    blow-up tests are the observer's business.  For siefd, warns once if tau
-    exceeds the stability bound predicted from the initial layer.
+    with the run at the Taylor layer (n = 1, ``prev`` = phi) and after every
+    later step, and reads ``run.prev``, ``run.curr``, ``run.n`` and
+    ``discrete_energy(run)``; a true return ends the run there and sets
+    ``stopped``.  The run returned holds the Newton counts and may be
+    advanced on.  Energies, snapshots and blow-up tests are the observer's
+    business.  For siefd, warns once if tau exceeds the stability bound
+    predicted from the initial layer.
 
     With B widths in ``p`` the run steps B members at once: phi and gamma
     are (B, N), row m being member m's data, or (N,) data that every member
-    starts from.  Every state holds (B, N) layers, and a Newton failure of
+    starts from.  Every layer is (B, N), and a Newton failure of
     any member ends the run with an error naming the failed rows.  Each row
     is bit for bit the run of that member alone.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if not _whole(n_steps):
+        raise ValueError(f"n_steps must be an int >= 1, got {n_steps!r}")
     shape = p.layer_shape(g.N)
     phi, gamma = init.phi, init.gamma
     if len(shape) > 1 and phi.shape == gamma.shape == (g.N,):
@@ -642,9 +630,9 @@ def evolve(
                 stacklevel=2,
             )
 
-    run = Run(first_step(init, p, cfg, g), p, cfg, g)
+    run = Run(init.phi, first_step(init, p, cfg, g), p, cfg, g)
     while True:
         run.stopped = observe is not None and bool(observe(run))
-        if run.stopped or run.state.n >= n_steps:
+        if run.stopped or run.n >= n_steps:
             return run
         run.advance()

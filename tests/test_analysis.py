@@ -143,6 +143,13 @@ class TestEnergyGapBound:
                 gap, bound = energy_gap_bound(u0, p, g)
                 assert gap <= bound
 
+    def test_rejects_a_batch(self):
+        # The bound is 4*eps*|lam|*||u0||_L1 of one width, so one call is one member.
+        g = Grid1D(-1.0, 1.0, 32)
+        p = NonlinearityParams(1.0, (0.1, 0.2))
+        with pytest.raises(ValueError, match=r"one width, got the widths \(0.1, 0.2\)"):
+            energy_gap_bound(g.sample(gausson_phi), p, g)
+
 
 class TestSigmaMax:
     def test_zero_field(self):
@@ -173,6 +180,11 @@ class TestSigmaMax:
         ]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
+    def test_rejects_a_batch(self):
+        p = NonlinearityParams(1.0, (0.1, 0.2))
+        with pytest.raises(ValueError, match=r"one width, got the widths \(0.1, 0.2\)"):
+            sigma_max(np.ones(8), p)
+
 
 class TestTauBound:
     def test_boundary_case_unconditional(self):
@@ -192,6 +204,16 @@ class TestTauBound:
         bounds = [siefd_tau_bound(h, sigma_star - d) for d in (1.0, 1e-2, 1e-4, 1e-6)]
         assert all(b < b_next for b, b_next in zip(bounds, bounds[1:]))
         assert bounds[-1] > 1e3
+
+    @pytest.mark.parametrize(
+        "h, sigma",
+        [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, math.inf), (0.5, -math.inf),
+         (0.0, 1.0), (-0.5, 1.0)],
+    )
+    def test_rejects_h_or_sigma_off_the_reals(self, h, sigma):
+        # A NaN bound would compare false to every tau.
+        with pytest.raises(ValueError, match="need h finite and > 0 and sigma finite"):
+            siefd_tau_bound(h, sigma)
 
 
 class TestLinearizedStability:

@@ -42,9 +42,10 @@ def _entry(cache_dir):
 
 
 def _assert_same(a, b):
-    assert np.array_equal(a.prev, b.prev)
-    assert np.array_equal(a.curr, b.curr)
-    assert a.n == b.n
+    """Two (prev, curr) results hold the same layers."""
+    assert len(a) == len(b) == 2
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_miss_then_hit(tmp_path, evolve_calls):
@@ -60,23 +61,31 @@ def test_miss_then_hit(tmp_path, evolve_calls):
 
 
 def test_stepping_on_from_a_loaded_state_continues_the_run(tmp_path, evolve_calls):
-    # A state read back from the cache holds only its two layers: V and the
-    # work layers are made anew.  Stepping on from it must give the run
-    # that never stopped, in layers and Newton counts, bit for bit.
+    # The cache gives back only the two layers: V and the work layers are
+    # made anew.  Stepping on from them must give the run that never
+    # stopped, in layers and Newton counts, bit for bit.
     _reference(tmp_path)
-    state = _reference(tmp_path)
-    assert len(evolve_calls) == 1  # the second state was read back
+    layers = _reference(tmp_path)
+    assert len(evolve_calls) == 1  # the second pair was read back
     cfg, more = StepperConfig("cnfd", TAU), 3
-    run = Run(state, P, cfg, G)
+    run = Run(*layers, P, cfg, G, n=STEPS)
     iters = [run.advance().newton_iters for _ in range(more)]
-    state = run.state
     seen = []
     whole = evolve(gausson_initial_data(G), P, cfg, G, STEPS + more,
-                   lambda run: seen.append(run.state.newton_iters))
-    assert state.prev.tobytes() == whole.state.prev.tobytes()
-    assert state.curr.tobytes() == whole.state.curr.tobytes()
-    assert state.n == whole.state.n
+                   lambda run: seen.append(run.newton_iters))
+    assert run.prev.tobytes() == whole.prev.tobytes()
+    assert run.curr.tobytes() == whole.curr.tobytes()
+    assert run.n == whole.n
     assert iters == seen[STEPS:]
+
+
+@pytest.mark.parametrize("n_steps", [2.5, True])
+def test_step_count_that_is_not_whole_stores_nothing(tmp_path, n_steps):
+    # 2.5 would run 3 steps and store them under a key that says 2.5.
+    with pytest.raises(ValueError, match="n_steps must be an int >= 1"):
+        cache.reference_state("example1-gausson", gausson_initial_data(G), P, G, TAU, n_steps,
+                              cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_cache_dir_recomputes_and_writes_nothing(tmp_path, monkeypatch, evolve_calls):
@@ -176,13 +185,13 @@ def _block_cache_dir(tmp_path):
 def test_entry_that_cannot_be_written_is_logged(tmp_path, caplog, evolve_calls, block):
     cache_dir = block(tmp_path)
     with caplog.at_level(logging.WARNING, logger="logkge.cache"):
-        state = _reference(cache_dir)
+        layers = _reference(cache_dir)
     assert len(evolve_calls) == 1
     assert str(_entry(cache_dir)) in caplog.text
     uncached = _reference(None)
-    assert state.prev.tobytes() == uncached.prev.tobytes()
-    assert state.curr.tobytes() == uncached.curr.tobytes()
-    assert state.n == uncached.n
+    assert len(layers) == len(uncached) == 2
+    assert layers[0].tobytes() == uncached[0].tobytes()
+    assert layers[1].tobytes() == uncached[1].tobytes()
     assert len(list(tmp_path.iterdir())) == 1  # no temporary file left behind
 
 

@@ -497,7 +497,7 @@ class TestBatchedCells:
             res = evolve(gausson_initial_data(g), p, cfg, g, round(T / row.tau),
                          lambda run: energies.append(discrete_energy(run)))
             truth = g.sample(lambda x: gausson(x, T))
-            rep = error_report(res.state.curr, truth, g)
+            rep = error_report(res.curr, truth, g)
             assert (row.norm_l2, row.norm_linf, row.norm_h1) == (rep.l2, rep.linf, rep.h1)
             assert row.energy_drift == relative_drift(energies).max()
             assert row.newton_avg_iters == res.newton_avg
@@ -676,6 +676,13 @@ class TestHostilePlans:
             pytest.param(dict(newton_max_iter=True), id="boolean-newton-budget"),
             pytest.param(dict(kind="stability-probe", scheme="siefd", probe_steps=True),
                          id="boolean-probe-steps"),
+            # Nor is it a float: each of these would have run as 1.
+            pytest.param(dict(final_time=True), id="boolean-T"),
+            pytest.param(dict(final_time=1.0, taus=(True,)), id="boolean-tau"),
+            pytest.param(dict(hs=(True,)), id="boolean-h"),
+            pytest.param(dict(hs=(np.True_,)), id="numpy-boolean-h"),
+            pytest.param(dict(epsilons=(True,)), id="boolean-epsilon"),
+            pytest.param(dict(lam=True), id="boolean-lambda"),
             # A repeated eps crashed the rates; an underflowing eps**2 the first step.
             pytest.param(dict(kind="spatial-sweep", hs=(1.0, 0.5), epsilons=(0.05, 0.05)),
                          id="spatial-repeated-epsilon"),

@@ -55,6 +55,13 @@ class TestParams:
             NonlinearityParams(lam=math.inf, epsilon=0.1)
         with pytest.raises(ValueError):
             NonlinearityParams(lam=1.0, epsilon=math.nan)
+        # A bool is not a number here, though True == 1; nor is numpy's.
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="lam must be a finite number, got True"):
+                NonlinearityParams(lam=flag, epsilon=0.1)
+            for eps in (flag, (0.1, flag)):
+                with pytest.raises(ValueError, match="epsilon must be finite and > 0, got True"):
+                    NonlinearityParams(lam=1.0, epsilon=eps)
 
 
 class TestRegLog:

@@ -23,7 +23,6 @@ from logkge.schemes import (
     Run,
     StabilityWarning,
     StepperConfig,
-    WaveState,
     discrete_energy,
     evolve,
     first_step,
@@ -68,11 +67,15 @@ def evolve_with_drift(init, p, cfg, g, n_steps):
     return res, max(relative_drift(energies))
 
 
-def assemble_residual(cand, state, p, cfg, g):
+def taylor_run(init, p, cfg, g):
+    """The run at the Taylor layer: (phi, u^1) at n = 1."""
+    return Run(init.phi, first_step(init, p, cfg, g), p, cfg, g)
+
+
+def assemble_residual(cand, prev, curr, p, cfg, g):
     """Left-hand side of the scheme equation at a trial layer u^{n+1}, on the unfused gradient."""
-    residual, _, _ = schemes._step_equation(state.prev, state.curr, p, cfg, g,
-                                            schemes._work(np.shape(cand)))
-    return residual(cand, discrete_gradient(cand, state.prev, p), np.empty(np.shape(cand)))
+    residual, _, _ = schemes._step_equation(prev, curr, p, cfg, g, schemes._work(np.shape(cand)))
+    return residual(cand, discrete_gradient(cand, prev, p), np.empty(np.shape(cand)))
 
 
 class TestConfig:
@@ -91,6 +94,9 @@ class TestConfig:
             StepperConfig(scheme="cnfd", tau=0.1, newton_max_iter=True)
         with pytest.raises(ValueError, match="finite and > 0, got inf"):
             StepperConfig(scheme="cnfd", tau=math.inf)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="finite and > 0, got True"):
+                StepperConfig(scheme="cnfd", tau=flag)
 
     def test_only_the_weights_the_step_implements(self):
         # The step's residual and discrete_energy implement the Laplacian
@@ -102,9 +108,10 @@ class TestConfig:
 class TestFirstStep:
     def test_zero_data_stays_zero(self, g):
         cfg = StepperConfig("cnfd", tau=0.01)
-        st = first_step(zero_data(g), P, cfg, g)
-        assert norm_linf(st.curr, g) == 0.0
-        assert st.n == 1
+        init = zero_data(g)
+        u1 = first_step(init, P, cfg, g)
+        assert norm_linf(u1, g) == 0.0
+        assert Run(init.phi, u1, P, cfg, g).n == 1
 
     def test_tau_to_zero_limit(self, g):
         init = InitialData(
@@ -113,8 +120,8 @@ class TestFirstStep:
         )
         errs = []
         for tau in (0.1, 0.05, 0.025):
-            st = first_step(init, P, StepperConfig("cnfd", tau), g)
-            errs.append(norm_l2(st.curr - init.phi, g))
+            u1 = first_step(init, P, StepperConfig("cnfd", tau), g)
+            errs.append(norm_l2(u1 - init.phi, g))
         # curr -> phi at O(tau^2) when gamma = 0
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
@@ -128,9 +135,9 @@ class TestFirstStep:
         errs = []
         taus = (0.02, 0.01, 0.005)
         for tau in taus:
-            st = first_step(init, p, StepperConfig("cnfd", tau), g)
+            u1 = first_step(init, p, StepperConfig("cnfd", tau), g)
             truth = g.sample(lambda x: gausson(x, tau))
-            errs.append(norm_l2(st.curr - truth, g))
+            errs.append(norm_l2(u1 - truth, g))
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
         assert 6.0 < r1 < 10.0
@@ -141,19 +148,13 @@ class TestStepping:
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_zero_state_fixed_point(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
-        st = first_step(zero_data(g), P, cfg, g)
-        nxt = Run(st, P, cfg, g).advance()
+        nxt = taylor_run(zero_data(g), P, cfg, g).advance()
         assert norm_linf(nxt.curr, g) == 0.0
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_constant_state_stays_constant(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
-        st = WaveState(
-            prev=g.sample(lambda x: 0.8),
-            curr=g.sample(lambda x: 0.79),
-            n=1,
-        )
-        nxt = Run(st, P, cfg, g).advance()
+        nxt = Run(g.sample(lambda x: 0.8), g.sample(lambda x: 0.79), P, cfg, g).advance()
         spread = np.ptp(nxt.curr)
         assert spread <= 1e-12 * (1.0 + norm_linf(nxt.curr, g))
 
@@ -161,55 +162,54 @@ class TestStepping:
     def test_time_reversible(self, g, scheme):
         # advancing from the swapped pair recovers the oldest layer
         cfg = StepperConfig(scheme, tau=0.01)
-        run = Run(first_step(example2_data(g), P, cfg, g), P, cfg, g)
+        run = taylor_run(example2_data(g), P, cfg, g)
         for _ in range(3):
             run.advance()
-        st = run.state
+        oldest = run.prev
         fwd = run.advance()
-        back_state = WaveState(prev=fwd.curr, curr=fwd.prev, n=1)
-        back = Run(back_state, P, cfg, g).advance()
-        assert norm_linf(back.curr - st.prev, g) < 1e-9
+        back = Run(fwd.curr, fwd.prev, P, cfg, g).advance()
+        assert norm_linf(back.curr - oldest, g) < 1e-9
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_translation_equivariance(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
-        st = first_step(example2_data(g), P, cfg, g)
-        nxt = Run(st, P, cfg, g).advance()
+        run = taylor_run(example2_data(g), P, cfg, g)
         k = 17
-        rolled = WaveState(
-            prev=np.roll(st.prev, k),
-            curr=np.roll(st.curr, k),
-            n=st.n,
-        )
-        nxt_rolled = Run(rolled, P, cfg, g).advance()
+        rolled = Run(np.roll(run.prev, k), np.roll(run.curr, k), P, cfg, g, n=run.n)
+        nxt = run.advance()
+        nxt_rolled = rolled.advance()
         assert norm_linf(nxt_rolled.curr - np.roll(nxt.curr, k), g) < 1e-9
 
     def test_layers_that_do_not_fit_the_grid_are_rejected(self, g):
-        # 128-node layers on a 64-node grid would step with h = 2/64, and
-        # 1-D layers under two widths would fail deep in numpy: a run of
-        # layers of another shape than p gives on g is an error at once.
+        # 128-node layers on a 64-node grid would step with h = 2/64, 1-D
+        # layers under two widths would fail deep in numpy, and so would a
+        # pair of two shapes: a run of layers of another shape than p gives
+        # on g is an error at once.
         cfg = StepperConfig("cnfd", tau=0.01)
         fine = Grid1D(-1.0, 1.0, 128)
         pair = NonlinearityParams(lam=1.0, epsilon=(0.05, 0.1))
-        for state, p in [(first_step(example2_data(fine), P, cfg, fine), P),
-                         (first_step(example2_data(g), P, cfg, g), pair)]:
+        coarse_run, fine_run = (taylor_run(example2_data(x), P, cfg, x) for x in (g, fine))
+        for prev, curr, p in [(fine_run.prev, fine_run.curr, P),
+                              (coarse_run.prev, coarse_run.curr, pair),
+                              (fine_run.prev, coarse_run.curr, P),
+                              (coarse_run.prev, fine_run.curr, P)]:
             with pytest.raises(ValueError, match="grid wants"):
-                Run(state, p, cfg, g)
+                Run(prev, curr, p, cfg, g)
 
 
 class TestResidualAndNewton:
     def test_residual_zero_at_zero(self, g):
         cfg = StepperConfig("cnfd", tau=0.01)
-        st = first_step(zero_data(g), P, cfg, g)
-        r = assemble_residual(np.zeros(g.N), st, P, cfg, g)
+        st = taylor_run(zero_data(g), P, cfg, g)
+        r = assemble_residual(np.zeros(g.N), st.prev, st.curr, P, cfg, g)
         assert norm_linf(r, g) == 0.0
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_solved_layer_has_small_residual(self, g, scheme):
         cfg = StepperConfig(scheme, tau=0.01)
-        st = first_step(example2_data(g), P, cfg, g)
-        u_next, _, (norms,) = schemes._solve_newton(Run(st, P, cfg, g))
-        r = assemble_residual(u_next, st, P, cfg, g)
+        st = taylor_run(example2_data(g), P, cfg, g)
+        u_next, _, (norms,) = schemes._solve_newton(st)
+        r = assemble_residual(u_next, st.prev, st.curr, P, cfg, g)
         assert norm_l2(r, g) <= cfg.newton_tol * (1.0 + 1e4)
         assert norms[-1] <= norms[0]
 
@@ -218,13 +218,13 @@ class TestResidualAndNewton:
         # directional derivative of the residual versus central differences
         cfg = StepperConfig(scheme, tau=0.05)
         rng = np.random.default_rng(8)
-        st = first_step(example2_data(g), P, cfg, g)
+        st = taylor_run(example2_data(g), P, cfg, g)
         u = st.curr + 0.1 * rng.standard_normal(g.N)
         v = rng.standard_normal(g.N)
         delta = 1e-6
         jv_fd = (
-            assemble_residual(u + delta * v, st, P, cfg, g)
-            - assemble_residual(u - delta * v, st, P, cfg, g)
+            assemble_residual(u + delta * v, st.prev, st.curr, P, cfg, g)
+            - assemble_residual(u - delta * v, st.prev, st.curr, P, cfg, g)
         ) / (2 * delta)
         diag = 1.0 / cfg.tau**2 + 0.5 + P.lam * discrete_gradient_dz1(u, st.prev, P)
         jv = diag * v
@@ -238,7 +238,7 @@ class TestResidualAndNewton:
         # quadratic contraction before hitting tolerance
         g = Grid1D(-16.0, 16.0, 1024)
         cfg = StepperConfig("cnfd", tau=0.01)
-        run = Run(first_step(gausson_initial_data(g), P, cfg, g), P, cfg, g)
+        run = taylor_run(gausson_initial_data(g), P, cfg, g)
         st = run.advance()
         _, _, (norms,) = schemes._solve_newton(run)
         assert len(norms) >= 2
@@ -251,17 +251,17 @@ class TestResidualAndNewton:
     def test_budget_exhausted_raises(self, g):
         # newton_max_iter is the whole budget: no hidden second loop
         cfg = StepperConfig("cnfd", tau=0.5, newton_max_iter=1)
-        st = first_step(amplitude5_data(g), P, cfg, g)
         with pytest.raises(NonConvergenceError) as exc:
-            Run(st, P, cfg, g).advance()
+            taylor_run(amplitude5_data(g), P, cfg, g).advance()
         assert exc.value.residual > 0.0
 
     def test_large_step_converges_within_budget(self, g):
         cfg = StepperConfig("cnfd", tau=0.5)
-        st = first_step(amplitude5_data(g), P, cfg, g)
-        nxt = Run(st, P, cfg, g).advance()
+        run = taylor_run(amplitude5_data(g), P, cfg, g)
+        layers = run.prev, run.curr
+        nxt = run.advance()
         assert 1 <= nxt.newton_iters <= cfg.newton_max_iter
-        r = assemble_residual(nxt.curr, st, P, cfg, g)
+        r = assemble_residual(nxt.curr, *layers, P, cfg, g)
         assert norm_l2(r, g) < 1e-6
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
@@ -269,16 +269,16 @@ class TestResidualAndNewton:
         # plain Newton, full steps, same start and same arithmetic: the
         # ordinary path must reproduce it bit for bit
         cfg = StepperConfig(scheme, tau=0.01)
-        run = Run(first_step(example2_data(g), P, cfg, g), P, cfg, g)
+        run = taylor_run(example2_data(g), P, cfg, g)
         lin = 1.0 / cfg.tau**2 + 0.5 + (1.0 / g.h**2 if scheme == "cnfd" else 0.0)
         for _ in range(5):
-            st = run.state
+            prev, curr = run.prev, run.curr
             nxt = run.advance()
             assert nxt.newton_iters >= 1
-            cand = 2.0 * st.curr - st.prev
+            cand = 2.0 * curr - prev
             for _ in range(nxt.newton_iters):
-                res = assemble_residual(cand, st, P, cfg, g)
-                jac = lin + P.lam * discrete_gradient_dz1(cand, st.prev, P)
+                res = assemble_residual(cand, prev, curr, P, cfg, g)
+                jac = lin + P.lam * discrete_gradient_dz1(cand, prev, P)
                 if scheme == "cnfd":
                     delta = solve_cyclic_tridiag(jac, -0.5 / g.h**2, -res)
                 else:
@@ -328,7 +328,7 @@ class TestLaplacianCount:
         # (the start iterate and each Newton iterate) only when w > 0
         g = Grid1D(*domain, n)
         cfg = StepperConfig(scheme, tau)
-        run = Run(first_step(data(g), P, cfg, g), P, cfg, g)
+        run = taylor_run(data(g), P, cfg, g)
         calls, real = [], schemes.periodic_second_diff
 
         def counting(v, h, *out):
@@ -544,8 +544,7 @@ class TestCyclicTridiagonal:
 class TestDiscreteEnergy:
     def test_zero_state(self, g):
         cfg = StepperConfig("cnfd", tau=0.01)
-        st = first_step(zero_data(g), P, cfg, g)
-        assert discrete_energy(Run(st, P, cfg, g)) == 0.0
+        assert discrete_energy(taylor_run(zero_data(g), P, cfg, g)) == 0.0
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_constant_state_value(self, g, scheme):
@@ -555,13 +554,9 @@ class TestDiscreteEnergy:
 
         cfg = StepperConfig(scheme, tau=0.01)
         c = 0.6
-        st = WaveState(
-            prev=g.sample(lambda x: c),
-            curr=g.sample(lambda x: c),
-            n=1,
-        )
+        run = Run(g.sample(lambda x: c), g.sample(lambda x: c), P, cfg, g)
         expected = (g.b - g.a) * (c**2 + P.lam * reg_log_primitive(c**2, P))
-        assert discrete_energy(Run(st, P, cfg, g)) == pytest.approx(expected, rel=1e-12)
+        assert discrete_energy(run) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["cnfd", "siefd"])
     def test_conservation_along_trajectory(self, g, scheme):
@@ -654,9 +649,9 @@ class TestCarriedPotentials:
     )
     def test_energy_equals_fresh_state(self, scheme, eps, tau, n, steps):
         # A run carries V of both layers from step to step; its energy must
-        # be what a state holding only the two layers gives, bit for bit.
-        # The state itself carries nothing: at another eps it gives the
-        # energy of a fresh state.
+        # be what a run built from only copies of the two layers gives, bit
+        # for bit.  The layers themselves carry nothing: at another eps they
+        # give the energy of the copies.
         g = Grid1D(-16.0, 16.0, n)
         p = NonlinearityParams(lam=1.0, epsilon=eps)
         other = NonlinearityParams(lam=1.0, epsilon=2.0 * eps)
@@ -665,15 +660,14 @@ class TestCarriedPotentials:
         seen, guarded = [], []
 
         def observe(run):
-            st = run.state
-            fresh = WaveState(st.prev, st.curr, st.n)
-            assert discrete_energy(run) == discrete_energy(Run(fresh, p, cfg, g))
-            assert (discrete_energy(Run(st, other, cfg, g))
-                    == discrete_energy(Run(fresh, other, cfg, g)))
-            start = 2.0 * st.curr - st.prev
-            jac = lin + p.lam * discrete_gradient_dz1(start, st.prev, p)
+            fresh = run.prev.copy(), run.curr.copy()
+            assert discrete_energy(run) == discrete_energy(Run(*fresh, p, cfg, g, run.n))
+            assert (discrete_energy(Run(run.prev, run.curr, other, cfg, g))
+                    == discrete_energy(Run(*fresh, other, cfg, g)))
+            start = 2.0 * run.curr - run.prev
+            jac = lin + p.lam * discrete_gradient_dz1(start, run.prev, p)
             guarded.append(not 0.0 < jac.min())
-            seen.append(st.n)
+            seen.append(run.n)
 
         evolve(gausson_initial_data(g), p, cfg, g, steps + 1, observe)
         assert seen == list(range(1, steps + 2))
@@ -687,13 +681,39 @@ class TestEvolve:
         cfg = StepperConfig("cnfd", tau=0.01)
         init = example2_data(g)
         seen = []
-        res = evolve(init, P, cfg, g, 20, lambda run: seen.append((run.state.n, run.state.prev)))
+        res = evolve(init, P, cfg, g, 20, lambda run: seen.append((run.n, run.prev)))
         assert [n for n, _ in seen] == list(range(1, 21))
         assert seen[0][1] is init.phi
         assert res.steps == 20 and not res.stopped
-        res = evolve(init, P, cfg, g, 20, lambda run: run.state.n == 7)
-        assert res.steps == 7 and res.state.n == 7 and res.stopped
-        assert evolve(init, P, cfg, g, 20, lambda run: run.state.n == 20).stopped
+        res = evolve(init, P, cfg, g, 20, lambda run: run.n == 7)
+        assert res.steps == 7 and res.n == 7 and res.stopped
+        assert evolve(init, P, cfg, g, 20, lambda run: run.n == 20).stopped
+
+    @pytest.mark.parametrize("eps, scale", [(1e-3, 1.0), ((1e-3, 5e-4), 1.0), (0.05, 1e-14)],
+                             ids=["one", "batch", "start-accepted"])
+    def test_a_step_writes_no_layer_it_has_handed_out(self, eps, scale):
+        # An observer may keep run.prev and run.curr as they are: each holds
+        # the bytes it had when seen after every later step.  The data of
+        # test_guarded_iterations_converge, so guarded iterations, and in the
+        # batch rows taken one at a time, are among the steps; a wave of
+        # 1e-14 takes none, so each step accepts its start iterate.
+        g = Grid1D(-16.0, 16.0, 64)
+        p = NonlinearityParams(lam=1.0, epsilon=eps)
+        data = gausson_initial_data(g)
+        kept = []
+        run = evolve(InitialData(scale * data.phi, scale * data.gamma), p,
+                     StepperConfig("cnfd", tau=1.0), g, 8,
+                     lambda run: kept.extend((x, x.tobytes()) for x in (run.prev, run.curr)))
+        assert len(kept) == 16
+        assert all(x.tobytes() == seen for x, seen in kept)
+        assert (run.newton_total < run.steps - 1) == (scale < 1.0)  # some step took none
+
+    @pytest.mark.parametrize("n_steps", [2.5, True, 0])
+    def test_step_count_must_be_whole(self, g, n_steps):
+        # 2.5 would run 3 steps and True 1; none is a count of steps.
+        cfg = StepperConfig("cnfd", tau=0.01)
+        with pytest.raises(ValueError, match="n_steps must be an int >= 1"):
+            evolve(example2_data(g), P, cfg, g, n_steps)
 
     def test_energy_series_and_newton_average(self, g):
         # one Newton iteration per step at this tau; the Taylor start takes none
@@ -705,11 +725,11 @@ class TestEvolve:
         )
         assert len(energies) == 20
         assert relative_drift(energies)[0] == 0.0
-        assert energies[-1] == discrete_energy(Run(res.state, P, cfg, g))
+        assert energies[-1] == discrete_energy(Run(res.prev, res.curr, P, cfg, g, res.n))
         assert res.newton_total == 19
         assert res.newton_avg == 1.0
         quiet = evolve(example2_data(g), P, cfg, g, 20)
-        assert np.array_equal(quiet.state.curr, res.state.curr)
+        assert np.array_equal(quiet.curr, res.curr)
         assert quiet.newton_total == 19
 
     def test_dimension_mismatch_rejected(self, g):
@@ -749,7 +769,7 @@ class TestEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             res = evolve(init, P, cfg, g, 500,
-                         lambda run: norm_linf(run.state.curr, g) > 10.0 * u0_inf)
+                         lambda run: norm_linf(run.curr, g) > 10.0 * u0_inf)
         assert res.stopped
         assert res.steps < 500
 
@@ -764,10 +784,10 @@ class TestEvolve:
         for _ in range(3):
             run.advance()
         whole = evolve(example2_data(g), p, cfg, g, 8)
-        for a, b in [(run.state.prev, whole.state.prev), (run.state.curr, whole.state.curr),
+        for a, b in [(run.prev, whole.prev), (run.curr, whole.curr),
                      (discrete_energy(run), discrete_energy(whole))]:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        counts = [(r.state.n, r.state.newton_iters, r.steps, r.newton_total, r.newton_by_member)
+        counts = [(r.n, r.newton_iters, r.steps, r.newton_total, r.newton_by_member)
                   for r in (run, whole)]
         assert counts[0] == counts[1]
         assert type(run.steps) is int and type(run.newton_total) is int
@@ -779,7 +799,7 @@ def _observed_run(init, p, cfg, g, n_steps):
 
     def observe(run):
         energies.append(discrete_energy(run))
-        iters.append(run.state.newton_iters)
+        iters.append(run.newton_iters)
 
     return evolve(init, p, cfg, g, n_steps, observe), energies, iters
 
@@ -792,18 +812,18 @@ def _assert_batch_is_single_runs(members, cfg, g, n_steps):
     p = NonlinearityParams(lam=1.0, epsilon=[eps for eps, _ in members])
     batch = InitialData(*(np.stack([getattr(d, f) for _, d in members]) for f in ("phi", "gamma")))
     res, energies, iters = _observed_run(batch, p, cfg, g, n_steps)
-    assert res.state.curr.shape == (len(members), g.N)
+    assert res.curr.shape == (len(members), g.N)
     for m, (eps, data) in enumerate(members):
         one, one_energies, one_iters = _observed_run(
             data, NonlinearityParams(lam=1.0, epsilon=eps), cfg, g, n_steps
         )
-        assert res.state.prev[m].tobytes() == one.state.prev.tobytes()
-        assert res.state.curr[m].tobytes() == one.state.curr.tobytes()
+        assert res.prev[m].tobytes() == one.prev.tobytes()
+        assert res.curr[m].tobytes() == one.curr.tobytes()
         assert [e[m] for e in energies] == one_energies
         assert [it[m] for it in iters[1:]] == one_iters[1:]
         assert res.newton_by_member[m] == one.newton_total
         assert res.member_newton_avg(m) == one.newton_avg
-    n = res.state.n
+    n = res.n
     assert res.newton_total == sum(res.newton_by_member)
     assert res.steps == 1 + len(members) * (n - 1)
     assert all(type(x) is int for x in (res.steps, res.newton_total, *res.newton_by_member))
@@ -901,7 +921,7 @@ class TestMembers:
             res = evolve(data, p, cfg, g, 3)
         assert blown == [(2, g.N)]
         for m in (0, 1):
-            assert res.state.curr[m].tobytes() == clean[m].state.curr.tobytes()
+            assert res.curr[m].tobytes() == clean[m].curr.tobytes()
         assert res.newton_by_member == tuple(c.newton_total for c in clean)
 
     def test_members_search_at_their_own_steps_in_one_trial(self, monkeypatch):
@@ -949,7 +969,7 @@ class TestMembers:
         seen = []
         with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as exc:
             evolve(InitialData(phi, np.stack([data.gamma] * 2)), p, StepperConfig(scheme, tau=0.01),
-                   g, 3, lambda run: seen.append(run.state.n))
+                   g, 3, lambda run: seen.append(run.n))
         assert seen == [1]
         assert math.isnan(exc.value.residual)
         assert str(exc.value) == (
@@ -987,16 +1007,16 @@ class TestMembers:
                                 for x in (data.phi, data.gamma)))
         for init in (data, columns):
             res, other_energies, _ = _observed_run(init, p, cfg, g, 3)
-            assert res.state.curr.tobytes() == rows.state.curr.tobytes()
+            assert res.curr.tobytes() == rows.curr.tobytes()
             assert [e.tolist() for e in other_energies] == [e.tolist() for e in energies]
         for m in range(3):
             alone = evolve(data, p.member(m), cfg, g, 3)
-            assert rows.state.curr[m].tobytes() == alone.state.curr.tobytes()
+            assert rows.curr[m].tobytes() == alone.curr.tobytes()
         one = NonlinearityParams(lam=1.0, epsilon=(0.05,))
         res = evolve(InitialData(data.phi[None], data.gamma[None]), one, cfg, g, 3)
         single = evolve(data, P, cfg, g, 3)
-        assert res.state.curr.shape == (1, g.N)
-        assert res.state.curr[0].tobytes() == single.state.curr.tobytes()
+        assert res.curr.shape == (1, g.N)
+        assert res.curr[0].tobytes() == single.curr.tobytes()
         assert (res.steps, res.newton_total) == (single.steps, single.newton_total)
 
 
@@ -1022,7 +1042,7 @@ class TestWorkLayers:
         peaks, start = [], []
 
         def observe(run):
-            if run.state.n > 2:  # the work layers exist from the first Newton step on
+            if run.n > 2:  # the work layers exist from the first Newton step on
                 peaks.append(tracemalloc.get_traced_memory()[1] - start[-1])
             tracemalloc.reset_peak()
             start.append(tracemalloc.get_traced_memory()[0])
@@ -1051,7 +1071,7 @@ class TestWorkLayers:
         def trajectory(p, init, layers, ready=None):
             if ready is not None:
                 ready.wait()
-            evolve(init, p, cfg, g, 40, lambda run: layers.append(run.state.curr.tobytes()))
+            evolve(init, p, cfg, g, 40, lambda run: layers.append(run.curr.tobytes()))
 
         serial = [[], []]
         for (p, init), layers in zip(runs, serial):
