@@ -3,7 +3,6 @@ logarithmic Klein-Gordon equation on 1D periodic domains."""
 
 from .analysis import (
     ErrorReport,
-    GaussonParams,
     energy_gap_bound,
     error_report,
     gausson,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ErrorReport",
-    "GaussonParams",
     "Grid1D",
     "InitialData",
     "NonConvergenceError",

@@ -16,6 +16,8 @@ import numpy as np
 
 from .grid import (
     Grid1D,
+    _whole,
+    _within,
     norm_h1,
     norm_l2,
     norm_linf,
@@ -31,7 +33,6 @@ from .nonlinearity import (
 )
 
 __all__ = [
-    "GaussonParams",
     "gausson",
     "gausson_phi",
     "gausson_gamma",
@@ -48,52 +49,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussonParams:
-    """Speed c and wave number k of the Gaussian solitary wave; needs c^2 > k^2."""
-
-    c: float = 2.0
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not self.c**2 > self.k**2:
-            raise ValueError(f"need c^2 > k^2, got c={self.c}, k={self.k}")
-
-    @property
-    def m(self) -> float:
-        return self.c**2 - self.k**2
-
-
-def gausson(x, t, gp: GaussonParams = GaussonParams()):
-    """Exact travelling solution exp(-(k x - c t)^2 / (2 (c^2 - k^2))).
+def gausson(x, t):
+    """Exact travelling solution exp(-(k x - c t)^2 / (2 (c^2 - k^2))) with c = 2, k = 1.
 
     Solves the unregularized log wave equation u_tt - u_xx + u + u ln(u^2) = 0
-    identically (unit coupling); the peak travels along x = c t / k.
+    identically (unit coupling); the peak travels along x = c t / k = 2t.
     """
     x = np.asarray(x, dtype=float)
-    s = gp.k * x - gp.c * t
-    out = np.exp(-(s * s) / (2.0 * gp.m))
+    s = x - 2.0 * t
+    out = np.exp(-(s * s) / 6.0)
     return out if out.ndim else float(out)
 
 
-def gausson_phi(x, gp: GaussonParams = GaussonParams()):
-    return gausson(x, 0.0, gp)
+def gausson_phi(x):
+    return gausson(x, 0.0)
 
 
-def gausson_gamma(x, gp: GaussonParams = GaussonParams()):
+def gausson_gamma(x):
     """Initial velocity: time derivative of the travelling wave at t = 0."""
     x = np.asarray(x, dtype=float)
-    out = (gp.c * gp.k * x / gp.m) * np.exp(-((gp.k * x) ** 2) / (2.0 * gp.m))
+    out = (2.0 * x / 3.0) * np.exp(-(x**2) / 6.0)
     return out if out.ndim else float(out)
 
 
-def gausson_initial_data(g: Grid1D, gp: GaussonParams = GaussonParams()):
+def gausson_initial_data(g: Grid1D):
     from .schemes import InitialData
 
-    return InitialData(
-        phi=g.sample(lambda x: gausson_phi(x, gp)),
-        gamma=g.sample(lambda x: gausson_gamma(x, gp)),
-    )
+    return InitialData(phi=g.sample(gausson_phi), gamma=g.sample(gausson_gamma))
 
 
 def continuous_energy_log(u: np.ndarray, ut: np.ndarray, lam: float, g: Grid1D) -> float:
@@ -161,7 +143,7 @@ def siefd_tau_bound(h: float, sigma: float) -> float:
     ``unstable`` at 0.9 and 0.95, while at h = 0.25 it reads ``ok`` up to
     0.95 and ``unstable`` at 1.05.
     """
-    if not (0.0 < h < math.inf and math.isfinite(sigma)):
+    if not (_within([h], 0.0) and _within([sigma], -math.inf)):
         raise ValueError(f"need h finite and > 0 and sigma finite, got h={h}, sigma={sigma}")
     disc = 4.0 - h * h * (1.0 + sigma)
     if disc <= 0.0:
@@ -185,6 +167,9 @@ def linearized_amplification(scheme: str, h: float, tau: float, alpha: float, N:
 
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if not (_within([h, tau], 0.0) and _within([alpha], -math.inf) and _whole(N)):
+        raise ValueError(f"need h and tau finite and > 0, alpha finite and N an int >= 1, "
+                         f"got h={h}, tau={tau}, alpha={alpha}, N={N!r}")
     w = SCHEMES[scheme]
     ls = np.arange(-(N // 2), N - N // 2)
     s2 = (2.0 / h * np.sin(ls * np.pi / N)) ** 2

@@ -12,6 +12,10 @@ norms and inner products return one value per row, each bit for bit the
 value of that row on its own.
 :class:`GridFunction` is the closed-node view for output only: the N values
 plus the repeated endpoint.
+
+Every input range check of the package calls one of two tests here:
+:func:`_within` (real numbers, finite and above a bound) or :func:`_whole`
+(an int >= 1); neither takes None or a bool.
 """
 
 from __future__ import annotations
@@ -37,6 +41,17 @@ __all__ = [
 ]
 
 
+def _within(values, low: float) -> bool:
+    """Every value is a real number in (low, inf); NaN, None and a bool are not."""
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and low < v < math.inf
+               for v in values)
+
+
+def _whole(value) -> bool:
+    """A count of steps, iterations or cells: an int >= 1 (2.5 and True are not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic grid on [a, b] with N cells; x_N = b is x_0."""
@@ -46,9 +61,9 @@ class Grid1D:
     N: int
 
     def __post_init__(self):
-        if not -math.inf < self.a < self.b < math.inf:
+        if not (_within([self.a, self.b], -math.inf) and self.a < self.b):
             raise ValueError(f"need finite a < b, got [{self.a}, {self.b}]")
-        if not (isinstance(self.N, numbers.Integral) and self.N >= 4):
+        if not (_whole(self.N) and self.N >= 4):
             raise ValueError(f"need an int N >= 4, got N={self.N!r}")
 
     @property

@@ -52,7 +52,7 @@ from .analysis import (
     sigma_max,
 )
 from .cache import reference_state
-from .grid import Grid1D, GridFunction, norm_linf
+from .grid import Grid1D, GridFunction, _whole, _within, norm_linf
 from .nonlinearity import BLOCK, NonlinearityParams, width_requirement
 from .schemes import (
     SCHEMES,
@@ -60,7 +60,6 @@ from .schemes import (
     NonConvergenceError,
     StabilityWarning,
     StepperConfig,
-    _whole,
     discrete_energy,
     evolve,
     relative_drift,
@@ -170,20 +169,22 @@ class ExperimentPlan:
         """
         inf, positive = math.inf, "finite and > 0"
         checks = (  # (key, value, ok, requirement)
-            ("domain", self.domain, -inf < self.domain[0] < self.domain[1] < inf, "a < b, finite"),
+            ("domain", self.domain,
+             _within(self.domain, -inf) and self.domain[0] < self.domain[1], "a < b, finite"),
             ("T", self.final_time, _within([self.final_time], 0.0), positive),
             ("lambda", self.lam, _within([self.lam], -inf), "finite"),
             *(("epsilon", e, False, req) for e in self.epsilons if (req := width_requirement(e))),
             ("tau", self.taus, _within(self.taus, 0.0), positive),
             ("h", self.hs, _within(self.hs, 0.0), positive),
-            ("tau_ref", self.tau_ref, _within([self.tau_ref], 0.0), positive),
-            ("h_ref", self.h_ref, _within([self.h_ref], 0.0), positive),
+            # Optional: None takes the value of the reference grid rule.
+            *((key, v, v is None or _within([v], 0.0), positive)
+              for key, v in (("tau_ref", self.tau_ref), ("h_ref", self.h_ref))),
             ("newton_tol", self.newton_tol, 0.0 < self.newton_tol <= 1e-6, "in (0, 1e-6]"),
             ("newton_max_iter", self.newton_max_iter, _whole(self.newton_max_iter), "an int >= 1"),
             ("probe factors", self.probe_factors, _within(self.probe_factors, 0.0), positive),
             ("probe steps", self.probe_steps, _whole(self.probe_steps), "an int >= 1"),
-            ("snapshot_times", self.snapshot_times,
-             all(0.0 <= t < inf for t in self.snapshot_times), "finite and >= 0"),
+            ("snapshot_times", self.snapshot_times, _within(self.snapshot_times, -inf)
+             and min(self.snapshot_times, default=0.0) >= 0.0, "finite and >= 0"),
         )
         errs = [f"{key}: must be {req}, got {value!r}" for key, value, ok, req in checks if not ok]
         kind = SWEEP_KINDS.get(self.kind)
@@ -233,12 +234,6 @@ class ExperimentPlan:
         if kind.axis == "tau" and self.h_ref is not None:
             errs.append(f"h_ref: {self.kind} keeps each cell's mesh, so h_ref is unused")
         return errs
-
-
-def _within(values, low: float) -> bool:
-    """Every value that is set lies in (low, inf); NaN and a bool never do."""
-    return all(low < v < math.inf and not isinstance(v, (bool, np.bool_))
-               for v in values if v is not None)
 
 
 @dataclass
@@ -382,7 +377,8 @@ def _resolve_reference(plan: ExperimentPlan) -> str:
 
 def _count(length: float, step: float) -> int | None:
     """How many steps make up ``length``; None unless ``step`` divides it."""
-    n = round(length / step)
+    ratio = length / step  # inf when the steps are too many to count
+    n = round(ratio) if math.isfinite(ratio) else 0
     return n if n >= 1 and math.isclose(n * step, length, rel_tol=1e-9) else None
 
 

@@ -29,6 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .grid import _within
+
 __all__ = [
     "NonlinearityParams",
     "reg_log",
@@ -60,7 +62,7 @@ BLOCK = 8192
 
 def width_requirement(eps: float) -> str | None:
     """The requirement a width ``eps`` fails, or None if it is usable (a bool is not)."""
-    if isinstance(eps, (bool, np.bool_)) or not (math.isfinite(eps) and eps > 0.0):
+    if not _within([eps], 0.0):
         return "finite and > 0"
     if eps * eps == 0.0:
         return "large enough that epsilon**2 does not underflow"
@@ -84,7 +86,7 @@ class NonlinearityParams:
     epsilon: float | tuple[float, ...]
 
     def __post_init__(self):
-        if isinstance(self.lam, (bool, np.bool_)) or not math.isfinite(self.lam):
+        if not _within([self.lam], -math.inf):
             raise ValueError(f"lam must be a finite number, got {self.lam}")
         batch = np.ndim(self.epsilon) != 0
         for eps in self.epsilon if batch else (self.epsilon,):  # as given: float(True) is 1.0

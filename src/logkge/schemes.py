@@ -66,7 +66,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 import sys
 import warnings
@@ -82,6 +81,8 @@ import scipy
 from .analysis import siefd_tau_bound, sigma_max
 from .grid import (
     Grid1D,
+    _whole,
+    _within,
     inner,
     norm_l2,
     periodic_forward_diff,
@@ -129,11 +130,6 @@ class StabilityWarning(UserWarning):
     """Emitted when a siefd run starts above its predicted stable time step."""
 
 
-def _whole(value) -> bool:
-    """A count of steps or iterations: an integer >= 1 (2.5 and True are not one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class StepperConfig:
     scheme: str
@@ -144,7 +140,7 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
-        if isinstance(self.tau, (bool, np.bool_)) or not 0.0 < self.tau < math.inf:
+        if not _within([self.tau], 0.0):
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 < self.newton_tol <= 1e-6:
             raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")

@@ -5,7 +5,6 @@ import pytest
 
 from logkge.analysis import (
     ErrorReport,
-    GaussonParams,
     continuous_energy_log,
     continuous_energy_reg,
     energy_gap_bound,
@@ -42,25 +41,19 @@ class TestGausson:
         assert gausson(0.0, 0.0) == 1.0
 
     def test_peak_tracking(self):
-        gp = GaussonParams(c=2.0, k=1.0)
+        # The peak travels along x = c t / k = 2t.
         for t in (0.0, 0.7, 3.1):
-            assert gausson(gp.c * t / gp.k, t, gp) == pytest.approx(1.0, abs=1e-15)
-
-    def test_constraint(self):
-        with pytest.raises(ValueError):
-            GaussonParams(c=1.0, k=1.0)
+            assert gausson(2.0 * t, t) == pytest.approx(1.0, abs=1e-15)
 
     def test_initial_velocity_is_time_derivative(self):
-        gp = GaussonParams()
         xs = np.linspace(-10, 10, 41)
         dt = 1e-6
-        fd = (gausson(xs, dt, gp) - gausson(xs, -dt, gp)) / (2 * dt)
-        np.testing.assert_allclose(gausson_gamma(xs, gp), fd, rtol=1e-8, atol=1e-10)
+        fd = (gausson(xs, dt) - gausson(xs, -dt)) / (2 * dt)
+        np.testing.assert_allclose(gausson_gamma(xs), fd, rtol=1e-8, atol=1e-10)
 
     def test_residual_vanishes(self):
         # u_tt - u_xx + u + u ln(u^2) = 0 checked by 6th order finite
         # differences of the closed form on a random space-time sample
-        gp = GaussonParams()
         rng = np.random.default_rng(0)
         xs = rng.uniform(-6, 6, size=100)
         ts = rng.uniform(0.0, 3.0, size=10)
@@ -70,9 +63,9 @@ class TestGausson:
         worst = 0.0
         for t in ts:
             for x in xs:
-                u = gausson(x, t, gp)
-                utt = np.dot(w, gausson(x, t + offs * delta, gp)) / delta**2
-                uxx = np.dot(w, gausson(x + offs * delta, t, gp)) / delta**2
+                u = gausson(x, t)
+                utt = np.dot(w, gausson(x, t + offs * delta)) / delta**2
+                uxx = np.dot(w, gausson(x + offs * delta, t)) / delta**2
                 resid = utt - uxx + u + u * math.log(u * u)
                 worst = max(worst, abs(resid))
         assert worst < 1e-8
@@ -208,10 +201,10 @@ class TestTauBound:
     @pytest.mark.parametrize(
         "h, sigma",
         [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, math.inf), (0.5, -math.inf),
-         (0.0, 1.0), (-0.5, 1.0)],
+         (0.0, 1.0), (-0.5, 1.0), (True, 1.0), (0.5, True), (np.True_, 1.0), (None, 1.0)],
     )
     def test_rejects_h_or_sigma_off_the_reals(self, h, sigma):
-        # A NaN bound would compare false to every tau.
+        # A NaN bound would compare false to every tau; a bool would pass as 1.
         with pytest.raises(ValueError, match="need h finite and > 0 and sigma finite"):
             siefd_tau_bound(h, sigma)
 
@@ -242,6 +235,19 @@ class TestLinearizedStability:
                             linearized_amplification("siefd", h, fac * bound, alpha, 256)
                             > 1.0 + 1e-12
                         )
+
+
+    @pytest.mark.parametrize(
+        "h, tau, alpha, N",
+        [(0.5, math.nan, 1.0, 8), (math.nan, 0.5, 1.0, 8), (0.5, 0.0, 1.0, 8),
+         (-0.5, 0.5, 1.0, 8), (0.5, math.inf, 1.0, 8), (True, 0.5, 1.0, 8),
+         (0.5, 0.5, math.nan, 8), (0.5, 0.5, -math.inf, 8),
+         (0.5, 0.5, 1.0, 0), (0.5, 0.5, 1.0, 2.5), (0.5, 0.5, 1.0, True)],
+    )
+    def test_rejects_a_grid_off_the_reals(self, h, tau, alpha, N):
+        # A NaN h or tau returned NaN; N = 0 failed inside numpy's max.
+        with pytest.raises(ValueError, match="need h and tau finite and > 0, alpha finite"):
+            linearized_amplification("cnfd", h, tau, alpha, N)
 
 
 class TestErrorsAndOrders:

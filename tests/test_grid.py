@@ -49,6 +49,10 @@ class TestGrid1D:
             Grid1D(0.0, math.inf, 8)
         with pytest.raises(ValueError, match="an int N >= 4, got N=4.5"):
             Grid1D(0.0, 1.0, 4.5)
+        # A bool is not an end point, though False < True; nor is numpy's.
+        for a, b in ((False, True), (np.False_, 1.0), (0.0, np.True_)):
+            with pytest.raises(ValueError, match="finite a < b"):
+                Grid1D(a, b, 4)
 
 
 class TestGridFunction:

@@ -317,6 +317,25 @@ class TestReferenceFailure:
         assert len(list(tmp_path.iterdir())) == 1  # only the eps = 0.05 reference
 
 
+class TestCustomReferences:
+    def test_each_custom_problem_keeps_its_own_reference(self, tmp_path):
+        # Two custom problems that differ only in phi share every other key
+        # field; a reference cached for one must not serve the other.
+        def sweep(phi):
+            return harness.run(ExperimentPlan(
+                kind="temporal-sweep", problem="custom", phi_expr=phi, gamma_expr="0",
+                final_time=0.2, taus=(0.1, 0.05), hs=(0.5,), reference="cnfd-fine",
+                cache_dir=str(tmp_path),
+            )).rows
+
+        first = sweep("exp(-x**2)")
+        assert len(list(tmp_path.iterdir())) == 1
+        sweep("exp(-2*x**2)")
+        assert len(list(tmp_path.iterdir())) == 2
+        assert sweep("exp(-x**2)") == first
+        assert len(list(tmp_path.iterdir())) == 2
+
+
 # Tiny sweeps of every cell-sweep kind, pinned by what they compute: the row
 # keys (eps, h, tau), which rows carry rates, and the (eps, N, tau) of every
 # reference run.  Gausson data on [-16, 16] unless a domain is given.
@@ -641,6 +660,11 @@ class TestHostilePlans:
                 _BASE_PLAN + "[experiment]\nkind = temporal-sweep\n[grids]\ntau = 0.1 0\n",
                 id="tau-zero-after-first",
             ),
+            # A count of steps or of cells overflows to inf: round() raised OverflowError.
+            pytest.param(_BASE_PLAN + "[experiment]\nT = 1e300\n[grids]\ntau = 1e-10\n",
+                         id="T-over-tau-overflows"),
+            pytest.param(_BASE_PLAN + "[experiment]\ndomain = -1e308 1e308\n[grids]\nh = 1e307\n",
+                         id="domain-over-h-overflows"),
         ],
     )
     def test_rejected_by_plan_from_config(self, tmp_path, text):
@@ -648,6 +672,34 @@ class TestHostilePlans:
         path.write_text(text)
         with pytest.raises(PlanError):
             plan_from_config(path)
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            pytest.param(_BASE_PLAN + "[experiment]\nkind = sweep\n",
+                         "kind: unknown kind 'sweep'", id="kind"),
+            pytest.param(_BASE_PLAN + "[experiment]\nscheme = leapfrog\n",
+                         "scheme: unknown scheme 'leapfrog'", id="scheme"),
+            pytest.param(_BASE_PLAN + "[experiment]\nproblem = example3\n",
+                         "problem: unknown problem 'example3'", id="problem"),
+            pytest.param(_BASE_PLAN + "[reference]\npolicy = exact\n",
+                         "reference: unknown policy 'exact'", id="reference-policy"),
+            pytest.param(_BASE_PLAN + "[experiment]\nproblem = custom\n[custom]\nphi = x\n",
+                         "custom: a custom problem needs phi and gamma", id="custom-without-gamma"),
+            pytest.param(_BASE_PLAN + "[experiment]\nkind = diagonal-sweep\n"
+                         "[grids]\ntau = 0.1 0.05\nh = 0.5 0.25\n",
+                         "grids: diagonal sweep needs equal-length", id="diagonal-lengths"),
+            pytest.param(_BASE_PLAN + "h 0.25\n", "line 6: expected key = value", id="no-equals"),
+            pytest.param(_NO_H_PLAN + "N = many\n", "line 5: N: give cell counts", id="N-text"),
+        ],
+    )
+    def test_first_error_names_its_check(self, tmp_path, text, prefix):
+        # The first message comes from the check the plan fails, not another.
+        path = tmp_path / "plan.txt"
+        path.write_text(text)
+        with pytest.raises(PlanError) as info:
+            plan_from_config(path)
+        assert info.value.errors[0].startswith(prefix), info.value.errors
 
     def test_cell_count_gives_h(self, tmp_path):
         path = tmp_path / "plan.txt"
@@ -683,6 +735,8 @@ class TestHostilePlans:
             pytest.param(dict(hs=(np.True_,)), id="numpy-boolean-h"),
             pytest.param(dict(epsilons=(True,)), id="boolean-epsilon"),
             pytest.param(dict(lam=True), id="boolean-lambda"),
+            pytest.param(dict(domain=(np.False_, 16.0)), id="numpy-boolean-domain"),
+            pytest.param(dict(snapshot_times=(True,)), id="boolean-snapshot-time"),
             # A repeated eps crashed the rates; an underflowing eps**2 the first step.
             pytest.param(dict(kind="spatial-sweep", hs=(1.0, 0.5), epsilons=(0.05, 0.05)),
                          id="spatial-repeated-epsilon"),

@@ -62,6 +62,12 @@ class TestParams:
             for eps in (flag, (0.1, flag)):
                 with pytest.raises(ValueError, match="epsilon must be finite and > 0, got True"):
                     NonlinearityParams(lam=1.0, epsilon=eps)
+        # Nor is None, which raised TypeError.
+        with pytest.raises(ValueError, match="lam must be a finite number, got None"):
+            NonlinearityParams(lam=None, epsilon=0.1)
+        for eps in (None, (0.1, None)):
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0, got None"):
+                NonlinearityParams(lam=1.0, epsilon=eps)
 
 
 class TestRegLog:

@@ -97,6 +97,8 @@ class TestConfig:
         for flag in (True, np.True_):
             with pytest.raises(ValueError, match="finite and > 0, got True"):
                 StepperConfig(scheme="cnfd", tau=flag)
+        with pytest.raises(ValueError, match="finite and > 0, got None"):
+            StepperConfig(scheme="cnfd", tau=None)
 
     def test_only_the_weights_the_step_implements(self):
         # The step's residual and discrete_energy implement the Laplacian
