@@ -36,6 +36,7 @@ import contextlib
 import math
 import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import starmap
 from pathlib import Path
@@ -115,6 +116,14 @@ PLAN_KINDS = tuple(SWEEP_KINDS)
 PROBLEMS = ("example1-gausson", "example2-cos-sin", "custom")
 REFERENCE_POLICIES = ("auto", "exact-gausson", "cnfd-fine", "none")
 
+# The most values one layer of a run may hold (its members times N, a
+# reference run included) and the most steps one run may take.  A run holds
+# about ten layers at once, so 2^22 values (32 MiB a layer) keep it within a
+# desk machine's memory; 10^7 steps take over half an hour even at N = 64.
+# The paper-scale plans reach 3 x 32768 values and 51 200 steps.
+MAX_LAYER_VALUES = 2**22
+MAX_STEPS = 10**7
+
 CSV_HEADER = (
     "scheme,problem,epsilon,lambda,h,tau,T,norm_l2,norm_linf,norm_h1,"
     "rate_l2,rate_linf,rate_h1,energy_drift,newton_avg_iters,status"
@@ -165,28 +174,38 @@ class ExperimentPlan:
         would build (meshes divide the domain, time steps divide T where the
         kind steps to T on them, reference meshes nest the cell meshes), so
         a plan that validates never fails on its grids mid-run.  Every float
-        must be finite, and a swept plan's cells distinct.
+        must be finite, and a swept plan's cells distinct.  No run may hold
+        more than :data:`MAX_LAYER_VALUES` values a layer or take more than
+        :data:`MAX_STEPS` steps.
         """
         inf, positive = math.inf, "finite and > 0"
+        lists = (("epsilon", self.epsilons), ("tau", self.taus), ("h", self.hs),
+                 ("probe factors", self.probe_factors), ("snapshot_times", self.snapshot_times))
+        # A list field that is not a tuple or list gets one message and no other check.
+        loose = {key: seq for key, seq in lists if not isinstance(seq, (tuple, list))}
+        errs = [f"{key}: must be a tuple or list, got {seq!r}" for key, seq in loose.items()]
+        eps, taus, hs, factors, times = (() if key in loose else seq for key, seq in lists)
+        domain = self.domain
         checks = (  # (key, value, ok, requirement)
-            ("domain", self.domain,
-             _within(self.domain, -inf) and self.domain[0] < self.domain[1], "a < b, finite"),
+            ("domain", domain, isinstance(domain, (tuple, list)) and len(domain) == 2
+             and _within(domain, -inf) and domain[0] < domain[1], "two finite numbers a < b"),
             ("T", self.final_time, _within([self.final_time], 0.0), positive),
             ("lambda", self.lam, _within([self.lam], -inf), "finite"),
-            *(("epsilon", e, False, req) for e in self.epsilons if (req := width_requirement(e))),
-            ("tau", self.taus, _within(self.taus, 0.0), positive),
-            ("h", self.hs, _within(self.hs, 0.0), positive),
+            *(("epsilon", e, False, req) for e in eps if (req := width_requirement(e))),
+            ("tau", taus, _within(taus, 0.0), positive),
+            ("h", hs, _within(hs, 0.0), positive),
             # Optional: None takes the value of the reference grid rule.
             *((key, v, v is None or _within([v], 0.0), positive)
               for key, v in (("tau_ref", self.tau_ref), ("h_ref", self.h_ref))),
-            ("newton_tol", self.newton_tol, 0.0 < self.newton_tol <= 1e-6, "in (0, 1e-6]"),
+            ("newton_tol", self.newton_tol,
+             _within([self.newton_tol], 0.0) and self.newton_tol <= 1e-6, "in (0, 1e-6]"),
             ("newton_max_iter", self.newton_max_iter, _whole(self.newton_max_iter), "an int >= 1"),
-            ("probe factors", self.probe_factors, _within(self.probe_factors, 0.0), positive),
+            ("probe factors", factors, _within(factors, 0.0), positive),
             ("probe steps", self.probe_steps, _whole(self.probe_steps), "an int >= 1"),
-            ("snapshot_times", self.snapshot_times, _within(self.snapshot_times, -inf)
-             and min(self.snapshot_times, default=0.0) >= 0.0, "finite and >= 0"),
+            ("snapshot_times", times,
+             _within(times, -inf) and min(times, default=0.0) >= 0.0, "finite and >= 0"),
         )
-        errs = [f"{key}: must be {req}, got {value!r}" for key, value, ok, req in checks if not ok]
+        errs += [f"{key}: must be {req}, got {value!r}" for key, value, ok, req in checks if not ok]
         kind = SWEEP_KINDS.get(self.kind)
         if kind is None:
             errs.append(f"kind: unknown kind {self.kind!r}, expected one of {PLAN_KINDS}")
@@ -201,23 +220,29 @@ class ExperimentPlan:
         if self.reference == "exact-gausson" and self.problem != "example1-gausson":
             errs.append("reference: exact-gausson truth exists only for example1-gausson")
         if kind is not None:
-            errs.extend(self._kind_errors(kind))
+            errs.extend(self._kind_errors(kind, loose))
         return errs or _grid_errors(self, kind)
 
-    def _kind_errors(self, kind: SweepKind) -> list[str]:
+    def _kind_errors(self, kind: SweepKind, loose: dict) -> list[str]:
         """The list lengths and refinement ratios the swept axis needs.
 
         A list the kind reads only the first value of may hold no second one,
         which the run would silently drop; a kind without a tau grid needs
-        no tau at all.
+        no tau at all.  The lists named in ``loose`` are not tuples or lists,
+        and are skipped.
         """
         errs = []
+        if kind.axis == "tau" and self.h_ref is not None:
+            errs.append(f"h_ref: {self.kind} keeps each cell's mesh, so h_ref is unused")
         swept = ("tau", "h") if kind.axis == "diagonal" else (kind.axis,)
         read = swept + (("epsilon",) if kind.each_epsilon else ())
         optional = () if kind.tau_grid else ("tau",)
         for name, seq in (("epsilon", self.epsilons), ("tau", self.taus), ("h", self.hs)):
+            if name in loose:
+                continue
             minimum = 2 if name in swept else 0 if name in optional else 1
-            ratios = [a / b if b else math.inf for a, b in zip(seq, seq[1:])]  # 0 is flagged above
+            # A value that is not a positive number is flagged in validate.
+            ratios = [a / b for a, b in zip(seq, seq[1:])] if _within(seq, 0.0) else []
             # Rates need tau and h halved at each level, eps refined by a fixed ratio.
             want = ratios[0] if name == "epsilon" and ratios else 2.0
             if len(seq) < minimum:
@@ -226,13 +251,13 @@ class ExperimentPlan:
                 errs.append(f"{name}: rates need a refinement ratio of {want:g} throughout {seq}")
             elif name not in read and len(seq) > 1:
                 errs.append(f"{name}: {self.kind} uses one {name} value, got {seq}")
+        if loose.keys() & {"epsilon", "tau", "h"}:
+            return errs  # the cells need all three lists
         if kind.axis == "diagonal" and not len(self.taus) == len(self.hs) == len(self.epsilons):
             errs.append("grids: diagonal sweep needs equal-length eps/h/tau lists")
         cells = _cells_for(self)  # a repeated cell would stop the rates at a zero step
         if kind.axis is not None and len(set(cells)) < len(cells):
             errs.append(f"epsilon: rates need distinct epsilons, got {self.epsilons}")
-        if kind.axis == "tau" and self.h_ref is not None:
-            errs.append(f"h_ref: {self.kind} keeps each cell's mesh, so h_ref is unused")
         return errs
 
 
@@ -398,7 +423,7 @@ def _snapshot_steps(plan: ExperimentPlan) -> tuple[int, ...]:
 
 
 def _grid_errors(plan: ExperimentPlan, kind: SweepKind) -> list[str]:
-    """Meshes and time steps the run would use that do not fit the plan."""
+    """Meshes and time steps the run would use that do not fit the plan, or pass the limits."""
     length, T = plan.domain[1] - plan.domain[0], plan.final_time
     errs = [f"h: {h} must divide the domain into at least 4 cells"
             for h in plan.hs if (_count(length, h) or 0) < 4]
@@ -406,15 +431,28 @@ def _grid_errors(plan: ExperimentPlan, kind: SweepKind) -> list[str]:
              if kind.tau_grid and not _count(T, tau)]
     if kind.snapshots and not errs and None in _snapshot_steps(plan):
         errs.append(f"snapshot_times: each time up to T must be a multiple of tau {plan.taus[0]}")
-    if errs or _resolve_reference(plan) != "cnfd-fine":
+    if errs:
         return errs
-    for _, h, tau in _cells_for(plan):
-        h_ref, tau_ref = _reference_grid_rule(plan, h, tau)
-        n_ref = _count(length, h_ref)
-        if n_ref is None or n_ref % _count(length, h):
-            errs.append(f"h_ref: the reference mesh {h_ref} does not nest the cell mesh {h}")
-        if not _count(T, tau_ref):
-            errs.append(f"tau_ref: {tau_ref} does not divide T = {T} evenly")
+    # (values a layer, steps) of each run: one batch per (h, tau), or the probe's runs.
+    cells = _cells_for(plan)
+    batches = Counter((h, tau) for _, h, tau in cells)
+    runs = ([(n * _count(length, h), _count(T, tau)) for (h, tau), n in batches.items()]
+            if kind.tau_grid else [(_count(length, plan.hs[0]), plan.probe_steps)])
+    if _resolve_reference(plan) == "cnfd-fine":
+        for _, h, tau in cells:
+            h_ref, tau_ref = _reference_grid_rule(plan, h, tau)
+            n_ref, steps_ref = _count(length, h_ref), _count(T, tau_ref)
+            if n_ref is None or n_ref % _count(length, h):
+                errs.append(f"h_ref: the reference mesh {h_ref} does not nest the cell mesh {h}")
+            if not steps_ref:
+                errs.append(f"tau_ref: {tau_ref} does not divide T = {T} evenly")
+            runs.append((n_ref or 0, steps_ref or 0))
+    values, steps = map(max, zip(*runs))
+    if values > MAX_LAYER_VALUES:
+        errs.append(f"grids: a run would hold more than MAX_LAYER_VALUES = {MAX_LAYER_VALUES} "
+                    "values a layer (members x N)")
+    if steps > MAX_STEPS:
+        errs.append(f"grids: a run would take more than MAX_STEPS = {MAX_STEPS} steps")
     return list(dict.fromkeys(errs))
 
 
@@ -493,9 +531,10 @@ def _stepper(plan: ExperimentPlan, tau: float) -> StepperConfig:
 
 
 def _run_cells(plan, policy, truths, cells) -> list[tuple[CellRow, tuple[list, dict]]]:
-    """Row and (energy series, snapshots by time) of each cell; the cells share (h, tau).
+    """Row and (energy series, snapshots by time) of each cell of one (h, tau) group.
 
-    The cells' eps are the members of one batch.  If a member's Newton solve
+    The group's eps are the members of one batch, however many values its
+    layers hold.  If a member's Newton solve
     fails, a batch of several cells returns its cells run one at a time, and
     a single cell returns its non-convergence row (no records), so every row
     is what a run of its cell alone gives.
@@ -595,8 +634,7 @@ def _run_stability_probe(plan: ExperimentPlan) -> SweepResult:
 def run(plan: ExperimentPlan) -> SweepResult:
     """Execute a plan; output order is canonical.
 
-    Cells that share (h, tau) run in batches whose members are their eps,
-    as many to a batch as fit in :data:`BLOCK` values a layer (at least one).
+    Cells that share (h, tau) run as one batch whose members are their eps.
     The plan is validated first, so a bad plan raises :class:`PlanError`
     before any reference is computed.  Solver failures mark a row's status
     and never abort the sweep: a batch in which a member's Newton solve
@@ -617,13 +655,7 @@ def run(plan: ExperimentPlan) -> SweepResult:
     groups: dict[tuple[float, float], list] = {}  # cells by (h, tau)
     for cell in cells:
         groups.setdefault(cell[1:], []).append(cell)
-    done = []
-    for (h, _), members in groups.items():
-        # At most BLOCK values (64 KiB) a batch layer: each temporary of a
-        # layer above glibc's 128 KiB mmap threshold is mapped and faulted anew.
-        size = max(1, BLOCK // _grid_for(plan, h).N)
-        for lo in range(0, len(members), size):
-            done += _run_cells(plan, policy, truths, members[lo : lo + size])
+    done = [out for members in groups.values() for out in _run_cells(plan, policy, truths, members)]
     rows = [row for row, _ in done]
     _attach_rates(plan, rows)
     rows.sort(key=CellRow.sort_key)
@@ -860,7 +892,9 @@ def reproduce_plan(
     restore the original resolutions (minutes to hours).
     """
     if target not in _BUILTIN_PLANS:
-        raise PlanError([f"unknown reproduce target {target!r}"])
+        raise PlanError(
+            [f"unknown built-in plan {target!r}, expected one of {tuple(_BUILTIN_PLANS)}"]
+        )
     desk, paper = _BUILTIN_PLANS[target]
     return ExperimentPlan(**(desk | paper if paper_scale else desk), out=out, cache_dir=cache_dir)
 

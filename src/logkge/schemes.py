@@ -142,8 +142,8 @@ class StepperConfig:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         if not _within([self.tau], 0.0):
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if not 0.0 < self.newton_tol <= 1e-6:
-            raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol}")
+        if not (_within([self.newton_tol], 0.0) and self.newton_tol <= 1e-6):
+            raise ValueError(f"newton_tol must lie in (0, 1e-6], got {self.newton_tol!r}")
         if not _whole(self.newton_max_iter):
             raise ValueError(f"newton_max_iter must be an int >= 1, got {self.newton_max_iter!r}")
 

@@ -249,6 +249,10 @@ class TestLinearizedStability:
         with pytest.raises(ValueError, match="need h and tau finite and > 0, alpha finite"):
             linearized_amplification("cnfd", h, tau, alpha, N)
 
+    def test_rejects_an_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown scheme 'leapfrog'"):
+            linearized_amplification("leapfrog", 0.5, 0.1, 1.0, 8)
+
 
 class TestErrorsAndOrders:
     def test_identity_gives_zero(self):
@@ -272,12 +276,16 @@ class TestErrorsAndOrders:
     def test_order_definition(self):
         e = 1e-4
         assert observed_order([(0.1, 4 * e), (0.05, e)]) == [pytest.approx(2.0)]
+        # An error of 0 has no order.
+        assert math.isnan(observed_order([(0.1, 1e-3), (0.05, 0.0)])[0])
 
     def test_order_requires_two_rows(self):
         with pytest.raises(ValueError):
             observed_order([])
         with pytest.raises(ValueError):
             observed_order([(0.1, 1e-3)])
+        with pytest.raises(ValueError, match="steps must change"):
+            observed_order([(0.1, 1e-3), (0.1, 1e-4)])
 
     def test_paper_temporal_table_rates(self):
         # errors as printed in the reference temporal-accuracy table; the

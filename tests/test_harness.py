@@ -496,6 +496,11 @@ class TestBatchedCells:
             pytest.param(ExperimentPlan(kind="spatial-sweep", epsilons=(0.05, 1e-6),
                                         hs=(2.0, 1.0), taus=(0.5,), final_time=4.0,
                                         reference="exact-gausson"), id="spatial"),
+            # 2 x 10240 values: the kernels run each row in BLOCK pieces, 8192 + 2048.
+            pytest.param(ExperimentPlan(kind="epsilon-sweep", epsilons=(1e-3, 2.5e-4),
+                                        hs=(0.1 * 2.0**-5,), taus=(0.1 * 2.0**-5,),
+                                        final_time=0.5 * 2.0**-5, reference="exact-gausson"),
+                         id="above-block"),
         ],
     )
     def test_each_row_is_its_cell_run_alone(self, plan):
@@ -528,14 +533,14 @@ class TestBatchedCells:
         "plan, sizes",
         [
             pytest.param(reproduce_plan("fig1"), [6], id="fig1"),  # 6 x 1024 values
-            pytest.param(reproduce_plan("table3-epsilon"), [1] * 5, id="table3-epsilon"),  # N = 10240
-            # N = 1024 and 2048 fit all three members, N = 4096 two of them
+            pytest.param(reproduce_plan("table3-epsilon"), [5], id="table3-epsilon"),  # 5 x 10240
+            # N = 1024, 2048 and 4096: every member at each
             pytest.param(ExperimentPlan(kind="spatial-sweep", epsilons=(0.05, 0.025, 0.0125),
                                         hs=(2.0**-5, 2.0**-6, 2.0**-7), taus=(0.01,),
-                                        reference="exact-gausson"), [3, 3, 2, 1], id="spatial"),
+                                        reference="exact-gausson"), [3, 3, 3], id="spatial"),
         ],
     )
-    def test_batches_hold_at_most_block_values(self, monkeypatch, plan, sizes):
+    def test_one_batch_per_group(self, monkeypatch, plan, sizes):
         batches = []
 
         def record(plan, policy, refs, cells):
@@ -691,6 +696,10 @@ class TestHostilePlans:
                          "grids: diagonal sweep needs equal-length", id="diagonal-lengths"),
             pytest.param(_BASE_PLAN + "h 0.25\n", "line 6: expected key = value", id="no-equals"),
             pytest.param(_NO_H_PLAN + "N = many\n", "line 5: N: give cell counts", id="N-text"),
+            pytest.param(_BASE_PLAN + "[experiment]\nT = 1e300\n[grids]\ntau = 1e-5\n",
+                         "grids: a run would take more than MAX_STEPS", id="too-many-steps"),
+            pytest.param(_NO_H_PLAN + "N = 35184372088832\n",
+                         "grids: a run would hold more than MAX_LAYER_VALUES", id="too-many-nodes"),
         ],
     )
     def test_first_error_names_its_check(self, tmp_path, text, prefix):
@@ -745,11 +754,24 @@ class TestHostilePlans:
             pytest.param(dict(kind="epsilon-sweep", epsilons=(0.05, 0.05)),
                          id="epsilon-sweep-repeated-epsilon"),
             pytest.param(dict(epsilons=(1e-170,)), id="epsilon-square-underflows"),
+            # A field of the wrong type raised TypeError or IndexError from validate.
+            pytest.param(dict(newton_tol=None), id="newton_tol-none"),
+            pytest.param(dict(newton_tol="1e-12"), id="newton_tol-text"),
+            pytest.param(dict(domain=None), id="domain-none"),
+            pytest.param(dict(domain=(1.0,)), id="domain-one-number"),
+            *(pytest.param({name: value}, id=f"{name}-{value}")
+              for name in ("taus", "hs", "epsilons", "probe_factors", "snapshot_times")
+              for value in (None, 0.1)),
+            pytest.param(dict(kind="temporal-sweep", taus=(None, 0.05)), id="tau-none-in-list"),
+            # 1e305 steps, and N = 3.5e13 nodes: past MAX_STEPS and MAX_LAYER_VALUES.
+            pytest.param(dict(final_time=1e300, taus=(1e-5,)), id="too-many-steps"),
+            pytest.param(dict(hs=(2.0**-40,)), id="too-many-nodes"),
         ],
     )
     def test_run_rejects_before_any_reference(self, monkeypatch, fields):
         calls = []
         monkeypatch.setattr(harness, "reference_state", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(harness, "evolve", lambda *a, **k: pytest.fail("stepped a run"))
         plan = ExperimentPlan(**{"final_time": 0.2, "taus": (0.1,), "hs": (0.5,), **fields})
         with pytest.raises(PlanError):
             harness.run(plan)
@@ -917,7 +939,8 @@ class TestReproduce:
 
     @pytest.mark.parametrize("target", ["table4", "table3", "TABLE1", ""])
     def test_unknown_plan(self, target):
-        with pytest.raises(PlanError):
+        # reproduce_plan takes the names of built-in plans, not reproduce targets.
+        with pytest.raises(PlanError, match="unknown built-in plan .*'table3-diagonal'"):
             reproduce_plan(target)
 
     @pytest.mark.parametrize("target", ["table4", "table3-epsilon", "fig1 ", ""])

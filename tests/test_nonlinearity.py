@@ -49,6 +49,8 @@ class TestParams:
             NonlinearityParams(lam=1.0, epsilon=0.0)
         with pytest.raises(ValueError):
             NonlinearityParams(lam=1.0, epsilon=-0.1)
+        with pytest.raises(ValueError, match="at least one member"):
+            NonlinearityParams(lam=1.0, epsilon=())
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,10 @@ class TestConfig:
                 StepperConfig(scheme="cnfd", tau=flag)
         with pytest.raises(ValueError, match="finite and > 0, got None"):
             StepperConfig(scheme="cnfd", tau=None)
+        # A tolerance that is not a number raised TypeError from the comparison.
+        for tol in (None, "1e-12", math.nan, True):
+            with pytest.raises(ValueError, match=r"newton_tol must lie in \(0, 1e-6\]"):
+                StepperConfig(scheme="cnfd", tau=0.1, newton_tol=tol)
 
     def test_only_the_weights_the_step_implements(self):
         # The step's residual and discrete_energy implement the Laplacian
@@ -197,6 +201,8 @@ class TestStepping:
                               (coarse_run.prev, fine_run.curr, P)]:
             with pytest.raises(ValueError, match="grid wants"):
                 Run(prev, curr, p, cfg, g)
+        with pytest.raises(ValueError, match="n must be an int >= 1, got 0"):
+            Run(coarse_run.prev, coarse_run.curr, P, cfg, g, n=0)
 
 
 class TestResidualAndNewton:
@@ -510,6 +516,8 @@ class TestCyclicTridiagonal:
         rhs = np.arange(1.0, 9.0)
         x = solve_cyclic_tridiag(np.ones(8), 0.0, rhs)
         np.testing.assert_allclose(x, rhs, rtol=1e-14)
+        with pytest.raises(ValueError, match="at least 3 unknowns"):
+            solve_cyclic_tridiag(np.ones(2), 0.0, rhs[:2])
 
     @pytest.mark.parametrize(
         "n, ratio, spread",
